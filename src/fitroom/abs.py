@@ -19,12 +19,12 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
-from .engine import EventCalendar, ModelError, RandomStreams, bernoulli
+from .engine import EventCalendar, ModelError, ReplicationDraws, bernoulli
 from .proactive import EV_POLL, EV_REVERT, ServiceTimeTable, SpeedupController
 from .runtime import (CLOSED, IN_SYSTEM, JOB1, JOB2, JOB3, L_ARRIVAL, L_END,
                       L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP, L_START,
-                      RENEGED, SERVED, QueueSet, Telemetry, build_metrics,
-                      close_open_waits, select_service)
+                      RENEGED, SERVED, CellDraws, QueueSet, Telemetry,
+                      build_metrics, close_open_waits, select_service)
 from .stats import RunMetrics
 
 # customer states
@@ -187,9 +187,10 @@ class CustomerAgent:
             self.cubicle = payload
             model = self.model
             cfg = model.cfg
-            fit = cfg.fitting.sample(model.s_fitting)
-            if bernoulli(cfg.help_probability, model.s_help):
-                frac = cfg.help_fraction.sample(model.s_help)
+            d = model.draws
+            fit = d.fitting()
+            if bernoulli(cfg.help_probability, d.help):
+                frac = cfg.help_fraction.sample(d.help)
                 self.fit_remaining = fit * (1.0 - frac)
                 model.cal.schedule(now + fit * frac, EV_HELP_DUE, self)
             else:
@@ -266,8 +267,7 @@ class StaffAgent:
         note = model.note
         if note is not None:
             note(now)
-        table = model.table
-        dur = table.specs[job].sample(model.s_job[job]) * table.factor
+        dur = model.draws.job[job]() * model.table.factor
         tr = model.tm.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
@@ -331,23 +331,12 @@ class AbsRun:
     """State of a single replication."""
 
     __slots__ = ("cfg", "cal", "queues", "tm", "table", "ctl", "customers",
-                 "staff", "room", "msgs", "note",
-                 "s_arrivals", "s_job", "s_fitting", "s_help", "s_patience")
+                 "staff", "room", "msgs", "note", "draws")
 
     def __init__(self, cfg: ScenarioConfig, replication: int,
-                 trace: Optional[list] = None) -> None:
-        streams = RandomStreams(cfg.master_seed)
-        self.s_arrivals = streams.stream("arrivals", replication)
-        self.s_job = (None,
-                      streams.stream("job1", replication),
-                      streams.stream("job2", replication),
-                      streams.stream("job3", replication))
-        self.s_fitting = streams.stream("fitting", replication)
-        self.s_help = streams.stream("help", replication)
-        self.s_patience = streams.stream("patience", replication)
-        s_revert = streams.stream("revert", replication)
-        s_poll = streams.stream("poll", replication)
-
+                 trace: Optional[list] = None,
+                 draws: Optional[ReplicationDraws] = None) -> None:
+        self.draws = d = CellDraws(cfg, replication, draws)
         self.cfg = cfg
         self.cal = EventCalendar()
         self.queues = QueueSet()
@@ -358,7 +347,7 @@ class AbsRun:
         self.room = FittingRoomAgent(self, cfg.cubicles)
         self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
                                      self.queues, self.room,
-                                     s_revert, s_poll, self.tm)
+                                     d.revert, d.poll, self.tm)
         self.customers: list[CustomerAgent] = []
         self.msgs: deque = deque()
         self.note = self.ctl.note_change if self.ctl.event_driven else None
@@ -374,7 +363,7 @@ class AbsRun:
         cal = self.cal
         horizon = self.cfg.horizon
         self.ctl.start()
-        first = self.cfg.arrival.next_arrival(0.0, self.s_arrivals)
+        first = self.draws.arrival()
         if first is not None:
             cal.schedule(first, EV_ARRIVAL)
         # calendar drained inline as in des.py; cal.now kept in step
@@ -409,16 +398,15 @@ class AbsRun:
         return self.finalize(horizon)
 
     def handle_arrival(self, now: float) -> None:
-        cfg = self.cfg
+        d = self.draws
         c = CustomerAgent(len(self.customers), now, self)
         self.customers.append(c)
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_ARRIVAL, c.id))
-        if cfg.patience is not None:
-            self.cal.schedule(now + cfg.patience.sample(self.s_patience),
-                              EV_PATIENCE, c)
-        nxt = cfg.arrival.next_arrival(now, self.s_arrivals)
+        if d.patience is not None:
+            self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
+        nxt = d.arrival()
         if nxt is not None:
             self.cal.schedule(nxt, EV_ARRIVAL)
         c._transition(WAITING_ENTRY)
@@ -439,6 +427,8 @@ class AbsRun:
 
 
 def run_abs(cfg: ScenarioConfig, replication: int,
-            trace: Optional[list] = None) -> RunMetrics:
-    """Run one replication of the agent-based model."""
-    return AbsRun(cfg, replication, trace).run()
+            trace: Optional[list] = None,
+            draws: Optional[ReplicationDraws] = None) -> RunMetrics:
+    """Run one replication of the agent-based model, reading the
+    replication's shared ``draws`` if given."""
+    return AbsRun(cfg, replication, trace, draws).run()

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .engine import ArrivalProfile, DistributionSpec, HORIZON
-from .proactive import ProactivePolicy
+from .proactive import ProactivePolicy, is_threshold
 
 
 class ConfigError(Exception):
@@ -31,6 +31,13 @@ class ConfigError(Exception):
 DEFAULT_HOURLY_RATES = (20.0, 34.0, 48.0, 56.0, 56.0, 48.0, 34.0, 20.0)
 
 _D = DistributionSpec
+
+
+def _is_number(v) -> bool:
+    """A finite real number; booleans do not count, although Python calls
+    them ints."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and -math.inf < v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -74,15 +81,15 @@ class ScenarioConfig:
              "replications: must be an integer >= 1")
         need(is_int(self.master_seed) and self.master_seed >= 0,
              "seed: must be a non-negative integer")
-        need(isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon)
-             and self.horizon > 0, "horizon: must be a positive number of minutes")
-        need(isinstance(self.help_probability, (int, float))
-             and 0.0 <= self.help_probability <= 1.0,
+        need(_is_number(self.horizon) and 0 < self.horizon <= HORIZON,
+             f"horizon: must be a positive number of minutes, at most {HORIZON:g} "
+             "(the span of the arrival profile)")
+        need(_is_number(self.help_probability) and 0.0 <= self.help_probability <= 1.0,
              "help.probability: must lie in [0, 1]")
         need(self.wait_estimator in ("served", "all"),
              "wait.estimator: must be 'served' or 'all'")
-        need(0.0 <= self.speedup_fraction < 1.0,
-             "proactive.speedup: must lie in [0, 1)")
+        need(_is_number(self.speedup_fraction) and 0.0 <= self.speedup_fraction < 1.0,
+             "proactive.speedup: must be a number in [0, 1)")
 
         for name, spec in (("service.job1", self.job1), ("service.job2", self.job2),
                            ("service.job3", self.job3), ("service.fitting", self.fitting)):
@@ -142,6 +149,14 @@ def _spec_from_value(v) -> DistributionSpec:
     raise ValueError("expected a number or [family, params...] list")
 
 
+_THRESHOLDS = {
+    "proactive.threshold": ("threshold_entry", "threshold_return", "threshold_help"),
+    "proactive.threshold.entry": ("threshold_entry",),
+    "proactive.threshold.return": ("threshold_return",),
+    "proactive.threshold.help": ("threshold_help",),
+}
+
+
 def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
     """Apply {dotted key: value} settings on top of ``base`` (or defaults)."""
     cfg = base if base is not None else ScenarioConfig()
@@ -177,6 +192,8 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
                     raise ValueError("expected a list of hourly rates")
                 arrival_rates = tuple(value)
             elif key == "arrival.scale":
+                if not _is_number(value):
+                    raise ValueError("expected a positive number")
                 arrival_scale = value
             elif key == "patience":
                 updates["patience"] = None if value == "infinite" else _spec_from_value(value)
@@ -184,16 +201,11 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
                 if not isinstance(value, bool):
                     raise ValueError("expected true or false")
                 policy["enabled"] = value
-            elif key == "proactive.threshold":
-                policy["threshold_entry"] = value
-                policy["threshold_return"] = value
-                policy["threshold_help"] = value
-            elif key == "proactive.threshold.entry":
-                policy["threshold_entry"] = value
-            elif key == "proactive.threshold.return":
-                policy["threshold_return"] = value
-            elif key == "proactive.threshold.help":
-                policy["threshold_help"] = value
+            elif key in _THRESHOLDS:
+                if not is_threshold(value):
+                    raise ValueError("expected an integer >= 1")
+                for fieldname in _THRESHOLDS[key]:
+                    policy[fieldname] = value
             elif key == "proactive.revert":
                 policy["revert_delay"] = _spec_from_value(value)
             elif key == "proactive.check":
@@ -205,7 +217,7 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
 
     try:
         updates["arrival"] = ArrivalProfile(arrival_rates, arrival_scale)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         errors.append(f"arrival: {exc}")
     if policy:
         try:

@@ -17,12 +17,12 @@ import heapq
 from typing import Optional
 
 from .config import ScenarioConfig
-from .engine import EventCalendar, RandomStreams, bernoulli
+from .engine import EventCalendar, ReplicationDraws, bernoulli
 from .proactive import EV_POLL, EV_REVERT, ServiceTimeTable, SpeedupController
 from .runtime import (CLOSED, IN_SYSTEM, JOB1, JOB2, JOB3, L_ARRIVAL, L_END,
                       L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP, L_START,
-                      RENEGED, SERVED, QueueSet, Telemetry, build_metrics,
-                      close_open_waits, select_service)
+                      RENEGED, SERVED, CellDraws, QueueSet, Telemetry,
+                      build_metrics, close_open_waits, select_service)
 from .stats import RunMetrics
 
 EV_ARRIVAL = "arrival"
@@ -69,23 +69,12 @@ class DesRun:
     """State of a single replication."""
 
     __slots__ = ("cfg", "cal", "queues", "cubicles", "tm", "table", "ctl",
-                 "customers", "staff_idle", "staff_since", "_note",
-                 "s_arrivals", "s_job", "s_fitting", "s_help", "s_patience")
+                 "customers", "staff_idle", "staff_since", "_note", "draws")
 
     def __init__(self, cfg: ScenarioConfig, replication: int,
-                 trace: Optional[list] = None) -> None:
-        streams = RandomStreams(cfg.master_seed)
-        self.s_arrivals = streams.stream("arrivals", replication)
-        self.s_job = (None,
-                      streams.stream("job1", replication),
-                      streams.stream("job2", replication),
-                      streams.stream("job3", replication))
-        self.s_fitting = streams.stream("fitting", replication)
-        self.s_help = streams.stream("help", replication)
-        self.s_patience = streams.stream("patience", replication)
-        s_revert = streams.stream("revert", replication)
-        s_poll = streams.stream("poll", replication)
-
+                 trace: Optional[list] = None,
+                 draws: Optional[ReplicationDraws] = None) -> None:
+        self.draws = d = CellDraws(cfg, replication, draws)
         self.cfg = cfg
         self.cal = EventCalendar()
         self.queues = QueueSet()
@@ -95,7 +84,7 @@ class DesRun:
                                       cfg.speedup_fraction)
         self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
                                      self.queues, self.cubicles,
-                                     s_revert, s_poll, self.tm)
+                                     d.revert, d.poll, self.tm)
         self.customers: list[Customer] = []
         self.staff_idle = True
         self.staff_since = 0.0
@@ -106,7 +95,7 @@ class DesRun:
         cal = self.cal
         horizon = self.cfg.horizon
         self.ctl.start()
-        first = self.cfg.arrival.next_arrival(0.0, self.s_arrivals)
+        first = self.draws.arrival()
         if first is not None:
             cal.schedule(first, EV_ARRIVAL)
         # the calendar is drained inline (cheaper than pop() per event);
@@ -140,16 +129,15 @@ class DesRun:
         return self.finalize(horizon)
 
     def handle_arrival(self, now: float) -> None:
-        cfg = self.cfg
+        d = self.draws
         c = Customer(len(self.customers), now)
         self.customers.append(c)
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_ARRIVAL, c.id))
-        if cfg.patience is not None:
-            self.cal.schedule(now + cfg.patience.sample(self.s_patience),
-                              EV_PATIENCE, c)
-        nxt = cfg.arrival.next_arrival(now, self.s_arrivals)
+        if d.patience is not None:
+            self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
+        nxt = d.arrival()
         if nxt is not None:
             self.cal.schedule(nxt, EV_ARRIVAL)
         self.queues.entry.join(c, now)
@@ -171,8 +159,7 @@ class DesRun:
             c.awaiting_entry = False
         if self._note is not None:
             self._note(now)
-        table = self.table
-        dur = table.specs[job].sample(self.s_job[job]) * table.factor
+        dur = self.draws.job[job]() * self.table.factor
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
@@ -190,9 +177,10 @@ class DesRun:
         self.tm.cubicle_change(now, 1)
         if tr is not None:
             tr.append((now, L_ENTER, c.id))
-        fit = self.cfg.fitting.sample(self.s_fitting)
-        if bernoulli(self.cfg.help_probability, self.s_help):
-            frac = self.cfg.help_fraction.sample(self.s_help)
+        d = self.draws
+        fit = d.fitting()
+        if bernoulli(self.cfg.help_probability, d.help):
+            frac = self.cfg.help_fraction.sample(d.help)
             c.fit_remaining = fit * (1.0 - frac)
             self.cal.schedule(now + fit * frac, EV_HELP_DUE, c)
         else:
@@ -272,6 +260,8 @@ class DesRun:
 
 
 def run_des(cfg: ScenarioConfig, replication: int,
-            trace: Optional[list] = None) -> RunMetrics:
-    """Run one replication of the event-scheduling model."""
-    return DesRun(cfg, replication, trace).run()
+            trace: Optional[list] = None,
+            draws: Optional[ReplicationDraws] = None) -> RunMetrics:
+    """Run one replication of the event-scheduling model, reading the
+    replication's shared ``draws`` if given."""
+    return DesRun(cfg, replication, trace, draws).run()

@@ -13,7 +13,9 @@ import heapq
 import math
 import zlib
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import partial
+from itertools import chain, repeat
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -80,34 +82,41 @@ class EventCalendar:
 
 
 class RandomStream:
-    """Uniform(0,1) stream with a private PCG64 generator.
+    """Reader of uniform(0,1) draws, handed out one at a time as Python floats.
 
-    Draws are buffered in blocks and handed out as plain Python floats; the
-    sequence is identical to calling ``Generator.random()`` one value at a
-    time, just cheaper.
+    The draws come in blocks from ``next_block``.  By default that is a
+    private PCG64 generator seeded with ``seed_seq``, and the sequence is
+    identical to calling ``Generator.random()`` one value at a time, just
+    cheaper.  ReplicationDraws passes its own ``next_block`` to replay a
+    stream it has already drawn.
     """
 
-    __slots__ = ("_gen", "_buf")
+    __slots__ = ("next_block", "_buf", "_blocks")
 
     _BLOCK = 512
 
-    def __init__(self, seed_seq: np.random.SeedSequence) -> None:
-        self._gen = np.random.Generator(np.random.PCG64(seed_seq))
+    def __init__(self, seed_seq: Optional[np.random.SeedSequence] = None,
+                 next_block: Optional[Callable[[], np.ndarray]] = None) -> None:
+        if next_block is None:
+            gen = np.random.Generator(np.random.PCG64(seed_seq))
+            next_block = partial(gen.random, self._BLOCK)
+        self.next_block = next_block
         self._buf: list[float] = []
+        self._blocks = 0
 
     def uniform(self) -> float:
         buf = self._buf
         if not buf:
             # reversed so list.pop() hands the block out in generator order
-            buf = self._gen.random(self._BLOCK)[::-1].tolist()
+            buf = self.next_block()[::-1].tolist()
             self._buf = buf
+            self._blocks += 1
         return buf.pop()
 
-    def state_token(self):
-        """Hashable snapshot of generator position (pending buffer included);
-        equal tokens mean the stream has dealt the same number of draws."""
-        st = self._gen.bit_generator.state["state"]
-        return (st["state"], st["inc"], len(self._buf))
+    def state_token(self) -> int:
+        """Draws dealt so far; on one stream, equal tokens mean equal
+        positions."""
+        return self._blocks * self._BLOCK - len(self._buf)
 
 
 class RandomStreams:
@@ -162,7 +171,11 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown distribution family {self.family!r}")
-        p = tuple(float(x) for x in self.params)
+        try:
+            p = tuple(float(x) for x in self.params)
+        except (TypeError, OverflowError):
+            raise ValueError(f"{self.family} parameters must be finite numbers: "
+                             f"{self.params!r}") from None
         object.__setattr__(self, "params", p)
         if len(p) != _FAMILIES[self.family]:
             raise ValueError(
@@ -227,19 +240,28 @@ class DistributionSpec:
             return (p[0], p[1])
         return (p[0], p[2])
 
-    def sample(self, stream: RandomStream) -> float:
+    def values(self, us) -> list[float]:
+        """This distribution's values for the uniforms ``us``, in order: the
+        inverse CDF of each.  The models read whole blocks of these through
+        ReplicationDraws; ``sample`` is the same formula on one draw."""
         code = self._code
-        c = self._c
+        c0, c1, cut = self._c
         if code == 0:
-            return c[0]
-        u = stream.uniform()
+            return [c0] * len(us)
         if code == 1:
-            return -math.log1p(-u) * c[0]
+            log1p = math.log1p
+            return [-log1p(-u) * c0 for u in us]
         if code == 2:
-            return c[0] + c[1] * u
-        if u < c[2]:
-            return self.params[0] + math.sqrt(u * c[0])
-        return self.params[2] - math.sqrt((1.0 - u) * c[1])
+            return [c0 + c1 * u for u in us]
+        sqrt = math.sqrt
+        lo, hi = self.params[0], self.params[2]
+        return [lo + sqrt(u * c0) if u < cut else hi - sqrt((1.0 - u) * c1)
+                for u in us]
+
+    def sample(self, stream: RandomStream) -> float:
+        if self._code == 0:
+            return self._c[0]
+        return self.values((stream.uniform(),))[0]
 
 
 @dataclass(frozen=True)
@@ -290,3 +312,89 @@ class ArrivalProfile:
                 if budget < 0.0:
                     budget = 0.0
             t = boundary
+
+
+class ReplicationDraws:
+    """Every random number one replication deals, drawn once and shared by
+    all the cells (model, load level, policy) that replay the replication.
+
+    A stream opens through ``RandomStreams.stream`` when a cell first draws
+    from it, keyed by (master seed, purpose).  Its uniforms are drawn in
+    blocks and turned into each distribution's values once per block, and a
+    day's arrival times are worked out once per arrival profile.  Every
+    reader starts at its stream's first draw, so a cell reads exactly the
+    numbers a private stream would deal it.  Everything drawn is kept
+    until ``close``, so the object should serve one replication only.
+    """
+
+    __slots__ = ("replication", "_streams", "_blocks", "_days")
+
+    def __init__(self, replication: int) -> None:
+        self.replication = replication
+        self._streams: dict = {}   # (seed, purpose) -> its opened RandomStream
+        self._blocks: dict = {}    # (seed, purpose, spec or None) -> blocks so far
+        self._days: dict = {}      # (seed, profile) -> arrival times, then None
+
+    def values(self, seed: int, purpose: str,
+               spec: DistributionSpec) -> Callable[[], float]:
+        """The next value of ``spec`` on the stream, one per call.  A
+        deterministic spec draws nothing, as in ``DistributionSpec.sample``."""
+        if spec._code == 0:
+            return repeat(spec._c[0]).__next__
+        return chain.from_iterable(self._iter_blocks(seed, purpose, spec)).__next__
+
+    def uniforms(self, seed: int, purpose: str) -> RandomStream:
+        """A reader of the stream's raw uniforms."""
+        return RandomStream(next_block=self._iter_blocks(seed, purpose, None).__next__)
+
+    def arrivals(self, seed: int,
+                 profile: ArrivalProfile) -> Callable[[], Optional[float]]:
+        """The day's arrival times in order, then None, one per call."""
+        return chain.from_iterable(self._day(seed, profile)).__next__
+
+    def close(self) -> None:
+        """Let go of everything drawn.  A finished run may still hold a
+        reader (the agent model's runs are reference cycles, which only the
+        garbage collector frees), so the runner empties the object at the
+        end of its replication rather than wait for that."""
+        for blocks in self._blocks.values():
+            blocks.clear()
+        for times in self._days.values():
+            times.clear()
+        self._blocks.clear()
+        self._days.clear()
+        self._streams.clear()
+
+    def _day(self, seed: int, profile: ArrivalProfile) -> Iterator[list]:
+        key = (seed, profile)
+        times = self._days.get(key)
+        if times is None:
+            stream = self.uniforms(seed, "arrivals")
+            times = []
+            t = profile.next_arrival(0.0, stream)
+            while t is not None:
+                times.append(t)
+                t = profile.next_arrival(t, stream)
+            times.append(None)
+            self._days[key] = times
+        yield times
+
+    def _iter_blocks(self, seed: int, purpose: str,
+                     spec: Optional[DistributionSpec]) -> Iterator:
+        """Blocks of ``spec``'s values on the stream (its raw uniforms for
+        None), from the first, each made once for every reader."""
+        raw = self._blocks.setdefault((seed, purpose, None), [])
+        made = raw if spec is None else self._blocks.setdefault((seed, purpose, spec), [])
+        k = 0
+        while True:
+            if k == len(made):
+                if k == len(raw):
+                    stream = self._streams.get((seed, purpose))
+                    if stream is None:
+                        stream = RandomStreams(seed).stream(purpose, self.replication)
+                        self._streams[(seed, purpose)] = stream
+                    raw.append(stream.next_block())
+                if made is not raw:
+                    made.append(spec.values(raw[k].tolist()))
+            yield made[k]
+            k += 1

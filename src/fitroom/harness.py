@@ -1,6 +1,9 @@
 """Experiment drivers: replication batches, the arrival-pressure sweep, and
 the paired policy comparison, plus report serialization.
 
+Each driver builds a list of (model, config) cells, runs them all on one
+runner, ``_execute``, and folds the results into its report.
+
 Reports are flat tables.  Every summary row is one (model, load level,
 measure) cell; a comparison report carries hypothesis rows after the summary
 rows.  Serialization is deterministic: same report in, same bytes out, so
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -19,6 +22,7 @@ import numpy as np
 from .abs import run_abs
 from .config import ScenarioConfig
 from .des import run_des
+from .engine import ReplicationDraws
 from .stats import HypothesisOutcome, RunMetrics, decide, mann_whitney_u, summarize
 
 MODEL_ORDER = ("des", "abs")
@@ -46,16 +50,41 @@ def _models_for(model: str) -> tuple[str, ...]:
     raise ValueError(f"unknown model {model!r}; expected 'des', 'abs', or 'both'")
 
 
+# A cell is one (model, config) pair of an experiment; every cell runs the
+# config's replications.
+Cell = tuple[str, ScenarioConfig]
+
+
+def _execute(cells: Sequence[Cell]) -> list[list[RunMetrics]]:
+    """Run every cell's replications; returns each cell's results in
+    replication order.
+
+    Replications run on the outside and cells on the inside, so all cells
+    of replication r read one ReplicationDraws: each random number is drawn
+    once, not once per cell, and is let go before replication r+1 starts.
+    A run reads the same numbers it would read alone, so the results are
+    those of running each cell by itself.
+    """
+    results: list[list[RunMetrics]] = [[] for _ in cells]
+    runners = [(_RUNNERS[model], cfg, out) for (model, cfg), out in zip(cells, results)]
+    for rep in range(max((cfg.replications for _, cfg in cells), default=0)):
+        draws = ReplicationDraws(rep)
+        for fn, cfg, out in runners:
+            if rep < cfg.replications:
+                out.append(fn(cfg, rep, draws=draws))
+        draws.close()
+    return results
+
+
 def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetrics]:
-    """Run every replication of one model sequentially.
+    """Run every replication of one model.
 
     Result order is replication order, so element i is always the run seeded
     for replication i regardless of when or where this is called.
     """
     if model not in _RUNNERS:
         raise ValueError(f"unknown model {model!r}; expected 'des' or 'abs'")
-    fn = _RUNNERS[model]
-    return [fn(config, rep) for rep in range(config.replications)]
+    return _execute([(model, config)])[0]
 
 
 @dataclass(frozen=True)
@@ -107,9 +136,10 @@ def _summary_rows(
 
 def run_report(config: ScenarioConfig, model: str = "both") -> ExperimentReport:
     """Replications at the configured load only; reported as level 1."""
+    models = _models_for(model)
+    results = _execute([(m, config) for m in models])
     rows: list[SummaryRow] = []
-    for m in _models_for(model):
-        metrics = run_replications(config, m)
+    for m, metrics in zip(models, results):
         rows.extend(_summary_rows(m, 1, config.arrival.scale, metrics))
     return ExperimentReport(rows=tuple(rows))
 
@@ -126,13 +156,15 @@ def sweep(
     the config (seed, replications, service times, policy) is untouched.
     """
     spec = spec or SweepSpec()
+    grid = [(m, level, spec.scale_at(level))
+            for m in _models_for(model) for level in range(1, spec.levels + 1)]
+    results = _execute([
+        (m, replace(config, arrival=replace(config.arrival, scale=scale)))
+        for m, _, scale in grid
+    ])
     rows: list[SummaryRow] = []
-    for m in _models_for(model):
-        for level in range(1, spec.levels + 1):
-            scale = spec.scale_at(level)
-            cfg = replace(config, arrival=replace(config.arrival, scale=scale))
-            metrics = run_replications(cfg, m)
-            rows.extend(_summary_rows(m, level, scale, metrics))
+    for (m, level, scale), metrics in zip(grid, results):
+        rows.extend(_summary_rows(m, level, scale, metrics))
     return ExperimentReport(rows=tuple(rows))
 
 
@@ -166,11 +198,13 @@ def compare_experiments(
         seq = np.random.SeedSequence(config.master_seed, spawn_key=(_B_SEED_KEY,))
         cfg_b = replace(cfg_b, master_seed=int(seq.generate_state(1)[0]))
 
+    models = _models_for(model)
+    results = iter(_execute([(m, cfg) for m in models for cfg in (cfg_a, cfg_b)]))
     rows: list[SummaryRow] = []
     samples: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
-    for m in _models_for(model):
-        metrics_a = run_replications(cfg_a, m)
-        metrics_b = run_replications(cfg_b, m)
+    for m in models:
+        metrics_a = next(results)
+        metrics_b = next(results)
         rows.extend(_summary_rows(m, 1, config.arrival.scale, metrics_a))
         rows.extend(_summary_rows(m, 2, config.arrival.scale, metrics_b))
         for measure in ("mean_wait", "staff_util"):

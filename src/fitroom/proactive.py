@@ -10,13 +10,18 @@ which restarts the delay without counting as a new pace change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .engine import DistributionSpec, EventCalendar, Event, RandomStream
 from .runtime import JOB1, JOB2, JOB3, L_SPEEDUP, L_REVERT, QueueSet, Telemetry
 
 EV_REVERT = "revert"
 EV_POLL = "poll"
+
+
+def is_threshold(v) -> bool:
+    """A legal queue-length threshold: an integer >= 1, not a boolean."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -37,8 +42,7 @@ class ProactivePolicy:
 
     def __post_init__(self) -> None:
         for name in ("threshold_entry", "threshold_return", "threshold_help"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not is_threshold(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1")
 
 
@@ -114,24 +118,27 @@ class SpeedupController:
 
     Models call note_change() after every queue or cubicle mutation when the
     policy is event-driven; the event_driven flag is False otherwise so the
-    call can be skipped on the hot path.
+    call can be skipped on the hot path.  ``next_revert`` and ``next_poll``
+    return the next revert delay and polling interval, one per call
+    (``next_poll`` may be None when the policy does not poll).
     """
 
     __slots__ = ("policy", "table", "calendar", "queues", "cubicles",
-                 "revert_stream", "poll_stream", "state", "trace", "event_driven",
+                 "next_revert", "next_poll", "state", "trace", "event_driven",
                  "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
 
     def __init__(self, policy: ProactivePolicy, table: ServiceTimeTable,
                  calendar: EventCalendar, queues: QueueSet, cubicles,
-                 revert_stream: RandomStream, poll_stream: RandomStream,
+                 next_revert: Callable[[], float],
+                 next_poll: Optional[Callable[[], float]],
                  telemetry: Telemetry) -> None:
         self.policy = policy
         self.table = table
         self.calendar = calendar
         self.queues = queues
         self.cubicles = cubicles
-        self.revert_stream = revert_stream
-        self.poll_stream = poll_stream
+        self.next_revert = next_revert
+        self.next_poll = next_poll
         self.state = SpeedupState()
         self.trace = telemetry.trace
         self.event_driven = policy.enabled and policy.check_interval is None
@@ -148,8 +155,7 @@ class SpeedupController:
     def start(self) -> None:
         """Schedule the first poll if the policy checks by polling."""
         if self.policy.enabled and self.policy.check_interval is not None:
-            delay = self.policy.check_interval.sample(self.poll_stream)
-            self.calendar.schedule(self.calendar.now + delay, EV_POLL)
+            self.calendar.schedule(self.calendar.now + self.next_poll(), EV_POLL)
 
     def note_change(self, now: float) -> None:
         if not self.event_driven:
@@ -162,9 +168,8 @@ class SpeedupController:
 
     def apply_speedup(self, now: float) -> None:
         """Trigger (or re-trigger) the fast pace; the revert clock restarts."""
-        delay = self.policy.revert_delay.sample(self.revert_stream)
         st = self.state
-        at = now + delay
+        at = now + self.next_revert()
         st.revert_at = at
         head = st.chain_head
         if head is None or at < head:
@@ -197,5 +202,4 @@ class SpeedupController:
         t = ev[0]
         if check_condition(self.queues, self.cubicles, self.policy):
             self.apply_speedup(t)
-        delay = self.policy.check_interval.sample(self.poll_stream)
-        self.calendar.schedule(t + delay, EV_POLL)
+        self.calendar.schedule(t + self.next_poll(), EV_POLL)

@@ -1,5 +1,6 @@
-"""Pieces both store models share verbatim: waiting lines, the staff's
-service-order rule, occupancy/busy-time accounting, and run metrics.
+"""Pieces both store models share verbatim: each run's random draws, waiting
+lines, the staff's service-order rule, occupancy/busy-time accounting, and
+run metrics.
 
 Keeping these identical (not merely similar) is what lets a deterministic
 scenario produce byte-for-byte the same trace from either model.
@@ -10,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
+from .engine import ReplicationDraws
 from .stats import RunMetrics
 
 # customer dispositions
@@ -28,6 +30,41 @@ L_LEAVE = "leave_cubicle"
 L_RENEGE = "renege"
 L_SPEEDUP = "speedup"
 L_REVERT = "revert"
+
+
+class CellDraws:
+    """One run's readers of its replication's draws, one per stream the
+    models read, each from the stream's first draw.
+
+    Runs of the same replication (other models, load levels or policies)
+    pass the same ``shared`` ReplicationDraws, so each number is drawn once;
+    a run on its own gets a private one.  Either way a run reads the same
+    numbers.  ``patience`` is None for infinite patience and ``poll`` is
+    None unless the policy polls.
+    """
+
+    __slots__ = ("arrival", "job", "fitting", "help", "patience", "revert", "poll")
+
+    def __init__(self, cfg, replication: int,
+                 shared: Optional[ReplicationDraws] = None) -> None:
+        if shared is None:
+            shared = ReplicationDraws(replication)
+        elif shared.replication != replication:
+            raise ValueError(f"draws of replication {shared.replication} "
+                             f"passed to replication {replication}")
+        seed = cfg.master_seed
+        values = shared.values
+        self.arrival = shared.arrivals(seed, cfg.arrival)
+        self.job = (None, values(seed, "job1", cfg.job1),
+                    values(seed, "job2", cfg.job2), values(seed, "job3", cfg.job3))
+        self.fitting = values(seed, "fitting", cfg.fitting)
+        self.help = shared.uniforms(seed, "help")
+        self.patience = (None if cfg.patience is None
+                         else values(seed, "patience", cfg.patience))
+        policy = cfg.proactive
+        self.revert = values(seed, "revert", policy.revert_delay)
+        self.poll = (None if policy.check_interval is None
+                     else values(seed, "poll", policy.check_interval))
 
 
 class WaitingLine:

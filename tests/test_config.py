@@ -188,6 +188,57 @@ def test_bad_values_are_attributed_to_their_keys():
     assert "proactive.enabled" in msg
 
 
+@pytest.mark.parametrize(
+    "key",
+    [
+        "horizon",
+        "help.probability",
+        "proactive.speedup",
+        "arrival.scale",
+        "proactive.threshold",
+        "proactive.threshold.entry",
+        "proactive.threshold.return",
+        "proactive.threshold.help",
+    ],
+)
+def test_booleans_are_not_numbers(key):
+    # JSON true would otherwise pass as 1 (horizon = true ran a 1-minute day)
+    with pytest.raises(ConfigError) as err:
+        build_config({key: True})
+    assert str(err.value).startswith(f"{key}:")
+
+
+def test_a_word_for_the_speedup_is_named_not_a_crash(tmp_path, capsys):
+    from fitroom.cli import main
+
+    with pytest.raises(ConfigError) as err:
+        build_config({"proactive.speedup": "fast"})
+    assert str(err.value).startswith("proactive.speedup:")
+    path = write(tmp_path, "proactive.speedup = fast\n")
+    assert main(["run", "--model", "des", "--replications", "1", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("fitroom: proactive.speedup: ")
+
+
+@pytest.mark.parametrize("horizon", [480, 480.0, 240, 0.5])
+def test_a_horizon_within_the_arrival_profile_loads(horizon):
+    assert build_config({"horizon": horizon}).horizon == horizon
+
+
+@pytest.mark.parametrize("horizon", [480.001, 10000])
+def test_a_horizon_past_the_arrival_profile_is_rejected(horizon):
+    # arrivals stop at 480 minutes; a longer day would only dilute the
+    # utilizations with empty store time
+    with pytest.raises(ConfigError) as err:
+        build_config({"horizon": horizon})
+    assert "horizon" in str(err.value) and "480" in str(err.value)
+
+
+def test_non_numeric_distribution_parameters_are_named():
+    with pytest.raises(ConfigError) as err:
+        build_config({"patience": ["exponential", None]})
+    assert str(err.value).startswith("patience:")
+
+
 def test_threshold_validation_travels_through(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write(tmp_path, "proactive.threshold = 0\n"))

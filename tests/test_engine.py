@@ -15,6 +15,7 @@ from fitroom.engine import (
     ModelError,
     RandomStream,
     RandomStreams,
+    ReplicationDraws,
     bernoulli,
 )
 
@@ -324,3 +325,172 @@ def test_expected_daily_matches_rate_sum():
 def test_invalid_arrival_profiles_raise(make):
     with pytest.raises(ValueError):
         make()
+
+
+# --- block transforms ----------------------------------------------------------
+
+
+def scalar_formula(spec, u):
+    """Inverse CDF of one uniform, written out apart from DistributionSpec
+    as the reference for its block transform."""
+    p = spec.params
+    if spec.family == "exponential":
+        return -math.log1p(-u) * (1.0 / p[0])
+    if spec.family == "uniform":
+        return p[0] + (p[1] - p[0]) * u
+    lo, mode, hi = p
+    span = hi - lo
+    cut = (mode - lo) / span if span > 0 else 1.0
+    if u < cut:
+        return lo + math.sqrt(u * (span * (mode - lo)))
+    return hi - math.sqrt((1.0 - u) * (span * (hi - mode)))
+
+
+def bits(xs):
+    return np.array(xs, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec.exponential(0.04),
+        DistributionSpec.uniform(0.3, 0.7),
+        DistributionSpec.triangular(4.0, 7.0, 13.0),
+        DistributionSpec.triangular(0.0, 0.0, 2.0),   # mode at the low end
+        DistributionSpec.triangular(1.0, 1.0, 1.0),   # a point
+    ],
+    ids=lambda spec: f"{spec.family}{spec.params}",
+)
+def test_block_transform_matches_the_scalar_formula_bit_for_bit(spec):
+    us = np.random.default_rng(2024).random(1_000_000)
+    us[:3] = (0.0, np.nextafter(1.0, 0.0), 0.5)
+    us = us.tolist()
+    assert np.array_equal(bits(spec.values(us)),
+                          bits([scalar_formula(spec, u) for u in us]))
+
+
+def test_deterministic_block_is_its_value():
+    assert DistributionSpec.deterministic(2.5).values([0.1, 0.9]) == [2.5, 2.5]
+
+
+def test_sample_is_the_block_transform_of_one_draw():
+    spec = DistributionSpec.triangular(0.5, 1.0, 1.5)
+    a, b = make_stream(4, "job2", 0), make_stream(4, "job2", 0)
+    got = [spec.sample(a) for _ in range(2000)]
+    assert got == spec.values([b.uniform() for _ in range(2000)])
+
+
+# --- shared replication draws --------------------------------------------------
+
+
+def private_samples(spec, seed, purpose, rep, n):
+    s = RandomStreams(seed).stream(purpose, rep)
+    return [spec.sample(s) for _ in range(n)]
+
+
+def test_every_reader_starts_at_the_first_draw():
+    # readers interleave and cross block boundaries; each must read what a
+    # private stream of its own would deal
+    spec = DistributionSpec.exponential(0.1)
+    draws = ReplicationDraws(2)
+    a = draws.values(5, "revert", spec)
+    b_head = [a() for _ in range(700)]
+    b = draws.values(5, "revert", spec)
+    b_vals = [b() for _ in range(1500)]
+    a_tail = [a() for _ in range(800)]
+    want = private_samples(spec, 5, "revert", 2, 1500)
+    assert b_head + a_tail == want
+    assert b_vals == want
+
+
+def test_raw_readers_match_a_private_stream():
+    draws = ReplicationDraws(0)
+    first, second = draws.uniforms(9, "help"), draws.uniforms(9, "help")
+    private = make_stream(9, "help", 0)
+    want = [private.uniform() for _ in range(1200)]
+    assert [first.uniform() for _ in range(1200)] == want
+    assert [second.uniform() for _ in range(1200)] == want
+    assert second.state_token() == private.state_token() == 1200
+
+
+def test_streams_open_once_and_only_when_first_drawn(opened_streams):
+    draws = ReplicationDraws(3)
+    tri = DistributionSpec.triangular(0.2, 0.4, 0.6)
+    readers = [draws.values(1, "job1", tri) for _ in range(3)]
+    help_reader = draws.uniforms(1, "help")
+    assert opened_streams == []  # making readers draws nothing
+    for r in readers:
+        [r() for _ in range(600)]
+    help_reader.uniform()
+    assert opened_streams == [(1, "job1", 3), (1, "help", 3)]
+
+
+def test_specs_sharing_a_purpose_share_its_uniforms(opened_streams):
+    tri = DistributionSpec.triangular(0.2, 0.4, 0.6)
+    uni = DistributionSpec.uniform(0.2, 0.6)
+    want = (private_samples(tri, 8, "job1", 0, 900),
+            private_samples(uni, 8, "job1", 0, 900))
+    opened_streams.clear()
+    draws = ReplicationDraws(0)
+    t, u = draws.values(8, "job1", tri), draws.values(8, "job1", uni)
+    assert ([t() for _ in range(900)], [u() for _ in range(900)]) == want
+    assert opened_streams == [(8, "job1", 0)]
+
+
+def test_master_seeds_keep_their_own_streams(opened_streams):
+    spec = DistributionSpec.exponential(0.04)
+    want = (private_samples(spec, 1, "patience", 1, 10),
+            private_samples(spec, 2, "patience", 1, 10))
+    opened_streams.clear()
+    draws = ReplicationDraws(1)
+    a, b = draws.values(1, "patience", spec), draws.values(2, "patience", spec)
+    assert ([a() for _ in range(10)], [b() for _ in range(10)]) == want
+    assert opened_streams == [(1, "patience", 1), (2, "patience", 1)]
+
+
+def test_deterministic_values_consume_no_draw(opened_streams):
+    draws = ReplicationDraws(0)
+    nxt = draws.values(1, "fitting", DistributionSpec.deterministic(7.0))
+    assert [nxt() for _ in range(2000)] == [7.0] * 2000
+    assert opened_streams == []
+
+
+def test_bernoulli_on_a_shared_reader_consumes_no_certain_draw(opened_streams):
+    reader = ReplicationDraws(0).uniforms(1, "help")
+    assert bernoulli(0.0, reader) is False
+    assert bernoulli(1.0, reader) is True
+    assert reader.state_token() == 0 and opened_streams == []
+
+
+def arrival_day(next_arrival):
+    day = []
+    t = next_arrival()
+    while t is not None:
+        day.append(t)
+        t = next_arrival()
+    return day
+
+
+def test_arrivals_are_worked_out_once_per_profile(opened_streams):
+    base = ArrivalProfile((20.0, 34.0, 48.0, 56.0, 56.0, 48.0, 34.0, 20.0))
+    hot = ArrivalProfile(base.hourly_rates, scale=1.3)
+    want = {p: collect_arrivals(p, seed=11, reps=5)[4] for p in (base, hot)}
+    opened_streams.clear()
+    draws = ReplicationDraws(4)
+    for profile in (base, hot, base):
+        assert arrival_day(draws.arrivals(11, profile)) == want[profile]
+    assert opened_streams == [(11, "arrivals", 4)]
+
+
+def test_close_lets_go_of_every_draw(dealt_blocks, gc_disabled):
+    # readers still held (as a finished agent-model run holds them) must
+    # not keep the draws alive once the replication is closed
+    draws = ReplicationDraws(0)
+    readers = [draws.values(1, "job1", DistributionSpec.uniform(0.0, 1.0)),
+               draws.uniforms(1, "help").uniform,
+               draws.arrivals(1, ArrivalProfile((60.0,) * 8))]
+    for read in readers:
+        read()
+    assert len(dealt_blocks) == 3
+    draws.close()
+    assert [ref() for _, ref in dealt_blocks] == [None] * 3

@@ -1,20 +1,25 @@
 """Experiment drivers, report serialization, and the command line."""
 
+import hashlib
 import json
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from fitroom.abs import run_abs
 from fitroom.cli import main
 from fitroom.config import ScenarioConfig
 from fitroom.des import run_des
+from fitroom.engine import DistributionSpec, ReplicationDraws
 from fitroom.harness import (
     MEASURE_ORDER,
     MODEL_ORDER,
     ExperimentReport,
     SweepSpec,
+    _execute,
     compare_experiments,
     emit_report,
     load_report,
@@ -51,6 +56,152 @@ def test_run_replications_takes_one_model_only():
         run_replications(tiny_cfg(), "both")
     with pytest.raises(ValueError):
         run_replications(tiny_cfg(), "hybrid")
+
+
+# --- shared draws -----------------------------------------------------------------
+
+
+def sharing_cells():
+    """Cells that replay the same replications while differing in how they
+    read the streams: another spec on one purpose, another master seed, no
+    patience timers, polling, another model."""
+    base = tiny_cfg(replications=3)
+    hot = replace(base, arrival=replace(base.arrival, scale=1.69))
+    cfgs = [
+        base,
+        hot,
+        replace(base, job1=DistributionSpec.deterministic(0.4)),
+        replace(base, patience=None),
+        replace(base, proactive=ProactivePolicy(
+            revert_delay=DistributionSpec.uniform(2.0, 8.0))),
+        replace(base, proactive=ProactivePolicy(
+            check_interval=DistributionSpec.exponential(1.0))),
+        replace(base, master_seed=base.master_seed + 1),
+        replace(hot, master_seed=12345, proactive=ProactivePolicy(enabled=False)),
+    ]
+    return [(model, cfg) for cfg in cfgs for model in ("des", "abs")]
+
+
+RUN = {"des": run_des, "abs": run_abs}
+
+
+def test_cells_sharing_replications_match_cells_run_alone():
+    cells = sharing_cells()
+    alone = [[RUN[m](cfg, rep) for rep in range(cfg.replications)] for m, cfg in cells]
+    assert _execute(cells) == alone
+    # DES and ABS agree, and every config gives its own results
+    assert len({tuple(r) for r in alone}) == len(cells) // 2
+
+
+def test_shared_draws_give_the_traces_of_private_ones():
+    cells = sharing_cells()
+    for rep in range(2):
+        shared = ReplicationDraws(rep)
+        for m, cfg in cells:
+            t_shared, t_alone = [], []
+            assert RUN[m](cfg, rep, t_shared, shared) == RUN[m](cfg, rep, t_alone)
+            assert t_shared == t_alone
+
+
+def test_draws_must_belong_to_the_replication():
+    with pytest.raises(ValueError):
+        run_des(tiny_cfg(), 1, draws=ReplicationDraws(0))
+
+
+def test_sweep_opens_each_stream_once_per_replication(opened_streams):
+    sweep(tiny_cfg(replications=2), SweepSpec(), model="both")
+    # 10 cells, each reading arrivals, job1-3, fitting, help, patience and
+    # revert; nothing polls
+    assert len(opened_streams) == 2 * 8
+    assert len(set(opened_streams)) == len(opened_streams)
+
+
+def test_a_degenerate_day_opens_only_the_arrival_stream(opened_streams):
+    cfg = tiny_cfg(
+        replications=2,
+        job1=DistributionSpec.deterministic(0.4),
+        job2=DistributionSpec.deterministic(1.0),
+        job3=DistributionSpec.deterministic(0.3),
+        fitting=DistributionSpec.deterministic(7.0),
+        help_probability=0.0,
+        patience=None,
+        proactive=ProactivePolicy(revert_delay=DistributionSpec.deterministic(5.0)),
+    )
+    run_report(cfg, "both")
+    assert opened_streams == [(31, "arrivals", 0), (31, "arrivals", 1)]
+
+
+def test_each_replications_draws_are_let_go_before_the_next(
+        monkeypatch, dealt_blocks, gc_disabled):
+    # with the cycle collector off, finished agent-model runs stay in memory
+    # holding their readers; the runner must still free the draws they read
+    seen_alive = []
+    real_init = ReplicationDraws.__init__
+
+    def init(self, replication):
+        seen_alive.append([rep for rep, ref in dealt_blocks if ref() is not None])
+        real_init(self, replication)
+
+    monkeypatch.setattr(ReplicationDraws, "__init__", init)
+    sweep(tiny_cfg(replications=3), SweepSpec(levels=2), model="both")
+    assert seen_alive == [[], [], []]
+    assert {rep for rep, _ in dealt_blocks} == {0, 1, 2}
+
+
+# Reports of a seed-42 sweep and independent comparison, pinned: a change
+# to any drawn number, or to the order in which a cell reads them, shows.
+_PINNED = {
+    "sweep": "b15b142f639bc8a33f7956ad3b23597c8832297a4a6dbdedb046c0899467d778",
+    "compare": "dec8af4b4020b2def4617d55bf6b031e87d257a59e5b82c14961181749db352a",
+}
+
+
+def test_reports_are_pinned():
+    cfg = ScenarioConfig(master_seed=42)
+    reports = {
+        "sweep": sweep(replace(cfg, replications=3), SweepSpec(levels=2), "both"),
+        "compare": compare_experiments(replace(cfg, replications=6), "both",
+                                       independent=True),
+    }
+    digests = {name: hashlib.sha256(emit_report(r).encode()).hexdigest()
+               for name, r in reports.items()}
+    assert digests == _PINNED
+
+
+_TRACED_SWEEP = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+from fitroom import harness
+from fitroom.config import ScenarioConfig
+
+tracer = tracing.Tracer()
+tracing.install(tracer, lambda cfg: 1, full=True)
+report = harness.sweep(ScenarioConfig(master_seed=42, replications=1),
+                       harness.SweepSpec(), "both")
+print(json.dumps({"report": harness.emit_report(report),
+                  "stats": tracer.dump()["stats"]}))
+"""
+
+
+def test_traced_sweep_reports_what_an_untraced_one_does():
+    # the benchmark's tracer patches names in the package; each must still
+    # exist and be looked up on every run, or its traced runs break
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", _TRACED_SWEEP, str(root / "perfbench"), str(root / "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    untraced = sweep(ScenarioConfig(master_seed=42, replications=1), SweepSpec(), "both")
+    assert out["report"] == emit_report(untraced)
+    stats = out["stats"]
+    assert 0 < stats["engine.stream_setup"][0] <= 9
+    for name in ("des.run", "abs.run", "des.setup", "abs.setup", "engine.next_arrival",
+                 "engine.bernoulli", "engine.uniform", "engine.sample",
+                 "proactive.speedup", "runtime.select_service", "abs.message"):
+        assert stats[name][0] > 0, name
 
 
 # --- sweep ------------------------------------------------------------------------

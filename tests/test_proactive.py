@@ -4,7 +4,7 @@ import pytest
 
 from fitroom.config import ScenarioConfig
 from fitroom.des import CubicleBank, run_des
-from fitroom.engine import DistributionSpec, EventCalendar, RandomStreams
+from fitroom.engine import DistributionSpec, EventCalendar, RandomStreams, ReplicationDraws
 from fitroom.proactive import (
     EV_POLL,
     EV_REVERT,
@@ -37,15 +37,22 @@ def make_table(fraction=0.2):
     )
 
 
+def policy_draws(policy, seed=7):
+    """The controller's revert-delay and poll-interval readers, as a run
+    builds them."""
+    draws = ReplicationDraws(0)
+    poll = policy.check_interval
+    return (draws.values(seed, "revert", policy.revert_delay),
+            None if poll is None else draws.values(seed, "poll", poll))
+
+
 def make_controller(policy, table=None, capacity=8):
     cal = EventCalendar()
     queues = QueueSet()
     bank = CubicleBank(capacity)
-    streams = RandomStreams(7)
     ctl = SpeedupController(
         policy, table or make_table(), cal, queues, bank,
-        streams.stream("revert", 0), streams.stream("poll", 0),
-        Telemetry(trace=[]),
+        *policy_draws(policy), Telemetry(trace=[]),
     )
     return ctl, cal, queues, bank
 
@@ -217,10 +224,9 @@ def test_speedup_and_revert_are_traced():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(4.0))
     cal = EventCalendar()
     tm = Telemetry(trace=[])
-    streams = RandomStreams(7)
     ctl = SpeedupController(
         policy, make_table(), cal, QueueSet(), CubicleBank(8),
-        streams.stream("revert", 0), streams.stream("poll", 0), tm,
+        *policy_draws(policy), tm,
     )
     ctl.apply_speedup(1.0)
     for _ in range(4):
@@ -231,17 +237,23 @@ def test_speedup_and_revert_are_traced():
     assert tm.trace == [(1.0, L_SPEEDUP, -1), (5.0, L_REVERT, -1)]
 
 
-def test_disabled_policy_never_consumes_revert_randomness():
+def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
     policy = ProactivePolicy(enabled=False)
     ctl, cal, queues, _ = make_controller(policy)
     fill(queues.entry, 10)
-    token = ctl.revert_stream.state_token()
     ctl.start()
     ctl.note_change(0.0)
     assert not ctl.event_driven
     assert len(cal) == 0
     assert ctl.table.factor == 1.0
-    assert ctl.revert_stream.state_token() == token
+    assert opened_streams == []  # no revert delay was ever drawn
+
+    # the same congestion under the enabled policy does draw one
+    on, _, queues, _ = make_controller(ProactivePolicy())
+    fill(queues.entry, 10)
+    on.note_change(0.0)
+    assert on.table.fast
+    assert opened_streams == [(7, "revert", 0)]
 
 
 def test_event_driven_note_change_matches_check_condition():

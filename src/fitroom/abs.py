@@ -5,7 +5,7 @@ the staff member, and the fitting room are agents with state charts that
 talk via messages.  Messages are delivered at their send time (zero
 latency) in send order, each cascade finishing before the next scheduled
 event fires.  Timers (service completions, patience, fitting progress) go
-through the shared event calendar.
+through the event loop both models share.
 
 Given the same scenario, seed, and replication index, this model consumes
 the random streams in exactly the same order as the event-scheduling one,
@@ -14,17 +14,16 @@ so with degenerate distributions the two traces match byte for byte.
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from typing import NamedTuple, Optional
 
 from .config import ScenarioConfig
-from .engine import EventCalendar, ModelError, ReplicationDraws, bernoulli
-from .proactive import EV_POLL, EV_REVERT, ServiceTimeTable, SpeedupController
-from .runtime import (CLOSED, IN_SYSTEM, JOB1, JOB2, JOB3, L_ARRIVAL, L_END,
-                      L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP, L_START,
-                      RENEGED, SERVED, CellDraws, QueueSet, Telemetry,
-                      build_metrics, close_open_waits, select_service)
+from .engine import ModelError, ReplicationDraws, bernoulli
+from .proactive import ServiceTimeTable, SpeedupController
+from .runtime import (CLOSED, EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2,
+                      JOB3, L_ARRIVAL, L_END, L_ENTER, L_LEAVE, L_RENEGE,
+                      L_REQUEST_HELP, L_START, RENEGED, SERVED, QueueSet,
+                      Replication, build_metrics, close_open_waits,
+                      select_service)
 from .stats import RunMetrics
 
 # customer states
@@ -73,9 +72,7 @@ M_CUBICLE_GRANTED = "cubicle_granted"
 M_CUBICLE_RELEASED = "cubicle_released"
 M_RENEGE = "renege"
 
-# timer kinds
-EV_ARRIVAL = "arrival"
-EV_PATIENCE = "patience"
+# timer kinds, besides EV_ARRIVAL and EV_PATIENCE
 EV_SVC_DONE = "svc_done"
 EV_HELP_DUE = "help_due"
 EV_FIT_DONE = "fit_done"
@@ -163,6 +160,7 @@ class CustomerAgent:
 
     def patience_expired(self, now: float) -> None:
         if self.state != WAITING_ENTRY:
+            self.model.dead_timers -= 1
             return  # being (or already been) served; the timer is stale
         model = self.model
         tr = model.tm.trace
@@ -183,6 +181,8 @@ class CustomerAgent:
                     f"{STATE_NAMES[self.state]}"
                 )
             self._transition(_SERVICE_STATE_FOR_JOB[payload])
+            if payload == JOB1 and self.model.draws.patience is not None:
+                self.model.entry_started()
         elif kind == M_CUBICLE_GRANTED:
             self.cubicle = payload
             model = self.model
@@ -274,17 +274,17 @@ class StaffAgent:
         self.idle = False
         self.since = now
         self.current_job = job
-        model.cal.schedule(now + dur, EV_SVC_DONE, c)
+        model.stamp_job(now + dur, EV_SVC_DONE, c)
         model.msgs.append((c, M_SERVE, job))
 
 
 class FittingRoomAgent:
     """The bank of cubicles; grants the lowest-numbered free one."""
 
-    __slots__ = ("model", "tm", "capacity", "occupied", "slots")
+    __slots__ = ("post", "tm", "capacity", "occupied", "slots")
 
     def __init__(self, model: "AbsRun", capacity: int) -> None:
-        self.model = model
+        self.post = model.msgs.append
         self.tm = model.tm
         self.capacity = capacity
         self.occupied = 0
@@ -295,7 +295,6 @@ class FittingRoomAgent:
         return self.capacity - self.occupied
 
     def handle(self, kind: str, payload, now: float) -> None:
-        model = self.model
         if kind == M_REQUEST_CUBICLE:
             idx = -1
             for i, taken in enumerate(self.slots):
@@ -313,7 +312,7 @@ class FittingRoomAgent:
             tr = tm.trace
             if tr is not None:
                 tr.append((now, L_ENTER, payload.id))
-            model.msgs.append((payload, M_CUBICLE_GRANTED, idx))
+            self.post((payload, M_CUBICLE_GRANTED, idx))
         elif kind == M_CUBICLE_RELEASED:
             self.slots[payload.cubicle] = False
             payload.cubicle = -1
@@ -327,20 +326,16 @@ class FittingRoomAgent:
             raise ModelError(f"fitting room: unexpected message {kind!r}")
 
 
-class AbsRun:
+class AbsRun(Replication):
     """State of a single replication."""
 
-    __slots__ = ("cfg", "cal", "queues", "tm", "table", "ctl", "customers",
-                 "staff", "room", "msgs", "note", "draws")
+    __slots__ = ("staff", "room")
 
     def __init__(self, cfg: ScenarioConfig, replication: int,
                  trace: Optional[list] = None,
                  draws: Optional[ReplicationDraws] = None) -> None:
-        self.draws = d = CellDraws(cfg, replication, draws)
-        self.cfg = cfg
-        self.cal = EventCalendar()
-        self.queues = QueueSet()
-        self.tm = Telemetry(trace)
+        super().__init__(cfg, replication, trace, draws)
+        d = self.draws
         self.table = ServiceTimeTable(cfg.job1, cfg.job2, cfg.job3,
                                       cfg.speedup_fraction)
         self.staff = StaffAgent(self, self.queues)
@@ -348,9 +343,23 @@ class AbsRun:
         self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
                                      self.queues, self.room,
                                      d.revert, d.poll, self.tm)
-        self.customers: list[CustomerAgent] = []
-        self.msgs: deque = deque()
         self.note = self.ctl.note_change if self.ctl.event_driven else None
+
+    def handlers(self) -> dict:
+        # the timers are the customers' own: each handler takes the
+        # customer it is scheduled for as its first argument
+        C = CustomerAgent
+        return {
+            EV_ARRIVAL: self.handle_arrival,
+            EV_PATIENCE: C.patience_expired,
+            EV_SVC_DONE: C.svc_done,
+            EV_HELP_DUE: C.help_due,
+            EV_FIT_DONE: C.fit_done,
+        }
+
+    def live_events(self, heap: list) -> list:
+        return [ev for ev in heap
+                if ev[2] != EV_PATIENCE or ev[3].state == WAITING_ENTRY]
 
     def send(self, receiver, kind: str, payload) -> None:
         self.msgs.append((receiver, kind, payload))
@@ -359,45 +368,7 @@ class AbsRun:
         """Deliver one explicit Message now (bypassing the send queue)."""
         msg.receiver.handle(msg.kind, msg.payload, self.cal.now)
 
-    def run(self) -> RunMetrics:
-        cal = self.cal
-        horizon = self.cfg.horizon
-        self.ctl.start()
-        first = self.draws.arrival()
-        if first is not None:
-            cal.schedule(first, EV_ARRIVAL)
-        # calendar drained inline as in des.py; cal.now kept in step
-        heap = cal._heap
-        pop = heapq.heappop
-        msgs = self.msgs
-        popmsg = msgs.popleft
-        while heap:
-            ev = pop(heap)
-            t, _, kind, target = ev
-            if t > horizon:
-                break
-            cal.now = t
-            if kind == EV_SVC_DONE:
-                target.svc_done(t)
-            elif kind == EV_FIT_DONE:
-                target.fit_done(t)
-            elif kind == EV_ARRIVAL:
-                self.handle_arrival(t)
-            elif kind == EV_PATIENCE:
-                target.patience_expired(t)
-            elif kind == EV_HELP_DUE:
-                target.help_due(t)
-            elif kind == EV_REVERT:
-                self.ctl.handle_revert(ev)
-            elif kind == EV_POLL:
-                self.ctl.handle_poll(ev)
-            # the whole cascade settles before the clock can move again
-            while msgs:
-                receiver, mkind, payload = popmsg()
-                receiver.handle(mkind, payload, t)
-        return self.finalize(horizon)
-
-    def handle_arrival(self, now: float) -> None:
+    def handle_arrival(self, _target, now: float) -> None:
         d = self.draws
         c = CustomerAgent(len(self.customers), now, self)
         self.customers.append(c)
@@ -408,7 +379,7 @@ class AbsRun:
             self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
         nxt = d.arrival()
         if nxt is not None:
-            self.cal.schedule(nxt, EV_ARRIVAL)
+            self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
         c._transition(WAITING_ENTRY)
         self.msgs.append((self.staff, M_REQUEST_ENTRY, c))
 
@@ -418,7 +389,11 @@ class AbsRun:
             self.staff.idle = True
         self.tm.flush(horizon)
         close_open_waits(self.customers, horizon)
+        # the agents let go of the run, so the finished run is freed by
+        # reference counting rather than left to the cycle collector
+        self.staff.model = None
         for c in self.customers:
+            c.model = None
             if c.disposition == IN_SYSTEM:
                 c.disposition = CLOSED
                 c._transition(NOT_SERVED)

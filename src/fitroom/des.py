@@ -13,20 +13,17 @@ both are cross-validated.
 
 from __future__ import annotations
 
-import heapq
 from typing import Optional
 
 from .config import ScenarioConfig
-from .engine import EventCalendar, ReplicationDraws, bernoulli
-from .proactive import EV_POLL, EV_REVERT, ServiceTimeTable, SpeedupController
-from .runtime import (CLOSED, IN_SYSTEM, JOB1, JOB2, JOB3, L_ARRIVAL, L_END,
-                      L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP, L_START,
-                      RENEGED, SERVED, CellDraws, QueueSet, Telemetry,
+from .engine import ReplicationDraws, bernoulli
+from .proactive import ServiceTimeTable, SpeedupController
+from .runtime import (CLOSED, EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2,
+                      JOB3, L_ARRIVAL, L_END, L_ENTER, L_LEAVE, L_RENEGE,
+                      L_REQUEST_HELP, L_START, RENEGED, SERVED, Replication,
                       build_metrics, close_open_waits, select_service)
 from .stats import RunMetrics
 
-EV_ARRIVAL = "arrival"
-EV_PATIENCE = "patience"
 EV_JOB1_DONE = "job1_done"
 EV_JOB2_DONE = "job2_done"
 EV_JOB3_DONE = "job3_done"
@@ -65,70 +62,42 @@ class CubicleBank:
         return self.capacity - self.occupied
 
 
-class DesRun:
+class DesRun(Replication):
     """State of a single replication."""
 
-    __slots__ = ("cfg", "cal", "queues", "cubicles", "tm", "table", "ctl",
-                 "customers", "staff_idle", "staff_since", "_note", "draws")
+    __slots__ = ("cubicles", "staff_idle", "staff_since")
 
     def __init__(self, cfg: ScenarioConfig, replication: int,
                  trace: Optional[list] = None,
                  draws: Optional[ReplicationDraws] = None) -> None:
-        self.draws = d = CellDraws(cfg, replication, draws)
-        self.cfg = cfg
-        self.cal = EventCalendar()
-        self.queues = QueueSet()
+        super().__init__(cfg, replication, trace, draws)
+        d = self.draws
         self.cubicles = CubicleBank(cfg.cubicles)
-        self.tm = Telemetry(trace)
         self.table = ServiceTimeTable(cfg.job1, cfg.job2, cfg.job3,
                                       cfg.speedup_fraction)
         self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
                                      self.queues, self.cubicles,
                                      d.revert, d.poll, self.tm)
-        self.customers: list[Customer] = []
         self.staff_idle = True
         self.staff_since = 0.0
         # bound once: None when the policy is off or polling
-        self._note = self.ctl.note_change if self.ctl.event_driven else None
+        self.note = self.ctl.note_change if self.ctl.event_driven else None
 
-    def run(self) -> RunMetrics:
-        cal = self.cal
-        horizon = self.cfg.horizon
-        self.ctl.start()
-        first = self.draws.arrival()
-        if first is not None:
-            cal.schedule(first, EV_ARRIVAL)
-        # the calendar is drained inline (cheaper than pop() per event);
-        # cal.now must stay in step because schedule() guards against it
-        heap = cal._heap
-        pop = heapq.heappop
-        while heap:
-            ev = pop(heap)
-            t, _, kind, target = ev
-            if t > horizon:
-                break
-            cal.now = t
-            if kind == EV_JOB1_DONE:
-                self.complete_job1(target, t)
-            elif kind == EV_FIT_DONE:
-                self.leave_cubicle(target, t)
-            elif kind == EV_JOB3_DONE:
-                self.complete_job3(target, t)
-            elif kind == EV_ARRIVAL:
-                self.handle_arrival(t)
-            elif kind == EV_PATIENCE:
-                self.renege(target, t)
-            elif kind == EV_HELP_DUE:
-                self.request_help(target, t)
-            elif kind == EV_JOB2_DONE:
-                self.complete_job2(target, t)
-            elif kind == EV_REVERT:
-                self.ctl.handle_revert(ev)
-            elif kind == EV_POLL:
-                self.ctl.handle_poll(ev)
-        return self.finalize(horizon)
+    def handlers(self) -> dict:
+        return {
+            EV_ARRIVAL: self.handle_arrival,
+            EV_PATIENCE: self.renege,
+            EV_JOB1_DONE: self.complete_job1,
+            EV_JOB2_DONE: self.complete_job2,
+            EV_JOB3_DONE: self.complete_job3,
+            EV_HELP_DUE: self.request_help,
+            EV_FIT_DONE: self.leave_cubicle,
+        }
 
-    def handle_arrival(self, now: float) -> None:
+    def live_events(self, heap: list) -> list:
+        return [ev for ev in heap if ev[2] != EV_PATIENCE or ev[3].awaiting_entry]
+
+    def handle_arrival(self, _target, now: float) -> None:
         d = self.draws
         c = Customer(len(self.customers), now)
         self.customers.append(c)
@@ -139,11 +108,11 @@ class DesRun:
             self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
         nxt = d.arrival()
         if nxt is not None:
-            self.cal.schedule(nxt, EV_ARRIVAL)
+            self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
         self.queues.entry.join(c, now)
         c.awaiting_entry = True
-        if self._note is not None:
-            self._note(now)
+        if self.note is not None:
+            self.note(now)
         if self.staff_idle:
             self.dispatch_staff(now)
 
@@ -157,15 +126,17 @@ class DesRun:
         c.wait += now - c.joined_at
         if job == JOB1:
             c.awaiting_entry = False
-        if self._note is not None:
-            self._note(now)
+            if self.draws.patience is not None:
+                self.entry_started()
+        if self.note is not None:
+            self.note(now)
         dur = self.draws.job[job]() * self.table.factor
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
         self.staff_idle = False
         self.staff_since = now
-        self.cal.schedule(now + dur, _DONE_EVENT[job], c)
+        self.stamp_job(now + dur, _DONE_EVENT[job], c)
 
     def complete_job1(self, c: Customer, now: float) -> None:
         tr = self.tm.trace
@@ -187,8 +158,8 @@ class DesRun:
             self.cal.schedule(now + fit, EV_FIT_DONE, c)
         self.tm.staff_busy += now - self.staff_since
         self.staff_idle = True
-        if self._note is not None:
-            self._note(now)
+        if self.note is not None:
+            self.note(now)
         self.dispatch_staff(now)
 
     def request_help(self, c: Customer, now: float) -> None:
@@ -196,8 +167,8 @@ class DesRun:
         if tr is not None:
             tr.append((now, L_REQUEST_HELP, c.id))
         self.queues.help.join(c, now)
-        if self._note is not None:
-            self._note(now)
+        if self.note is not None:
+            self.note(now)
         if self.staff_idle:
             self.dispatch_staff(now)
 
@@ -217,8 +188,8 @@ class DesRun:
         if tr is not None:
             tr.append((now, L_LEAVE, c.id))
         self.queues.ret.join(c, now)
-        if self._note is not None:
-            self._note(now)
+        if self.note is not None:
+            self.note(now)
         if self.staff_idle:
             self.dispatch_staff(now)
 
@@ -233,6 +204,7 @@ class DesRun:
 
     def renege(self, c: Customer, now: float) -> None:
         if not c.awaiting_entry:
+            self.dead_timers -= 1
             return  # already being served; the timer is stale
         tr = self.tm.trace
         if tr is not None:
@@ -241,8 +213,8 @@ class DesRun:
         c.wait += now - c.joined_at
         c.awaiting_entry = False
         self.queues.entry.remove(c)
-        if self._note is not None:
-            self._note(now)
+        if self.note is not None:
+            self.note(now)
         if self.staff_idle:
             self.dispatch_staff(now)
 

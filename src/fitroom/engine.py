@@ -53,12 +53,15 @@ class EventCalendar:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def schedule(self, time: float, kind: str, target: object = None) -> Event:
-        """Add an event; returns its (time, seq, kind, target) entry.
+    def stamp(self, time: float, kind: str, target: object = None) -> Event:
+        """Give an event its key without adding it to the heap; returns its
+        (time, seq, kind, target) entry.
 
-        The heap holds plain tuples (cheaper to build than Event instances,
-        and Event compares equal to its tuple), so callers should unpack
-        positionally on hot paths.
+        Events that are never more than one at a time pending are kept
+        beside the heap by their owner, stamped here so they still order
+        among the heap's events by (time, seq).  The entry is a plain tuple
+        (cheaper to build than an Event instance, and Event compares equal
+        to its tuple), so callers should unpack positionally on hot paths.
         """
         if time < self.now:
             raise ModelError(
@@ -66,6 +69,11 @@ class EventCalendar:
             )
         ev = (time, self._seq, kind, target)
         self._seq += 1
+        return ev
+
+    def schedule(self, time: float, kind: str, target: object = None) -> Event:
+        """Add an event to the heap; returns its entry, as ``stamp`` does."""
+        ev = self.stamp(time, kind, target)
         heapq.heappush(self._heap, ev)
         return ev
 
@@ -286,6 +294,10 @@ class ArrivalProfile:
             raise ValueError("hourly rates must be finite and non-negative")
         if not math.isfinite(self.scale) or self.scale <= 0:
             raise ValueError("arrival scale must be positive and finite")
+        for hour, r in enumerate(rates, 1):
+            if not math.isfinite(r * self.scale):
+                raise ValueError(f"hour {hour}: rate {r:g} times scale "
+                                 f"{self.scale:g} is not finite")
 
     def expected_daily(self) -> float:
         return sum(self.hourly_rates) * self.scale
@@ -353,10 +365,9 @@ class ReplicationDraws:
         return chain.from_iterable(self._day(seed, profile)).__next__
 
     def close(self) -> None:
-        """Let go of everything drawn.  A finished run may still hold a
-        reader (the agent model's runs are reference cycles, which only the
-        garbage collector frees), so the runner empties the object at the
-        end of its replication rather than wait for that."""
+        """Let go of everything drawn, even while a run that raised still
+        holds a reader; the runner empties the object at the end of its
+        replication rather than rely on every run being freed."""
         for blocks in self._blocks.values():
             blocks.clear()
         for times in self._days.values():

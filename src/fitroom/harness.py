@@ -20,7 +20,7 @@ from zlib import crc32
 import numpy as np
 
 from .abs import run_abs
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .des import run_des
 from .engine import ReplicationDraws
 from .stats import HypothesisOutcome, RunMetrics, decide, mann_whitney_u, summarize
@@ -101,7 +101,11 @@ class SweepSpec:
             raise ValueError("growth_factor must be > 0")
 
     def scale_at(self, level: int) -> float:
-        return self.growth_factor ** (level - 1)
+        try:
+            return self.growth_factor ** (level - 1)
+        except OverflowError:
+            raise ValueError(f"arrival scale {self.growth_factor:g}**{level - 1} "
+                             f"overflows") from None
 
 
 @dataclass(frozen=True)
@@ -156,16 +160,23 @@ def sweep(
     the config (seed, replications, service times, policy) is untouched.
     """
     spec = spec or SweepSpec()
-    grid = [(m, level, spec.scale_at(level))
+    grid = [(m, level, _level_config(config, spec, level))
             for m in _models_for(model) for level in range(1, spec.levels + 1)]
-    results = _execute([
-        (m, replace(config, arrival=replace(config.arrival, scale=scale)))
-        for m, _, scale in grid
-    ])
+    results = _execute([(m, cfg) for m, _, cfg in grid])
     rows: list[SummaryRow] = []
-    for (m, level, scale), metrics in zip(grid, results):
-        rows.extend(_summary_rows(m, level, scale, metrics))
+    for (m, level, cfg), metrics in zip(grid, results):
+        rows.extend(_summary_rows(m, level, cfg.arrival.scale, metrics))
     return ExperimentReport(rows=tuple(rows))
+
+
+def _level_config(config: ScenarioConfig, spec: SweepSpec, level: int) -> ScenarioConfig:
+    """The config a sweep level runs.  A ladder whose scale, or a scenario
+    rate times it, overflows is a configuration problem, not a crash."""
+    try:
+        scale = spec.scale_at(level)
+        return replace(config, arrival=replace(config.arrival, scale=scale))
+    except ValueError as exc:
+        raise ConfigError(f"sweep level {level}: {exc}") from None
 
 
 # Hypothesis labels are fixed: H01/H02 compare mean waiting time under the

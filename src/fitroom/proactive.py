@@ -182,11 +182,14 @@ class SpeedupController:
                 self.trace.append((now, L_SPEEDUP, -1))
         # else: already fast, the re-trigger just restarted the revert clock
 
-    def handle_revert(self, ev) -> None:
+    def handlers(self) -> dict:
+        """Event kind -> handler(target, time) for the policy's events."""
+        return {EV_REVERT: self.handle_revert, EV_POLL: self.handle_poll}
+
+    def handle_revert(self, _target, t: float) -> None:
         if not self.table.fast:
             return  # leftover event from an already-ended fast episode
         st = self.state
-        t = ev[0]
         if t == st.revert_at:
             self.table.set_normal()
             st.chain_head = None
@@ -198,8 +201,7 @@ class SpeedupController:
             st.chain_head = st.revert_at
         # else: superseded duplicate, drop it
 
-    def handle_poll(self, ev) -> None:
-        t = ev[0]
+    def handle_poll(self, _target, t: float) -> None:
         if check_condition(self.queues, self.cubicles, self.policy):
             self.apply_speedup(t)
         self.calendar.schedule(t + self.next_poll(), EV_POLL)

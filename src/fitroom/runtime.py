@@ -1,6 +1,6 @@
-"""Pieces both store models share verbatim: each run's random draws, waiting
-lines, the staff's service-order rule, occupancy/busy-time accounting, and
-run metrics.
+"""Pieces both store models share verbatim: the event loop, each run's
+random draws, waiting lines, the staff's service-order rule,
+occupancy/busy-time accounting, and run metrics.
 
 Keeping these identical (not merely similar) is what lets a deterministic
 scenario produce byte-for-byte the same trace from either model.
@@ -8,10 +8,12 @@ scenario produce byte-for-byte the same trace from either model.
 
 from __future__ import annotations
 
+import heapq
+import math
 from collections import deque
 from typing import Optional
 
-from .engine import ReplicationDraws
+from .engine import EventCalendar, ModelError, ReplicationDraws
 from .stats import RunMetrics
 
 # customer dispositions
@@ -30,6 +32,14 @@ L_LEAVE = "leave_cubicle"
 L_RENEGE = "renege"
 L_SPEEDUP = "speedup"
 L_REVERT = "revert"
+
+# event kinds both models schedule
+EV_ARRIVAL = "arrival"
+EV_PATIENCE = "patience"
+
+# the entry of an empty slot: later than any event, and equal to itself
+# without comparing its kind
+NEVER = (math.inf, -1, None, None)
 
 
 class CellDraws:
@@ -65,6 +75,117 @@ class CellDraws:
         self.revert = values(seed, "revert", policy.revert_delay)
         self.poll = (None if policy.check_interval is None
                      else values(seed, "poll", policy.check_interval))
+
+
+class Replication:
+    """One replication of either model: its calendar, its draws, and the
+    loop that runs it.
+
+    A model supplies its event handlers (``handlers``), the rule that finds
+    dead patience timers (``live_events``) and ``finalize``; the agent model
+    also queues messages in ``msgs``, which the loop delivers after every
+    event, so each cascade settles before the clock moves.
+
+    Two kinds of event are never more than one at a time pending, so they
+    wait in slots beside the heap rather than in it: the next arrival
+    (``next_arrival``) and the single staff member's job completion
+    (``pending_job``).  Both are stamped by the calendar, so the loop
+    handles every event in the (time, seq) order one heap would.
+    """
+
+    __slots__ = ("cfg", "draws", "cal", "queues", "tm", "customers", "msgs",
+                 "table", "ctl", "note", "next_arrival", "pending_job",
+                 "dead_timers", "__weakref__")
+
+    def __init__(self, cfg, replication: int, trace: Optional[list],
+                 draws: Optional[ReplicationDraws]) -> None:
+        self.draws = CellDraws(cfg, replication, draws)
+        self.cfg = cfg
+        self.cal = EventCalendar()
+        self.queues = QueueSet()
+        self.tm = Telemetry(trace)
+        self.customers: list = []
+        self.msgs: deque = deque()
+        self.next_arrival = NEVER
+        self.pending_job = NEVER
+        self.dead_timers = 0
+
+    def handlers(self) -> dict:
+        """Event kind -> handler(target, time) for the model's own events."""
+        raise NotImplementedError
+
+    def live_events(self, heap: list) -> list:
+        """The entries of ``heap`` less the patience timers whose customer's
+        entry service has begun."""
+        raise NotImplementedError
+
+    def finalize(self, horizon: float) -> RunMetrics:
+        raise NotImplementedError
+
+    def run(self) -> RunMetrics:
+        cal = self.cal
+        horizon = self.cfg.horizon
+        # built per run from bound methods, so a handler replaced on the
+        # class after import still takes effect
+        handlers = self.handlers()
+        handlers.update(self.ctl.handlers())
+        self.ctl.start()
+        first = self.draws.arrival()
+        if first is not None:
+            self.next_arrival = cal.stamp(first, EV_ARRIVAL)
+        # the heap is drained inline (cheaper than pop() per event);
+        # cal.now must stay in step because stamp() guards against it.  A
+        # NEVER entry at its bottom keeps heap[0] valid once it is empty.
+        heap = cal._heap
+        heap.append(NEVER)
+        pop = heapq.heappop
+        msgs = self.msgs
+        popmsg = msgs.popleft
+        while True:
+            # the next event is the least by (time, seq) of the heap's top
+            # and the two slots
+            ev = heap[0]
+            arrival = self.next_arrival
+            job = self.pending_job
+            if job < arrival:
+                if job < ev:
+                    ev = job
+                    self.pending_job = NEVER
+                else:
+                    pop(heap)
+            elif arrival < ev:
+                ev = arrival
+                self.next_arrival = NEVER
+            else:
+                pop(heap)
+            t, _, kind, target = ev
+            if t > horizon:
+                break
+            cal.now = t
+            handlers[kind](target, t)
+            while msgs:
+                receiver, mkind, payload = popmsg()
+                receiver.handle(mkind, payload, t)
+        return self.finalize(horizon)
+
+    def stamp_job(self, time: float, kind: str, target) -> None:
+        """Put the staff's job completion in its slot."""
+        if self.pending_job is not NEVER:
+            raise ModelError(f"cannot stamp {kind!r}: the staff's "
+                             f"{self.pending_job[2]!r} is still pending")
+        self.pending_job = self.cal.stamp(time, kind, target)
+
+    def entry_started(self) -> None:
+        """Count a patience timer that can no longer act, because its
+        customer's entry service began; a model uncounts one when it pops.
+        Once such timers make up more than half the heap, drop them: they
+        would only run a handler that does nothing."""
+        self.dead_timers += 1
+        heap = self.cal._heap
+        if self.dead_timers * 2 > len(heap):
+            heap[:] = self.live_events(heap)
+            heapq.heapify(heap)
+            self.dead_timers = 0
 
 
 class WaitingLine:

@@ -1,6 +1,8 @@
 """Agent model: state chart enforcement, cubicle allocation, and above all
 equivalence with the discrete-event model."""
 
+import hashlib
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -13,7 +15,7 @@ from fitroom.abs import (
     run_abs,
 )
 from fitroom.config import ScenarioConfig
-from fitroom.des import run_des
+from fitroom.des import DesRun, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError
 from fitroom.proactive import ProactivePolicy
 from fitroom.stats import RunMetrics
@@ -65,6 +67,134 @@ def test_two_models_tell_the_same_story(name):
         assert m_des == m_abs, f"{name} rep {rep}: metrics diverge"
         assert t_des == t_abs, f"{name} rep {rep}: traces diverge"
 
+
+
+# sha256 of repr(trace) per variant and replication 0-2, pinned: DES and ABS
+# traces are equal, so one digest covers both, and any change to the order
+# or the time of a traced event shows.
+_PINNED_TRACES = {
+    "all_deterministic": (
+        "e7996b51dc115b1ee40f97d3496021f10256911d1bb1694259828dc10315395c",
+        "16d80751d5f9fe7a5309387fe1cc24abead6f2feed2dce1de64a60f6027be83f",
+        "821e79356f3e3fd538bc439dfebde6bb1256bdaae13e451ce2ba052701c06128",
+    ),
+    "always_help": (
+        "a3ec3f95dc74fb77397f5c98a943c6115cc7fd956a296555bb587bb6f44e0872",
+        "e3e007acf93432cc107e89802e5ef7ae1596eb7d4dda85f94f66fa9acc2ec33b",
+        "0c9420bde6f5f48efb5828484a0b90c3ff6ed1a5047c7880f96975125068959f",
+    ),
+    "default": (
+        "28ad797da975700b5c7ce8d33b46b39986ed060ef6b17ecc909012f9d1b40f16",
+        "5a2489672dda03c60b57e9f221ab6a28c1d51d9c5ccac7b2983f56a16a9ba34d",
+        "23e90eec24ddf5234899cef01f6924eb8a9b121a05aac4345e2ae65f9f30b8ef",
+    ),
+    "hot": (
+        "193e39c425acd9ad134d83dfd314d2886795d18a0db0a5292298a763f8d9ebb4",
+        "83aa8b2322f377425b6a2dcf923d151aedb8f47ba13573a0ef5529bda7901148",
+        "e5b13eff812348841e37d088c3e83eb919b238c92dc7531ad91784fe1a436361",
+    ),
+    "infinite_patience": (
+        "d4b3c3160449fb220eb194b738149c2cf6580613443075706c6e80587760149b",
+        "a92c73d3d567941f02ef50045f47fae272da65aadae096a87a1568bc5f4273d3",
+        "250b32c886d0bb2afed7b66e3f6c2a98a6dd1680a6f2c97e766a9a5687fa3c52",
+    ),
+    "never_help": (
+        "fb9bae02acbdbf90b84c7807674f4f6402eb2381fa408107d824cb7f4c4d6245",
+        "46435fa3f589f9895ff0d178a0b9ced3e8696ef8e59bcf5a4ca90df7bbc594e7",
+        "de1f05149f56131ff488aea943dce78fea72aaaacc0d60e5edc70913560ae524",
+    ),
+    "one_cubicle": (
+        "aed6ba61ef64b8f7c717f58ba461daf44ce7bcade83892e9cd8c247f21ef15d7",
+        "a2c30e978d62be59dcba2928476775b465579c5bd51854c0272203c1ec6e3f3c",
+        "8479314d49222c8267e152093063b6f121696101b27d01a3a126468fb75e412b",
+    ),
+    "policy_off": (
+        "dc34c968e3fa49807e2fbe721fbc225d706d021a22710d5f6f9b867cfc6d955a",
+        "3110fcf295d7e4af9e6fb010ad96f337655334d810ff826a593e56eef1e96b91",
+        "27c317faf1e21196b2df5c303d39d86d66d6c87d0bdd2402310d7b7ecbf92e92",
+    ),
+    "polling": (
+        "6198fcd4ecd7f2bdc4011114a98e8d34d223dcba1e57ffe47fa45401e36f6aa5",
+        "d58ad5ff0d92bb14cc7592a58747b9f0d6e79f491f33a69675a92a66a86d3ad9",
+        "27c317faf1e21196b2df5c303d39d86d66d6c87d0bdd2402310d7b7ecbf92e92",
+    ),
+    "short_fuse": (
+        "a900de99c09067abbf3ca64423fc28a01d1e69a312622dd63aec7af211a872bf",
+        "b3361594cf308759ef72018435665f54d353ee16b98d9bdc3b2f4e70f49a0109",
+        "a33adfa5e1204023fd6463f76eef4e0a9c6001be91d2da7ec9d1504efb43d457",
+    ),
+}
+
+
+def trace_digest(trace):
+    return hashlib.sha256(repr(trace).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(cfg_variants()))
+def test_traces_are_pinned(name):
+    cfg = cfg_variants()[name]
+    for rep, pinned in enumerate(_PINNED_TRACES[name]):
+        t_des, t_abs = [], []
+        run_des(cfg, rep, trace=t_des)
+        run_abs(cfg, rep, trace=t_abs)
+        assert trace_digest(t_des) == pinned, f"{name} rep {rep}: DES trace moved"
+        assert trace_digest(t_abs) == pinned, f"{name} rep {rep}: ABS trace moved"
+
+
+def served_by_the_clock():
+    """Every duration 1 minute, no help, no reneging, no policy: a day
+    whose event times can be worked out by hand."""
+    one = DistributionSpec.deterministic(1.0)
+    return ScenarioConfig(replications=1, job1=one, job3=one, fitting=one,
+                          help_probability=0.0, patience=None,
+                          proactive=ProactivePolicy(enabled=False))
+
+
+@pytest.mark.parametrize("arrivals, at_three", [
+    # the arrival at 3 is stamped (at 1) before c0's fitting end (at 2):
+    # c1 arrives and starts entry before c0 leaves the cubicle
+    ([1.0, 3.0, None],
+     [(3.0, "arrival", 1), (3.0, "start_job1", 1), (3.0, "leave_cubicle", 0)]),
+    # c0's fitting end is stamped at 2 just before c1's entry service ends
+    # at 3 is: c0 leaves the cubicle first
+    ([1.0, 1.5, None],
+     [(3.0, "leave_cubicle", 0), (3.0, "end_job1", 1), (3.0, "enter_cubicle", 1),
+      (3.0, "start_job3", 0)]),
+])
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_simultaneous_events_run_in_stamp_order(model, arrivals, at_three):
+    # the next arrival and the staff's job wait beside the heap; at equal
+    # times an event in a slot and one on the heap go in stamp order
+    trace = []
+    run = model(served_by_the_clock(), 0, trace=trace)
+    run.draws.arrival = iter(arrivals).__next__
+    run.run()
+    assert [e for e in trace if e[0] == 3.0] == at_three
+
+
+def test_stamping_a_second_staff_job_is_a_model_error():
+    run = DesRun(ScenarioConfig(replications=1), 0)
+    run.stamp_job(1.0, "job1_done", None)
+    with pytest.raises(ModelError):
+        run.stamp_job(2.0, "job3_done", None)
+
+
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_a_finished_run_is_freed_by_reference_counting(model, monkeypatch, gc_disabled):
+    # the agents point back at their run; a finished run must let go of
+    # them, or every replication waits for the cycle collector
+    runs = []
+    real_init = model.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        runs.append(weakref.ref(self))
+
+    monkeypatch.setattr(model, "__init__", init)
+    cfg = cfg_variants()["hot"]
+    metrics = (run_des if model is DesRun else run_abs)(cfg, 0)
+    assert metrics.served > 0 and metrics.not_served > 0
+    assert len(runs) == 1 and runs[0]() is None
 
 def test_zero_arrivals_empty_run():
     cfg = ScenarioConfig(arrival=ArrivalProfile((0.0,) * 8), replications=1)

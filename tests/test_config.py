@@ -219,6 +219,20 @@ def test_a_word_for_the_speedup_is_named_not_a_crash(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("fitroom: proactive.speedup: ")
 
 
+
+def test_an_arrival_rate_that_overflows_is_named_not_run(tmp_path, capsys):
+    # each value is finite, so the file parses; the rate per minute is not,
+    # and a run would add arrivals at t = 0 until memory ran out
+    from fitroom.cli import main
+
+    rates = "[" + ", ".join(["1e308"] * 8) + "]"
+    with pytest.raises(ConfigError) as err:
+        build_config({"arrival.rates": [1e308] * 8, "arrival.scale": 10})
+    assert str(err.value).startswith("arrival: hour 1: ")
+    path = write(tmp_path, f"arrival.rates = {rates}\narrival.scale = 10\n")
+    assert main(["run", "--model", "des", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("fitroom: arrival: hour 1: ")
+
 @pytest.mark.parametrize("horizon", [480, 480.0, 240, 0.5])
 def test_a_horizon_within_the_arrival_profile_loads(horizon):
     assert build_config({"horizon": horizon}).horizon == horizon

@@ -200,7 +200,9 @@ def test_traced_sweep_reports_what_an_untraced_one_does():
     assert 0 < stats["engine.stream_setup"][0] <= 9
     for name in ("des.run", "abs.run", "des.setup", "abs.setup", "engine.next_arrival",
                  "engine.bernoulli", "engine.uniform", "engine.sample",
-                 "proactive.speedup", "runtime.select_service", "abs.message"):
+                 "engine.schedule", "proactive.note_change", "proactive.speedup",
+                 "proactive.revert", "runtime.select_service", "des.renege",
+                 "abs.message"):
         assert stats[name][0] > 0, name
 
 
@@ -397,6 +399,22 @@ def test_cli_bad_config_content_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cubicles" in err
 
+
+
+def test_cli_sweep_whose_ladder_overflows_exits_1(capsys):
+    # 1e200 squared is past the largest float
+    assert main(["sweep", "--levels", "3", "--factor", "1e200"]) == 1
+    assert capsys.readouterr().err.startswith("fitroom: sweep level 3: ")
+
+
+def test_cli_sweep_level_that_overflows_a_scenario_rate_exits_1(tmp_path, capsys):
+    # each level's scale is finite; the scenario's rates times level 2's are not
+    cfg = tmp_path / "busy.cfg"
+    cfg.write_text("arrival.rates = [1e200, 1e200, 1e200, 1e200, "
+                   "1e200, 1e200, 1e200, 1e200]\n")
+    assert main(["sweep", "--levels", "2", "--factor", "1e200",
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("fitroom: sweep level 2: hour 1: ")
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "ghost.cfg")]) == 2

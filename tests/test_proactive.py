@@ -174,7 +174,7 @@ def drain_reverts(ctl, cal):
     ev = cal.pop()
     while ev is not None:
         assert ev.kind == EV_REVERT
-        ctl.handle_revert(ev)
+        ctl.handle_revert(ev.target, ev.time)
         log.append((ev.time, ctl.table.mode))
         ev = cal.pop()
     return log
@@ -215,8 +215,8 @@ def test_stale_revert_after_natural_end_is_ignored():
     drain_reverts(ctl, cal)
     assert not ctl.table.fast
     before = ctl.state.change_count
-    # replay a leftover event object; nothing may change
-    ctl.handle_revert((99.0, 0, EV_REVERT, None))
+    # replay a leftover revert; nothing may change
+    ctl.handle_revert(None, 99.0)
     assert not ctl.table.fast and ctl.state.change_count == before
 
 
@@ -233,7 +233,7 @@ def test_speedup_and_revert_are_traced():
         ev = cal.pop()
         if ev is None:
             break
-        ctl.handle_revert(ev)
+        ctl.handle_revert(ev.target, ev.time)
     assert tm.trace == [(1.0, L_SPEEDUP, -1), (5.0, L_REVERT, -1)]
 
 
@@ -281,7 +281,7 @@ def test_polling_policy_checks_only_at_poll_times():
 
     ev = cal.pop()
     assert ev.kind == EV_POLL and ev.time == 10.0
-    ctl.handle_poll(ev)
+    ctl.handle_poll(ev.target, ev.time)
     assert ctl.table.fast  # congestion picked up at the poll
 
     nxt = [cal.pop() for _ in range(2)]

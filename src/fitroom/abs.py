@@ -14,15 +14,13 @@ so with degenerate distributions the two traces match byte for byte.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .config import ScenarioConfig
 from .engine import ModelError, ReplicationDraws, bernoulli
-from .proactive import ServiceTimeTable, SpeedupController
-from .runtime import (CLOSED, EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2,
-                      JOB3, L_ARRIVAL, L_END, L_ENTER, L_LEAVE, L_RENEGE,
-                      L_REQUEST_HELP, L_START, RENEGED, SERVED, QueueSet,
-                      Replication, build_metrics, close_open_waits,
+from .runtime import (EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2, JOB3,
+                      L_END, L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP,
+                      L_START, RENEGED, SERVED, QueueSet, Replication,
                       select_service)
 from .stats import RunMetrics
 
@@ -79,15 +77,6 @@ EV_FIT_DONE = "fit_done"
 
 _WAIT_STATE_FOR_JOB = (None, WAITING_ENTRY, WAITING_HELP, WAITING_RETURN)
 _SERVICE_STATE_FOR_JOB = (None, IN_ENTRY_SERVICE, IN_HELP_SERVICE, IN_RETURN_SERVICE)
-
-
-class Message(NamedTuple):
-    """One agent-to-agent message; delivery happens at send time."""
-
-    kind: str
-    sender: object
-    receiver: object
-    payload: object = None
 
 
 class CustomerAgent:
@@ -160,7 +149,6 @@ class CustomerAgent:
 
     def patience_expired(self, now: float) -> None:
         if self.state != WAITING_ENTRY:
-            self.model.dead_timers -= 1
             return  # being (or already been) served; the timer is stale
         model = self.model
         tr = model.tm.trace
@@ -181,8 +169,6 @@ class CustomerAgent:
                     f"{STATE_NAMES[self.state]}"
                 )
             self._transition(_SERVICE_STATE_FOR_JOB[payload])
-            if payload == JOB1 and self.model.draws.patience is not None:
-                self.model.entry_started()
         elif kind == M_CUBICLE_GRANTED:
             self.cubicle = payload
             model = self.model
@@ -204,22 +190,19 @@ class CustomerAgent:
 class StaffAgent:
     """The single staff member: three queues, one pair of hands."""
 
-    __slots__ = ("model", "tm", "queues", "idle", "since", "current_job")
+    __slots__ = ("model", "tm", "queues", "current_job")
 
     def __init__(self, model: "AbsRun", queues: QueueSet) -> None:
         self.model = model
         self.tm = model.tm
         self.queues = queues
-        self.idle = True
-        self.since = 0.0
         self.current_job = 0
 
     def handle(self, kind: str, payload, now: float) -> None:
         model = self.model
         note = model.note
         if kind == M_SERVICE_DONE:
-            self.tm.staff_busy += now - self.since
-            self.idle = True
+            self.tm.staff_done(now)
             job = self.current_job
             self.current_job = 0
             # job 1 ended with a cubicle filling up, which is a state change
@@ -231,25 +214,25 @@ class StaffAgent:
             self.queues.entry.join(payload, now)
             if note is not None:
                 note(now)
-            if self.idle:
+            if self.tm.staff_since is None:
                 self.scan(now)
         elif kind == M_REQUEST_RETURN:
             self.queues.ret.join(payload, now)
             if note is not None:
                 note(now)
-            if self.idle:
+            if self.tm.staff_since is None:
                 self.scan(now)
         elif kind == M_REQUEST_HELP:
             self.queues.help.join(payload, now)
             if note is not None:
                 note(now)
-            if self.idle:
+            if self.tm.staff_since is None:
                 self.scan(now)
         elif kind == M_RENEGE:
             self.queues.entry.remove(payload)
             if note is not None:
                 note(now)
-            if self.idle:
+            if self.tm.staff_since is None:
                 self.scan(now)
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
@@ -267,12 +250,11 @@ class StaffAgent:
         note = model.note
         if note is not None:
             note(now)
-        dur = model.draws.job[job]() * model.table.factor
+        dur = model.table.duration(job)
         tr = model.tm.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
-        self.idle = False
-        self.since = now
+        self.tm.staff_since = now
         self.current_job = job
         model.stamp_job(now + dur, EV_SVC_DONE, c)
         model.msgs.append((c, M_SERVE, job))
@@ -289,10 +271,6 @@ class FittingRoomAgent:
         self.capacity = capacity
         self.occupied = 0
         self.slots = [False] * capacity
-
-    @property
-    def free(self) -> int:
-        return self.capacity - self.occupied
 
     def handle(self, kind: str, payload, now: float) -> None:
         if kind == M_REQUEST_CUBICLE:
@@ -329,21 +307,16 @@ class FittingRoomAgent:
 class AbsRun(Replication):
     """State of a single replication."""
 
-    __slots__ = ("staff", "room")
+    __slots__ = ("staff",)
 
     def __init__(self, cfg: ScenarioConfig, replication: int,
                  trace: Optional[list] = None,
                  draws: Optional[ReplicationDraws] = None) -> None:
         super().__init__(cfg, replication, trace, draws)
-        d = self.draws
-        self.table = ServiceTimeTable(cfg.job1, cfg.job2, cfg.job3,
-                                      cfg.speedup_fraction)
         self.staff = StaffAgent(self, self.queues)
-        self.room = FittingRoomAgent(self, cfg.cubicles)
-        self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
-                                     self.queues, self.room,
-                                     d.revert, d.poll, self.tm)
-        self.note = self.ctl.note_change if self.ctl.event_driven else None
+
+    def open_room(self) -> FittingRoomAgent:
+        return FittingRoomAgent(self, self.cfg.cubicles)
 
     def handlers(self) -> dict:
         # the timers are the customers' own: each handler takes the
@@ -357,48 +330,21 @@ class AbsRun(Replication):
             EV_FIT_DONE: C.fit_done,
         }
 
-    def live_events(self, heap: list) -> list:
-        return [ev for ev in heap
-                if ev[2] != EV_PATIENCE or ev[3].state == WAITING_ENTRY]
-
-    def send(self, receiver, kind: str, payload) -> None:
-        self.msgs.append((receiver, kind, payload))
-
-    def deliver(self, msg: Message) -> None:
-        """Deliver one explicit Message now (bypassing the send queue)."""
-        msg.receiver.handle(msg.kind, msg.payload, self.cal.now)
-
     def handle_arrival(self, _target, now: float) -> None:
-        d = self.draws
         c = CustomerAgent(len(self.customers), now, self)
-        self.customers.append(c)
-        tr = self.tm.trace
-        if tr is not None:
-            tr.append((now, L_ARRIVAL, c.id))
-        if d.patience is not None:
-            self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
-        nxt = d.arrival()
-        if nxt is not None:
-            self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
+        self.arrive(c, now)
         c._transition(WAITING_ENTRY)
         self.msgs.append((self.staff, M_REQUEST_ENTRY, c))
 
     def finalize(self, horizon: float) -> RunMetrics:
-        if not self.staff.idle:
-            self.tm.staff_busy += horizon - self.staff.since
-            self.staff.idle = True
-        self.tm.flush(horizon)
-        close_open_waits(self.customers, horizon)
         # the agents let go of the run, so the finished run is freed by
         # reference counting rather than left to the cycle collector
         self.staff.model = None
         for c in self.customers:
             c.model = None
             if c.disposition == IN_SYSTEM:
-                c.disposition = CLOSED
                 c._transition(NOT_SERVED)
-        return build_metrics(self.customers, self.tm, self.ctl.state.change_count,
-                             self.cfg.cubicles, horizon, self.cfg.wait_estimator)
+        return super().finalize(horizon)
 
 
 def run_abs(cfg: ScenarioConfig, replication: int,

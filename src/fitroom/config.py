@@ -145,6 +145,8 @@ def _spec_from_value(v) -> DistributionSpec:
     if isinstance(v, (int, float)):
         return DistributionSpec.deterministic(float(v))
     if isinstance(v, list) and v and isinstance(v[0], str):
+        if not all(_is_number(x) for x in v[1:]):
+            raise ValueError(f"{v[0]} parameters must be numbers: {json.dumps(v[1:])}")
         return DistributionSpec(v[0], tuple(v[1:]))
     raise ValueError("expected a number or [family, params...] list")
 
@@ -188,8 +190,8 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
                 fieldname, conv = setters[key]
                 updates[fieldname] = conv(value) if conv else value
             elif key == "arrival.rates":
-                if not isinstance(value, list):
-                    raise ValueError("expected a list of hourly rates")
+                if not (isinstance(value, list) and all(_is_number(r) for r in value)):
+                    raise ValueError("expected a list of numbers, one rate per hour")
                 arrival_rates = tuple(value)
             elif key == "arrival.scale":
                 if not _is_number(value):
@@ -230,8 +232,13 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
 
 
 def load_config(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
-    """Read a config file.  Raises ConfigError for bad content; I/O errors
-    (missing file, unreadable path) propagate as OSError."""
+    """Read a config file.  Raises ConfigError for bad content, a file that
+    is not UTF-8 text included; I/O errors (missing file, unreadable path)
+    propagate as OSError."""
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                              f"{exc.reason})") from None
     return build_config(parse_config_text(text), base)

@@ -17,11 +17,9 @@ from typing import Optional
 
 from .config import ScenarioConfig
 from .engine import ReplicationDraws, bernoulli
-from .proactive import ServiceTimeTable, SpeedupController
-from .runtime import (CLOSED, EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2,
-                      JOB3, L_ARRIVAL, L_END, L_ENTER, L_LEAVE, L_RENEGE,
-                      L_REQUEST_HELP, L_START, RENEGED, SERVED, Replication,
-                      build_metrics, close_open_waits, select_service)
+from .runtime import (EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2, JOB3,
+                      L_END, L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP,
+                      L_START, RENEGED, SERVED, Replication, select_service)
 from .stats import RunMetrics
 
 EV_JOB1_DONE = "job1_done"
@@ -57,31 +55,14 @@ class CubicleBank:
         self.capacity = capacity
         self.occupied = 0
 
-    @property
-    def free(self) -> int:
-        return self.capacity - self.occupied
-
 
 class DesRun(Replication):
     """State of a single replication."""
 
-    __slots__ = ("cubicles", "staff_idle", "staff_since")
+    __slots__ = ()
 
-    def __init__(self, cfg: ScenarioConfig, replication: int,
-                 trace: Optional[list] = None,
-                 draws: Optional[ReplicationDraws] = None) -> None:
-        super().__init__(cfg, replication, trace, draws)
-        d = self.draws
-        self.cubicles = CubicleBank(cfg.cubicles)
-        self.table = ServiceTimeTable(cfg.job1, cfg.job2, cfg.job3,
-                                      cfg.speedup_fraction)
-        self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
-                                     self.queues, self.cubicles,
-                                     d.revert, d.poll, self.tm)
-        self.staff_idle = True
-        self.staff_since = 0.0
-        # bound once: None when the policy is off or polling
-        self.note = self.ctl.note_change if self.ctl.event_driven else None
+    def open_room(self) -> CubicleBank:
+        return CubicleBank(self.cfg.cubicles)
 
     def handlers(self) -> dict:
         return {
@@ -94,31 +75,20 @@ class DesRun(Replication):
             EV_FIT_DONE: self.leave_cubicle,
         }
 
-    def live_events(self, heap: list) -> list:
-        return [ev for ev in heap if ev[2] != EV_PATIENCE or ev[3].awaiting_entry]
-
     def handle_arrival(self, _target, now: float) -> None:
-        d = self.draws
         c = Customer(len(self.customers), now)
-        self.customers.append(c)
-        tr = self.tm.trace
-        if tr is not None:
-            tr.append((now, L_ARRIVAL, c.id))
-        if d.patience is not None:
-            self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
-        nxt = d.arrival()
-        if nxt is not None:
-            self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
+        self.arrive(c, now)
         self.queues.entry.join(c, now)
         c.awaiting_entry = True
         if self.note is not None:
             self.note(now)
-        if self.staff_idle:
+        if self.tm.staff_since is None:
             self.dispatch_staff(now)
 
     def dispatch_staff(self, now: float) -> None:
         """Start the staff on the next job, if any is eligible."""
-        pick = select_service(self.queues, self.cubicles.occupied < self.cubicles.capacity)
+        room = self.room
+        pick = select_service(self.queues, room.occupied < room.capacity)
         if pick is None:
             return
         job, line = pick
@@ -126,16 +96,13 @@ class DesRun(Replication):
         c.wait += now - c.joined_at
         if job == JOB1:
             c.awaiting_entry = False
-            if self.draws.patience is not None:
-                self.entry_started()
         if self.note is not None:
             self.note(now)
-        dur = self.draws.job[job]() * self.table.factor
+        dur = self.table.duration(job)
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
-        self.staff_idle = False
-        self.staff_since = now
+        self.tm.staff_since = now
         self.stamp_job(now + dur, _DONE_EVENT[job], c)
 
     def complete_job1(self, c: Customer, now: float) -> None:
@@ -144,7 +111,7 @@ class DesRun(Replication):
             tr.append((now, L_END[JOB1], c.id))
         # entry service ends with the customer stepping into a cubicle,
         # reserved for them when the job was dispatched
-        self.cubicles.occupied += 1
+        self.room.occupied += 1
         self.tm.cubicle_change(now, 1)
         if tr is not None:
             tr.append((now, L_ENTER, c.id))
@@ -156,8 +123,7 @@ class DesRun(Replication):
             self.cal.schedule(now + fit * frac, EV_HELP_DUE, c)
         else:
             self.cal.schedule(now + fit, EV_FIT_DONE, c)
-        self.tm.staff_busy += now - self.staff_since
-        self.staff_idle = True
+        self.tm.staff_done(now)
         if self.note is not None:
             self.note(now)
         self.dispatch_staff(now)
@@ -169,7 +135,7 @@ class DesRun(Replication):
         self.queues.help.join(c, now)
         if self.note is not None:
             self.note(now)
-        if self.staff_idle:
+        if self.tm.staff_since is None:
             self.dispatch_staff(now)
 
     def complete_job2(self, c: Customer, now: float) -> None:
@@ -177,12 +143,11 @@ class DesRun(Replication):
         if tr is not None:
             tr.append((now, L_END[JOB2], c.id))
         self.cal.schedule(now + c.fit_remaining, EV_FIT_DONE, c)
-        self.tm.staff_busy += now - self.staff_since
-        self.staff_idle = True
+        self.tm.staff_done(now)
         self.dispatch_staff(now)
 
     def leave_cubicle(self, c: Customer, now: float) -> None:
-        self.cubicles.occupied -= 1
+        self.room.occupied -= 1
         self.tm.cubicle_change(now, -1)
         tr = self.tm.trace
         if tr is not None:
@@ -190,7 +155,7 @@ class DesRun(Replication):
         self.queues.ret.join(c, now)
         if self.note is not None:
             self.note(now)
-        if self.staff_idle:
+        if self.tm.staff_since is None:
             self.dispatch_staff(now)
 
     def complete_job3(self, c: Customer, now: float) -> None:
@@ -198,13 +163,11 @@ class DesRun(Replication):
         if tr is not None:
             tr.append((now, L_END[JOB3], c.id))
         c.disposition = SERVED
-        self.tm.staff_busy += now - self.staff_since
-        self.staff_idle = True
+        self.tm.staff_done(now)
         self.dispatch_staff(now)
 
     def renege(self, c: Customer, now: float) -> None:
         if not c.awaiting_entry:
-            self.dead_timers -= 1
             return  # already being served; the timer is stale
         tr = self.tm.trace
         if tr is not None:
@@ -215,20 +178,8 @@ class DesRun(Replication):
         self.queues.entry.remove(c)
         if self.note is not None:
             self.note(now)
-        if self.staff_idle:
+        if self.tm.staff_since is None:
             self.dispatch_staff(now)
-
-    def finalize(self, horizon: float) -> RunMetrics:
-        if not self.staff_idle:
-            self.tm.staff_busy += horizon - self.staff_since
-            self.staff_idle = True
-        self.tm.flush(horizon)
-        close_open_waits(self.customers, horizon)
-        for c in self.customers:
-            if c.disposition == IN_SYSTEM:
-                c.disposition = CLOSED
-        return build_metrics(self.customers, self.tm, self.ctl.state.change_count,
-                             self.cfg.cubicles, horizon, self.cfg.wait_estimator)
 
 
 def run_des(cfg: ScenarioConfig, replication: int,

@@ -10,13 +10,19 @@ which restarts the delay without counting as a new pace change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-from .engine import DistributionSpec, EventCalendar, Event, RandomStream
-from .runtime import JOB1, JOB2, JOB3, L_SPEEDUP, L_REVERT, QueueSet, Telemetry
+from .engine import DistributionSpec, EventCalendar
+
+if TYPE_CHECKING:
+    from .runtime import QueueSet, Telemetry
 
 EV_REVERT = "revert"
 EV_POLL = "poll"
+
+# trace labels, system-level (customer id -1)
+L_SPEEDUP = "speedup"
+L_REVERT = "revert"
 
 
 def is_threshold(v) -> bool:
@@ -47,27 +53,24 @@ class ProactivePolicy:
 
 
 class ServiceTimeTable:
-    """The three staff service-time distributions plus the current pace.
+    """The three staff jobs' duration readers plus the current pace.
 
-    Sampling multiplies the drawn duration by the pace factor, so in fast
-    mode a job takes exactly (1 - speedup_fraction) times what the same
-    draw would have produced at normal pace.
+    ``job1``..``job3`` return the job's next drawn duration, one per call.
+    ``duration`` multiplies it by the pace factor, so in fast mode a job
+    takes exactly (1 - speedup_fraction) times what the same draw would
+    have produced at normal pace.
     """
 
-    __slots__ = ("specs", "speedup_fraction", "fast", "factor")
+    __slots__ = ("jobs", "speedup_fraction", "fast", "factor")
 
-    def __init__(self, job1: DistributionSpec, job2: DistributionSpec,
-                 job3: DistributionSpec, speedup_fraction: float) -> None:
+    def __init__(self, job1: Callable[[], float], job2: Callable[[], float],
+                 job3: Callable[[], float], speedup_fraction: float) -> None:
         if not 0.0 <= speedup_fraction < 1.0:
             raise ValueError("speedup fraction must lie in [0, 1)")
-        self.specs = (None, job1, job2, job3)
+        self.jobs = (None, job1, job2, job3)
         self.speedup_fraction = speedup_fraction
         self.fast = False
         self.factor = 1.0
-
-    @property
-    def mode(self) -> str:
-        return "fast" if self.fast else "normal"
 
     def set_fast(self) -> None:
         self.fast = True
@@ -77,8 +80,10 @@ class ServiceTimeTable:
         self.fast = False
         self.factor = 1.0
 
-    def sample(self, job: int, stream: RandomStream) -> float:
-        return self.specs[job].sample(stream) * self.factor
+    def duration(self, job: int) -> float:
+        """How long the staff's next ``job`` (1, 2 or 3) takes at the
+        current pace."""
+        return self.jobs[job]() * self.factor
 
 
 class SpeedupState:
@@ -98,32 +103,20 @@ class SpeedupState:
         self.chain_head: Optional[float] = None
 
 
-def check_condition(queues: QueueSet, cubicles, policy: ProactivePolicy) -> bool:
-    """True when the store warrants hurrying.
-
-    Either a cubicle is free while the entry queue has reached its
-    threshold, or the return or help queue has reached its own threshold
-    regardless of cubicle state.
-    """
-    if cubicles.free > 0 and len(queues.entry) >= policy.threshold_entry:
-        return True
-    if len(queues.ret) >= policy.threshold_return:
-        return True
-    return len(queues.help) >= policy.threshold_help
-
-
 class SpeedupController:
     """Runs one replication's policy: evaluates triggers, flips the pace,
     and schedules/handles reverts and (optionally) polls.
 
-    Models call note_change() after every queue or cubicle mutation when the
-    policy is event-driven; the event_driven flag is False otherwise so the
-    call can be skipped on the hot path.  ``next_revert`` and ``next_poll``
+    ``note_change`` holds the trigger rule.  Models call it after every
+    queue or cubicle mutation when the policy is event-driven
+    (``event_driven``), and ``handle_poll`` calls it at every poll when the
+    policy polls.  ``cubicles`` is the model's, read through its
+    ``occupied`` and ``capacity``.  ``next_revert`` and ``next_poll``
     return the next revert delay and polling interval, one per call
     (``next_poll`` may be None when the policy does not poll).
     """
 
-    __slots__ = ("policy", "table", "calendar", "queues", "cubicles",
+    __slots__ = ("policy", "table", "calendar", "cubicles",
                  "next_revert", "next_poll", "state", "trace", "event_driven",
                  "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
 
@@ -135,16 +128,14 @@ class SpeedupController:
         self.policy = policy
         self.table = table
         self.calendar = calendar
-        self.queues = queues
         self.cubicles = cubicles
         self.next_revert = next_revert
         self.next_poll = next_poll
         self.state = SpeedupState()
         self.trace = telemetry.trace
         self.event_driven = policy.enabled and policy.check_interval is None
-        # note_change runs on every queue/cubicle mutation, so the condition
-        # is inlined there against these cached references; keep it in step
-        # with check_condition above
+        # note_change runs on every queue/cubicle mutation, so it reads
+        # these cached references
         self._entry_q = queues.entry._q
         self._ret_q = queues.ret._q
         self._help_q = queues.help._q
@@ -158,8 +149,9 @@ class SpeedupController:
             self.calendar.schedule(self.calendar.now + self.next_poll(), EV_POLL)
 
     def note_change(self, now: float) -> None:
-        if not self.event_driven:
-            return
+        """Hurry if the store is congested: a cubicle is free while the
+        entry queue has reached its threshold, or the return or help queue
+        has reached its own threshold whatever the cubicles hold."""
         cub = self.cubicles
         if ((cub.occupied < cub.capacity and len(self._entry_q) >= self._te)
                 or len(self._ret_q) >= self._tr
@@ -202,6 +194,5 @@ class SpeedupController:
         # else: superseded duplicate, drop it
 
     def handle_poll(self, _target, t: float) -> None:
-        if check_condition(self.queues, self.cubicles, self.policy):
-            self.apply_speedup(t)
+        self.note_change(t)
         self.calendar.schedule(t + self.next_poll(), EV_POLL)

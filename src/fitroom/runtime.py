@@ -1,6 +1,7 @@
-"""Pieces both store models share verbatim: the event loop, each run's
-random draws, waiting lines, the staff's service-order rule,
-occupancy/busy-time accounting, and run metrics.
+"""Pieces both store models share verbatim: the event loop, the arrival
+step and the close of day, each run's random draws, waiting lines, the
+staff's service-order rule, occupancy/busy-time accounting, and run
+metrics.
 
 Keeping these identical (not merely similar) is what lets a deterministic
 scenario produce byte-for-byte the same trace from either model.
@@ -14,6 +15,7 @@ from collections import deque
 from typing import Optional
 
 from .engine import EventCalendar, ModelError, ReplicationDraws
+from .proactive import ServiceTimeTable, SpeedupController
 from .stats import RunMetrics
 
 # customer dispositions
@@ -30,8 +32,7 @@ L_ENTER = "enter_cubicle"
 L_REQUEST_HELP = "request_help"
 L_LEAVE = "leave_cubicle"
 L_RENEGE = "renege"
-L_SPEEDUP = "speedup"
-L_REVERT = "revert"
+# the policy's own labels, L_SPEEDUP and L_REVERT, are in proactive.py
 
 # event kinds both models schedule
 EV_ARRIVAL = "arrival"
@@ -65,8 +66,8 @@ class CellDraws:
         seed = cfg.master_seed
         values = shared.values
         self.arrival = shared.arrivals(seed, cfg.arrival)
-        self.job = (None, values(seed, "job1", cfg.job1),
-                    values(seed, "job2", cfg.job2), values(seed, "job3", cfg.job3))
+        self.job = (values(seed, "job1", cfg.job1), values(seed, "job2", cfg.job2),
+                    values(seed, "job3", cfg.job3))
         self.fitting = values(seed, "fitting", cfg.fitting)
         self.help = shared.uniforms(seed, "help")
         self.patience = (None if cfg.patience is None
@@ -78,13 +79,15 @@ class CellDraws:
 
 
 class Replication:
-    """One replication of either model: its calendar, its draws, and the
-    loop that runs it.
+    """One replication of either model: its calendar, its draws, its pace
+    and policy, the arrival step, the loop that runs it and the close of
+    day.
 
-    A model supplies its event handlers (``handlers``), the rule that finds
-    dead patience timers (``live_events``) and ``finalize``; the agent model
-    also queues messages in ``msgs``, which the loop delivers after every
-    event, so each cascade settles before the clock moves.
+    A model supplies its event handlers (``handlers``), its cubicles
+    (``open_room``) and its arrival handler, which makes the customer, lets
+    ``arrive`` record it and then takes it in; the agent model also queues
+    messages in ``msgs``, which the loop delivers after every event, so each
+    cascade settles before the clock moves.
 
     Two kinds of event are never more than one at a time pending, so they
     wait in slots beside the heap rather than in it: the next arrival
@@ -94,12 +97,12 @@ class Replication:
     """
 
     __slots__ = ("cfg", "draws", "cal", "queues", "tm", "customers", "msgs",
-                 "table", "ctl", "note", "next_arrival", "pending_job",
-                 "dead_timers", "__weakref__")
+                 "room", "table", "ctl", "note", "next_arrival", "pending_job",
+                 "__weakref__")
 
-    def __init__(self, cfg, replication: int, trace: Optional[list],
-                 draws: Optional[ReplicationDraws]) -> None:
-        self.draws = CellDraws(cfg, replication, draws)
+    def __init__(self, cfg, replication: int, trace: Optional[list] = None,
+                 draws: Optional[ReplicationDraws] = None) -> None:
+        d = self.draws = CellDraws(cfg, replication, draws)
         self.cfg = cfg
         self.cal = EventCalendar()
         self.queues = QueueSet()
@@ -108,18 +111,22 @@ class Replication:
         self.msgs: deque = deque()
         self.next_arrival = NEVER
         self.pending_job = NEVER
-        self.dead_timers = 0
+        self.room = self.open_room()
+        self.table = ServiceTimeTable(*d.job, cfg.speedup_fraction)
+        self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
+                                     self.queues, self.room, d.revert, d.poll,
+                                     self.tm)
+        # the models notify the policy of every queue or cubicle change only
+        # while it is event-driven; bound once, None otherwise
+        self.note = self.ctl.note_change if self.ctl.event_driven else None
 
     def handlers(self) -> dict:
         """Event kind -> handler(target, time) for the model's own events."""
         raise NotImplementedError
 
-    def live_events(self, heap: list) -> list:
-        """The entries of ``heap`` less the patience timers whose customer's
-        entry service has begun."""
-        raise NotImplementedError
-
-    def finalize(self, horizon: float) -> RunMetrics:
+    def open_room(self):
+        """The model's cubicles: an object with ``occupied`` and
+        ``capacity``, which the policy reads as well."""
         raise NotImplementedError
 
     def run(self) -> RunMetrics:
@@ -168,6 +175,23 @@ class Replication:
                 receiver.handle(mkind, payload, t)
         return self.finalize(horizon)
 
+    def arrive(self, c, now: float) -> None:
+        """Record the arriving customer ``c``, start their patience timer and
+        stamp the next arrival, in that order, which fixes each event's
+        sequence number; the model then takes ``c`` in.  A patience timer
+        stays on the heap after its customer's entry service begins and
+        does nothing when it pops."""
+        d = self.draws
+        self.customers.append(c)
+        tr = self.tm.trace
+        if tr is not None:
+            tr.append((now, L_ARRIVAL, c.id))
+        if d.patience is not None:
+            self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
+        nxt = d.arrival()
+        if nxt is not None:
+            self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
+
     def stamp_job(self, time: float, kind: str, target) -> None:
         """Put the staff's job completion in its slot."""
         if self.pending_job is not NEVER:
@@ -175,17 +199,18 @@ class Replication:
                              f"{self.pending_job[2]!r} is still pending")
         self.pending_job = self.cal.stamp(time, kind, target)
 
-    def entry_started(self) -> None:
-        """Count a patience timer that can no longer act, because its
-        customer's entry service began; a model uncounts one when it pops.
-        Once such timers make up more than half the heap, drop them: they
-        would only run a handler that does nothing."""
-        self.dead_timers += 1
-        heap = self.cal._heap
-        if self.dead_timers * 2 > len(heap):
-            heap[:] = self.live_events(heap)
-            heapq.heapify(heap)
-            self.dead_timers = 0
+    def finalize(self, horizon: float) -> RunMetrics:
+        """Close the day: stop the clocks, charge customers still queued for
+        their unfinished wait, mark everyone still inside as closed out,
+        and fold the run into its metrics."""
+        self.tm.flush(horizon)
+        for c in self.customers:
+            if c.in_queue:
+                c.wait += horizon - c.joined_at
+            if c.disposition == IN_SYSTEM:
+                c.disposition = CLOSED
+        return build_metrics(self.customers, self.tm, self.ctl.state.change_count,
+                             self.cfg.cubicles, horizon, self.cfg.wait_estimator)
 
 
 class WaitingLine:
@@ -259,12 +284,19 @@ def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, 
 
 
 class Telemetry:
-    """Time-integrated accounting plus the optional event trace."""
+    """Time-integrated accounting plus the optional event trace.
 
-    __slots__ = ("staff_busy", "occupied", "occ_minutes", "_occ_since", "trace")
+    The staff's busy clock runs while ``staff_since``, the time the
+    current job began, is set; it is None while the staff is idle.  A
+    model sets it when a job starts and calls ``staff_done`` when it ends.
+    """
+
+    __slots__ = ("staff_busy", "staff_since", "occupied", "occ_minutes",
+                 "_occ_since", "trace")
 
     def __init__(self, trace: Optional[list] = None) -> None:
         self.staff_busy = 0.0
+        self.staff_since = None
         self.occupied = 0
         self.occ_minutes = 0.0
         self._occ_since = 0.0
@@ -275,16 +307,16 @@ class Telemetry:
         self.occupied += delta
         self._occ_since = now
 
+    def staff_done(self, now: float) -> None:
+        self.staff_busy += now - self.staff_since
+        self.staff_since = None
+
     def flush(self, horizon: float) -> None:
+        """Close both clocks at the horizon."""
         self.occ_minutes += self.occupied * (horizon - self._occ_since)
         self._occ_since = horizon
-
-
-def close_open_waits(customers, horizon: float) -> None:
-    """Charge customers still queued at closing for their unfinished wait."""
-    for c in customers:
-        if c.in_queue:
-            c.wait += horizon - c.joined_at
+        if self.staff_since is not None:
+            self.staff_done(horizon)
 
 
 def build_metrics(customers, telemetry: Telemetry, change_count: int,

@@ -6,14 +6,11 @@ import weakref
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitroom import abs as agents
-from fitroom.abs import (
-    AbsRun,
-    CustomerAgent,
-    Message,
-    run_abs,
-)
+from fitroom.abs import AbsRun, CustomerAgent, run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError
@@ -67,6 +64,61 @@ def test_two_models_tell_the_same_story(name):
         assert m_des == m_abs, f"{name} rep {rep}: metrics diverge"
         assert t_des == t_abs, f"{name} rep {rep}: traces diverge"
 
+
+def durations(lo, hi):
+    """Duration distributions of every family, with parameters in [lo, hi]."""
+    value = st.floats(lo, hi)
+    D = DistributionSpec
+    return st.one_of(
+        value.map(D.deterministic),
+        st.floats(max(lo, 0.05), hi).map(lambda mean: D.exponential(1.0 / mean)),
+        st.tuples(value, value).map(lambda ab: D.uniform(*sorted(ab))),
+        st.tuples(value, value, value).map(lambda abc: D.triangular(*sorted(abc))),
+    )
+
+
+@st.composite
+def stochastic_scenarios(draw):
+    """A random day: random durations, patience (infinite included), one to
+    eight cubicles, and the policy off, event-driven or polling."""
+    threshold = st.integers(1, 4)
+    policy = ProactivePolicy(
+        enabled=draw(st.booleans()),
+        threshold_entry=draw(threshold),
+        threshold_return=draw(threshold),
+        threshold_help=draw(threshold),
+        revert_delay=draw(durations(0.0, 15.0)),
+        check_interval=draw(st.none() | durations(0.5, 10.0)),
+    )
+    return ScenarioConfig(
+        arrival=ArrivalProfile(tuple(draw(st.lists(st.floats(0.0, 40.0),
+                                                   min_size=8, max_size=8))),
+                               scale=draw(st.floats(0.5, 2.0))),
+        cubicles=draw(st.integers(1, 8)),
+        job1=draw(durations(0.0, 1.0)),
+        job2=draw(durations(0.0, 2.0)),
+        job3=draw(durations(0.0, 1.0)),
+        fitting=draw(durations(0.0, 12.0)),
+        help_probability=draw(st.sampled_from((0.0, 0.3, 1.0))),
+        help_fraction=draw(st.sampled_from((DistributionSpec.uniform(0.0, 1.0),
+                                            DistributionSpec.deterministic(0.5)))),
+        patience=draw(st.none() | durations(0.0, 20.0)),
+        wait_estimator=draw(st.sampled_from(("served", "all"))),
+        speedup_fraction=draw(st.floats(0.0, 0.9)),
+        proactive=policy,
+        replications=1,
+        master_seed=draw(st.integers(0, 10 ** 6)),
+    )
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(cfg=stochastic_scenarios(), rep=st.integers(0, 2))
+def test_two_models_tell_the_same_story_on_stochastic_days(cfg, rep):
+    # C3 and the variants above hold durations fixed or hand-picked; here
+    # every duration, threshold and policy setting is drawn at random
+    t_des, t_abs = [], []
+    assert run_des(cfg, rep, trace=t_des) == run_abs(cfg, rep, trace=t_abs)
+    assert t_des == t_abs
 
 
 # sha256 of repr(trace) per variant and replication 0-2, pinned: DES and ABS
@@ -299,14 +351,6 @@ def test_grant_with_no_free_cubicle_is_a_model_error():
     model.room.handle(agents.M_REQUEST_CUBICLE, a, 0.0)
     with pytest.raises(ModelError):
         model.room.handle(agents.M_REQUEST_CUBICLE, b, 0.0)
-
-
-def test_deliver_routes_an_explicit_message():
-    model = fresh_model()
-    c = CustomerAgent(0, 0.0, model)
-    c._transition(agents.WAITING_ENTRY)
-    model.deliver(Message(agents.M_SERVE, sender=None, receiver=c, payload=agents.JOB1))
-    assert c.state == agents.IN_ENTRY_SERVICE
 
 
 def test_state_names_cover_every_state():

@@ -15,7 +15,7 @@ from dataclasses import replace
 from fitroom.abs import run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import run_des
-from fitroom.engine import ArrivalProfile, DistributionSpec, RandomStreams
+from fitroom.engine import ArrivalProfile, DistributionSpec, RandomStreams, ReplicationDraws
 from fitroom.harness import SweepSpec, sweep
 from fitroom.proactive import ProactivePolicy, ServiceTimeTable
 from fitroom.runtime import JOB2
@@ -272,16 +272,19 @@ def test_c6_policy_reduces_staff_time_per_served_customer():
 
 def test_c7_fast_pace_scales_identical_draws_exactly():
     spec = D.triangular(0.5, 1.0, 1.5)
-    normal = ServiceTimeTable(spec, spec, spec, 0.2)
-    fast = ServiceTimeTable(spec, spec, spec, 0.2)
+    # two readers of one replication's draws, as two runs of it read them;
+    # each starts at the stream's first draw
+    draws = ReplicationDraws(0)
+    job_normal = draws.values(17, "pace", spec)
+    job_fast = draws.values(17, "pace", spec)
+    normal = ServiceTimeTable(job_normal, job_normal, job_normal, 0.2)
+    fast = ServiceTimeTable(job_fast, job_fast, job_fast, 0.2)
     fast.set_fast()
-    streams = RandomStreams(17)
-    s_normal = streams.stream("pace", 0)
-    s_fast = streams.stream("pace", 0)
     mismatches = 0
     for _ in range(1_000_000):
-        if fast.sample(JOB2, s_fast) != normal.sample(JOB2, s_normal) * 0.8:
+        if fast.duration(JOB2) != normal.duration(JOB2) * 0.8:
             mismatches += 1
+    draws.close()
     verdict(
         "C7",
         mismatches == 0,

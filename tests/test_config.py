@@ -189,8 +189,8 @@ def test_bad_values_are_attributed_to_their_keys():
 
 
 @pytest.mark.parametrize(
-    "key",
-    [
+    "key, value",
+    [pytest.param(key, True, id=key) for key in (
         "horizon",
         "help.probability",
         "proactive.speedup",
@@ -199,12 +199,21 @@ def test_bad_values_are_attributed_to_their_keys():
         "proactive.threshold.entry",
         "proactive.threshold.return",
         "proactive.threshold.help",
+    )] + [
+        # inside a list as well
+        pytest.param("arrival.rates", [True, 34, 48, 56, 56, 48, 34, 20],
+                     id="arrival.rates"),
+        pytest.param("service.job1", ["uniform", True, 2], id="service.job1"),
+        pytest.param("help.fraction", ["uniform", 0, True], id="help.fraction"),
+        pytest.param("patience", ["exponential", True], id="patience"),
+        pytest.param("proactive.revert", ["exponential", True], id="proactive.revert"),
+        pytest.param("proactive.check", ["exponential", False], id="proactive.check"),
     ],
 )
-def test_booleans_are_not_numbers(key):
+def test_booleans_are_not_numbers(key, value):
     # JSON true would otherwise pass as 1 (horizon = true ran a 1-minute day)
     with pytest.raises(ConfigError) as err:
-        build_config({key: True})
+        build_config({key: value})
     assert str(err.value).startswith(f"{key}:")
 
 
@@ -270,6 +279,18 @@ def test_build_layers_on_a_base():
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_config(str(tmp_path / "nope.cfg"))
+
+
+def test_a_file_that_is_not_utf8_is_named_not_a_crash(tmp_path, capsys):
+    from fitroom.cli import main
+
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes("# caf\xe9\nseed = 3\n".encode("latin-1"))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value).startswith(f"{path}: not UTF-8")
+    assert main(["run", "--model", "des", "--replications", "1", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"fitroom: {path}: not UTF-8")
 
 
 def test_non_numeric_distribution_params_rejected():

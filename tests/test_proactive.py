@@ -1,19 +1,23 @@
 """Speed-up policy: trigger condition, pace arithmetic, revert lifecycle."""
 
+from dataclasses import replace
+
 import pytest
 
+from fitroom.abs import AbsRun
 from fitroom.config import ScenarioConfig
-from fitroom.des import CubicleBank, run_des
-from fitroom.engine import DistributionSpec, EventCalendar, RandomStreams, ReplicationDraws
+from fitroom.des import CubicleBank, DesRun, run_des
+from fitroom.engine import DistributionSpec, EventCalendar, ReplicationDraws
 from fitroom.proactive import (
     EV_POLL,
     EV_REVERT,
+    L_REVERT,
+    L_SPEEDUP,
     ProactivePolicy,
     ServiceTimeTable,
     SpeedupController,
-    check_condition,
 )
-from fitroom.runtime import JOB1, JOB2, JOB3, L_REVERT, L_SPEEDUP, QueueSet, Telemetry
+from fitroom.runtime import JOB1, JOB2, JOB3, QueueSet, Telemetry
 
 
 class Walkin:
@@ -28,13 +32,17 @@ def fill(line, count, now=0.0):
         line.join(Walkin(i), now)
 
 
+def job_readers(*specs, seed=7):
+    """Duration readers of ``specs`` on one replication's draws, as a run
+    builds them for its jobs."""
+    draws = ReplicationDraws(0)
+    return [draws.values(seed, f"job{k}", spec) for k, spec in enumerate(specs, 1)]
+
+
 def make_table(fraction=0.2):
-    return ServiceTimeTable(
-        DistributionSpec.deterministic(1.0),
-        DistributionSpec.deterministic(2.0),
-        DistributionSpec.deterministic(3.0),
-        fraction,
-    )
+    D = DistributionSpec
+    return ServiceTimeTable(*job_readers(D.deterministic(1.0), D.deterministic(2.0),
+                                         D.deterministic(3.0)), fraction)
 
 
 def policy_draws(policy, seed=7):
@@ -62,50 +70,51 @@ def make_controller(policy, table=None, capacity=8):
 
 def test_condition_entry_queue_needs_a_free_cubicle():
     policy = ProactivePolicy(threshold_entry=3, threshold_return=3, threshold_help=3)
-    queues = QueueSet()
-    bank = CubicleBank(8)
+    ctl, _, queues, _ = make_controller(policy)
     fill(queues.entry, 3)
-    assert check_condition(queues, bank, policy)
+    ctl.note_change(0.0)
+    assert ctl.table.fast
+    ctl, _, queues, bank = make_controller(policy)
+    fill(queues.entry, 3)
     bank.occupied = 8  # store full: a long entry queue alone is expected
-    assert not check_condition(queues, bank, policy)
+    ctl.note_change(0.0)
+    assert not ctl.table.fast
 
 
 def test_condition_return_queue_ignores_cubicles():
-    policy = ProactivePolicy()
-    queues = QueueSet()
-    bank = CubicleBank(8)
+    ctl, _, queues, bank = make_controller(ProactivePolicy())
     bank.occupied = 8
     fill(queues.ret, 3)
-    assert check_condition(queues, bank, policy)
+    ctl.note_change(0.0)
+    assert ctl.table.fast
 
 
 def test_condition_help_queue_ignores_cubicles():
-    policy = ProactivePolicy()
-    queues = QueueSet()
-    bank = CubicleBank(8)
+    ctl, _, queues, bank = make_controller(ProactivePolicy())
     bank.occupied = 8
     fill(queues.help, 3)
-    assert check_condition(queues, bank, policy)
+    ctl.note_change(0.0)
+    assert ctl.table.fast
 
 
 def test_condition_below_all_thresholds_is_calm():
-    policy = ProactivePolicy()
-    queues = QueueSet()
-    bank = CubicleBank(8)
+    ctl, _, queues, _ = make_controller(ProactivePolicy())
     fill(queues.entry, 2)
     fill(queues.ret, 2)
     fill(queues.help, 2)
-    assert not check_condition(queues, bank, policy)
+    ctl.note_change(0.0)
+    assert not ctl.table.fast
 
 
 def test_condition_respects_individual_thresholds():
     policy = ProactivePolicy(threshold_entry=5, threshold_return=2, threshold_help=9)
-    queues = QueueSet()
-    bank = CubicleBank(8)
+    ctl, _, queues, _ = make_controller(policy)
     fill(queues.entry, 4)
-    assert not check_condition(queues, bank, policy)
+    ctl.note_change(0.0)
+    assert not ctl.table.fast
     fill(queues.ret, 2)
-    assert check_condition(queues, bank, policy)
+    ctl.note_change(0.0)
+    assert ctl.table.fast
 
 
 def test_thresholds_must_be_positive_integers():
@@ -121,19 +130,18 @@ def test_thresholds_must_be_positive_integers():
 
 
 def test_fast_pace_scales_every_job_by_the_same_draw():
-    streams = RandomStreams(3)
     spec = DistributionSpec.triangular(0.5, 1.0, 1.5)
-    normal = ServiceTimeTable(spec, spec, spec, 0.2)
-    fast = ServiceTimeTable(spec, spec, spec, 0.2)
+    # both tables read the same stream from its first draw, so identical draws
+    normal = ServiceTimeTable(*job_readers(spec, spec, spec, seed=3), 0.2)
+    fast = ServiceTimeTable(*job_readers(spec, spec, spec, seed=3), 0.2)
     fast.set_fast()
-    s_a = streams.stream("job2", 0)
-    s_b = streams.stream("job2", 0)  # identical stream, so identical draws
     for _ in range(1000):
-        d_normal = normal.sample(JOB2, s_a)
-        d_fast = fast.sample(JOB2, s_b)
-        assert d_fast == d_normal * 0.8  # exact, not approx
+        for job in (JOB1, JOB2, JOB3):
+            d_normal = normal.duration(job)
+            d_fast = fast.duration(job)
+            assert d_fast == d_normal * 0.8  # exact, not approx
 
-    assert normal.mode == "normal" and fast.mode == "fast"
+    assert not normal.fast and fast.fast
 
 
 def test_pace_factor_roundtrip():
@@ -148,7 +156,7 @@ def test_pace_factor_roundtrip():
 def test_zero_fraction_is_a_legal_no_op_speedup():
     table = make_table(0.0)
     table.set_fast()
-    assert table.mode == "fast" and table.factor == 1.0
+    assert table.fast and table.factor == 1.0
 
 
 def test_fraction_bounds():
@@ -160,10 +168,9 @@ def test_fraction_bounds():
 
 def test_sample_covers_all_three_jobs():
     table = make_table()
-    s = RandomStreams(1).stream("job1", 0)
-    assert table.sample(JOB1, s) == 1.0
-    assert table.sample(JOB2, s) == 2.0
-    assert table.sample(JOB3, s) == 3.0
+    assert table.duration(JOB1) == 1.0
+    assert table.duration(JOB2) == 2.0
+    assert table.duration(JOB3) == 3.0
 
 
 # --- controller lifecycle -------------------------------------------------------
@@ -175,7 +182,7 @@ def drain_reverts(ctl, cal):
     while ev is not None:
         assert ev.kind == EV_REVERT
         ctl.handle_revert(ev.target, ev.time)
-        log.append((ev.time, ctl.table.mode))
+        log.append((ev.time, ctl.table.fast))
         ev = cal.pop()
     return log
 
@@ -204,8 +211,8 @@ def test_retrigger_extends_the_fast_episode():
     ctl.apply_speedup(2.0)   # pushes the revert to 7
     log = drain_reverts(ctl, cal)
     # the t=5 event must not end the episode; the episode ends at 7
-    assert log[0] == (5.0, "fast")
-    assert log[-1] == (7.0, "normal")
+    assert log[0] == (5.0, True)
+    assert log[-1] == (7.0, False)
 
 
 def test_stale_revert_after_natural_end_is_ignored():
@@ -238,22 +245,22 @@ def test_speedup_and_revert_are_traced():
 
 
 def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
-    policy = ProactivePolicy(enabled=False)
-    ctl, cal, queues, _ = make_controller(policy)
-    fill(queues.entry, 10)
+    ctl, cal, _, _ = make_controller(ProactivePolicy(enabled=False))
     ctl.start()
-    ctl.note_change(0.0)
     assert not ctl.event_driven
-    assert len(cal) == 0
-    assert ctl.table.factor == 1.0
-    assert opened_streams == []  # no revert delay was ever drawn
+    assert len(cal) == 0  # no poll either
 
-    # the same congestion under the enabled policy does draw one
-    on, _, queues, _ = make_controller(ProactivePolicy())
-    fill(queues.entry, 10)
-    on.note_change(0.0)
-    assert on.table.fast
-    assert opened_streams == [(7, "revert", 0)]
+    base = ScenarioConfig(replications=1, master_seed=7)
+    cfg = replace(base, arrival=replace(base.arrival, scale=2.0),
+                  proactive=ProactivePolicy(enabled=False))
+    run = DesRun(cfg, 0)
+    assert run.note is None  # no queue or cubicle change reaches the policy
+    assert run.run().service_time_changes == 0
+    assert (7, "revert", 0) not in opened_streams  # no revert delay was ever drawn
+
+    # the same congested day under the enabled policy does draw one
+    assert run_des(replace(cfg, proactive=ProactivePolicy()), 0).service_time_changes > 0
+    assert (7, "revert", 0) in opened_streams
 
 
 def test_event_driven_note_change_matches_check_condition():
@@ -276,8 +283,6 @@ def test_polling_policy_checks_only_at_poll_times():
     assert not ctl.event_driven
     ctl.start()
     fill(queues.ret, 5)
-    ctl.note_change(0.0)  # event-style notification must be inert here
-    assert not ctl.table.fast
 
     ev = cal.pop()
     assert ev.kind == EV_POLL and ev.time == 10.0
@@ -287,11 +292,21 @@ def test_polling_policy_checks_only_at_poll_times():
     nxt = [cal.pop() for _ in range(2)]
     assert sorted(e.kind for e in nxt) == [EV_POLL, EV_REVERT]
 
+    # in a run, no queue or cubicle change reaches a polling policy: every
+    # speed-up falls on a poll, and the polls fall every 10 minutes
+    base = ScenarioConfig(replications=1, master_seed=11, proactive=policy)
+    cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
+    for model in (DesRun, AbsRun):
+        trace = []
+        run = model(cfg, 0, trace=trace)
+        assert run.note is None
+        run.run()
+        ups = [t for t, label, _ in trace if label == L_SPEEDUP]
+        assert ups and all(t % 10.0 == 0.0 for t in ups), model
+
 
 def test_trace_speedup_count_matches_reported_changes():
     cfg = ScenarioConfig(replications=1, master_seed=11)
-    from dataclasses import replace
-
     cfg = replace(cfg, arrival=replace(cfg.arrival, scale=2.0))
     trace = []
     metrics = run_des(cfg, 0, trace=trace)

@@ -240,8 +240,8 @@ class StaffAgent:
     def scan(self, now: float) -> None:
         """Look for the next job under the shared service-order rule."""
         model = self.model
-        room = model.room
-        pick = select_service(self.queues, room.occupied < room.capacity)
+        tm = self.tm
+        pick = select_service(self.queues, tm.occupied < tm.capacity)
         if pick is None:
             return
         job, line = pick
@@ -251,25 +251,24 @@ class StaffAgent:
         if note is not None:
             note(now)
         dur = model.table.duration(job)
-        tr = model.tm.trace
+        tr = tm.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
-        self.tm.staff_since = now
+        tm.staff_since = now
         self.current_job = job
         model.stamp_job(now + dur, EV_SVC_DONE, c)
         model.msgs.append((c, M_SERVE, job))
 
 
 class FittingRoomAgent:
-    """The bank of cubicles; grants the lowest-numbered free one."""
+    """The bank of cubicles; grants the lowest-numbered free one.  The run's
+    telemetry counts how many are taken."""
 
-    __slots__ = ("post", "tm", "capacity", "occupied", "slots")
+    __slots__ = ("post", "tm", "slots")
 
     def __init__(self, model: "AbsRun", capacity: int) -> None:
         self.post = model.msgs.append
         self.tm = model.tm
-        self.capacity = capacity
-        self.occupied = 0
         self.slots = [False] * capacity
 
     def handle(self, kind: str, payload, now: float) -> None:
@@ -284,7 +283,6 @@ class FittingRoomAgent:
                 # single staff member cannot start another entry in between
                 raise ModelError("cubicle requested with none free")
             self.slots[idx] = True
-            self.occupied += 1
             tm = self.tm
             tm.cubicle_change(now, 1)
             tr = tm.trace
@@ -294,7 +292,6 @@ class FittingRoomAgent:
         elif kind == M_CUBICLE_RELEASED:
             self.slots[payload.cubicle] = False
             payload.cubicle = -1
-            self.occupied -= 1
             tm = self.tm
             tm.cubicle_change(now, -1)
             tr = tm.trace
@@ -307,16 +304,14 @@ class FittingRoomAgent:
 class AbsRun(Replication):
     """State of a single replication."""
 
-    __slots__ = ("staff",)
+    __slots__ = ("staff", "room")
 
     def __init__(self, cfg: ScenarioConfig, replication: int,
                  trace: Optional[list] = None,
                  draws: Optional[ReplicationDraws] = None) -> None:
         super().__init__(cfg, replication, trace, draws)
         self.staff = StaffAgent(self, self.queues)
-
-    def open_room(self) -> FittingRoomAgent:
-        return FittingRoomAgent(self, self.cfg.cubicles)
+        self.room = FittingRoomAgent(self, cfg.cubicles)
 
     def handlers(self) -> dict:
         # the timers are the customers' own: each handler takes the

@@ -46,23 +46,10 @@ class Customer:
         self.fit_remaining = 0.0
 
 
-class CubicleBank:
-    """Counting allocator for the fitting cubicles."""
-
-    __slots__ = ("capacity", "occupied")
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self.occupied = 0
-
-
 class DesRun(Replication):
     """State of a single replication."""
 
     __slots__ = ()
-
-    def open_room(self) -> CubicleBank:
-        return CubicleBank(self.cfg.cubicles)
 
     def handlers(self) -> dict:
         return {
@@ -87,8 +74,8 @@ class DesRun(Replication):
 
     def dispatch_staff(self, now: float) -> None:
         """Start the staff on the next job, if any is eligible."""
-        room = self.room
-        pick = select_service(self.queues, room.occupied < room.capacity)
+        tm = self.tm
+        pick = select_service(self.queues, tm.occupied < tm.capacity)
         if pick is None:
             return
         job, line = pick
@@ -99,10 +86,10 @@ class DesRun(Replication):
         if self.note is not None:
             self.note(now)
         dur = self.table.duration(job)
-        tr = self.tm.trace
+        tr = tm.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
-        self.tm.staff_since = now
+        tm.staff_since = now
         self.stamp_job(now + dur, _DONE_EVENT[job], c)
 
     def complete_job1(self, c: Customer, now: float) -> None:
@@ -111,7 +98,6 @@ class DesRun(Replication):
             tr.append((now, L_END[JOB1], c.id))
         # entry service ends with the customer stepping into a cubicle,
         # reserved for them when the job was dispatched
-        self.room.occupied += 1
         self.tm.cubicle_change(now, 1)
         if tr is not None:
             tr.append((now, L_ENTER, c.id))
@@ -147,7 +133,6 @@ class DesRun(Replication):
         self.dispatch_staff(now)
 
     def leave_cubicle(self, c: Customer, now: float) -> None:
-        self.room.occupied -= 1
         self.tm.cubicle_change(now, -1)
         tr = self.tm.trace
         if tr is not None:

@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -28,40 +28,33 @@ class ModelError(Exception):
     """Raised when a model violates a structural rule (a bug, not bad input)."""
 
 
-class Event(NamedTuple):
-    time: float
-    seq: int
-    kind: str
-    target: object = None
-
-
 class EventCalendar:
     """Future event list ordered by (time, insertion sequence).
 
-    The insertion sequence makes simultaneous events pop in the order they
-    were scheduled, which keeps runs reproducible without relying on the
-    targets being comparable.
+    Each entry is a (time, seq, kind, target) tuple.  The insertion sequence
+    makes simultaneous events pop in the order they were scheduled, which
+    keeps runs reproducible without relying on the targets being
+    comparable.  The run loop pops the heap itself and keeps ``now`` in
+    step.
     """
 
     __slots__ = ("now", "_heap", "_seq")
 
     def __init__(self) -> None:
         self.now = 0.0
-        self._heap: list[Event] = []
+        self._heap: list[tuple] = []
         self._seq = 0
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def stamp(self, time: float, kind: str, target: object = None) -> Event:
+    def stamp(self, time: float, kind: str, target: object = None) -> tuple:
         """Give an event its key without adding it to the heap; returns its
         (time, seq, kind, target) entry.
 
         Events that are never more than one at a time pending are kept
         beside the heap by their owner, stamped here so they still order
-        among the heap's events by (time, seq).  The entry is a plain tuple
-        (cheaper to build than an Event instance, and Event compares equal
-        to its tuple), so callers should unpack positionally on hot paths.
+        among the heap's events by (time, seq).
         """
         if time < self.now:
             raise ModelError(
@@ -71,22 +64,11 @@ class EventCalendar:
         self._seq += 1
         return ev
 
-    def schedule(self, time: float, kind: str, target: object = None) -> Event:
+    def schedule(self, time: float, kind: str, target: object = None) -> tuple:
         """Add an event to the heap; returns its entry, as ``stamp`` does."""
         ev = self.stamp(time, kind, target)
         heapq.heappush(self._heap, ev)
         return ev
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest event, advancing the clock.
-
-        Returns None once the calendar is empty (run complete).
-        """
-        if not self._heap:
-            return None
-        ev = heapq.heappop(self._heap)
-        self.now = ev[0]
-        return Event._make(ev)
 
 
 class RandomStream:

@@ -2,7 +2,9 @@
 the paired policy comparison, plus report serialization.
 
 Each driver builds a list of (model, config) cells, runs them all on one
-runner, ``_execute``, and folds the results into its report.
+runner, ``_execute``, and folds the results into its report.  The runner
+can share the replications among forked processes; the library runs them
+in the calling process unless asked for more.
 
 Reports are flat tables.  Every summary row is one (model, load level,
 measure) cell; a comparison report carries hypothesis rows after the summary
@@ -13,8 +15,11 @@ repeated runs with the same seed can be compared byte for byte.
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -55,9 +60,9 @@ def _models_for(model: str) -> tuple[str, ...]:
 Cell = tuple[str, ScenarioConfig]
 
 
-def _execute(cells: Sequence[Cell]) -> list[list[RunMetrics]]:
-    """Run every cell's replications; returns each cell's results in
-    replication order.
+def _run_chunk(cells: Sequence[Cell], reps: range) -> list[list[RunMetrics]]:
+    """Run replications ``reps`` of every cell; returns each cell's results
+    in replication order.
 
     Replications run on the outside and cells on the inside, so all cells
     of replication r read one ReplicationDraws: each random number is drawn
@@ -67,13 +72,92 @@ def _execute(cells: Sequence[Cell]) -> list[list[RunMetrics]]:
     """
     results: list[list[RunMetrics]] = [[] for _ in cells]
     runners = [(_RUNNERS[model], cfg, out) for (model, cfg), out in zip(cells, results)]
-    for rep in range(max((cfg.replications for _, cfg in cells), default=0)):
+    for rep in reps:
         draws = ReplicationDraws(rep)
         for fn, cfg, out in runners:
             if rep < cfg.replications:
                 out.append(fn(cfg, rep, draws=draws))
         draws.close()
     return results
+
+
+def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
+    """Run every cell's replications on up to ``jobs`` processes; returns
+    each cell's results in replication order.
+
+    Replications 0..n-1 are cut into contiguous blocks, one per process,
+    each run by ``_run_chunk`` over all cells.  The calling process runs
+    the first block itself and a forked child runs each other one.  Every
+    replication seeds itself from (master seed, replication, purpose), and
+    the blocks are joined in replication order, so the results are the
+    same for any ``jobs``.  A child's exception is raised here; if this
+    process fails, it kills its children first.
+    """
+    n = max((cfg.replications for _, cfg in cells), default=0)
+    jobs = max(1, min(jobs, n))
+    cuts = [n * k // jobs for k in range(jobs + 1)]
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for k in range(1, jobs):
+            children.append(_fork_block(cells, range(cuts[k], cuts[k + 1])))
+        results = _run_chunk(cells, range(cuts[0], cuts[1]))
+        # each pipe is read to EOF before its child is waited for: a block's
+        # results can outgrow the pipe's buffer, and the child cannot exit
+        # until they are read
+        for pid, pipe in children:
+            for out, block in zip(results, _receive(pid, pipe)):
+                out.extend(block)
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    return results
+
+
+def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
+    """Fork a child that runs ``reps`` of every cell and writes the pickled
+    results, or the exception it raised, to a pipe; returns the child's pid
+    and the pipe's read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        # the child leaves only through os._exit, so nothing the caller set
+        # up (its tests, its exit handlers) runs a second time here
+        code = 1
+        try:
+            os.close(r)
+            try:
+                out = _run_chunk(cells, reps)
+            except BaseException as exc:
+                out = exc
+            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def _receive(pid: int, pipe: BinaryIO) -> list[list[RunMetrics]]:
+    """A child's block of results, read to EOF; raises what it raised."""
+    data = pipe.read()
+    if not data:
+        raise RuntimeError(f"replication worker {pid} exited without its results")
+    out = pickle.loads(data)  # written by our own child
+    if isinstance(out, BaseException):
+        raise out
+    return out
 
 
 def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetrics]:
@@ -138,10 +222,15 @@ def _summary_rows(
     return rows
 
 
-def run_report(config: ScenarioConfig, model: str = "both") -> ExperimentReport:
-    """Replications at the configured load only; reported as level 1."""
+def run_report(config: ScenarioConfig, model: str = "both",
+               jobs: int = 1) -> ExperimentReport:
+    """Replications at the configured load only; reported as level 1.
+
+    ``jobs`` is the number of processes that share the replications; the
+    report is the same for any number.
+    """
     models = _models_for(model)
-    results = _execute([(m, config) for m in models])
+    results = _execute([(m, config) for m in models], jobs)
     rows: list[SummaryRow] = []
     for m, metrics in zip(models, results):
         rows.extend(_summary_rows(m, 1, config.arrival.scale, metrics))
@@ -152,8 +241,10 @@ def sweep(
     config: ScenarioConfig,
     spec: Optional[SweepSpec] = None,
     model: str = "both",
+    jobs: int = 1,
 ) -> ExperimentReport:
-    """Run the full load ladder for the selected model(s).
+    """Run the full load ladder for the selected model(s) on ``jobs``
+    processes.
 
     The sweep owns the arrival scale: level k runs at growth**(k-1) exactly,
     overriding whatever scale the base config carries.  Everything else in
@@ -162,7 +253,7 @@ def sweep(
     spec = spec or SweepSpec()
     grid = [(m, level, _level_config(config, spec, level))
             for m in _models_for(model) for level in range(1, spec.levels + 1)]
-    results = _execute([(m, cfg) for m, _, cfg in grid])
+    results = _execute([(m, cfg) for m, _, cfg in grid], jobs)
     rows: list[SummaryRow] = []
     for (m, level, cfg), metrics in zip(grid, results):
         rows.extend(_summary_rows(m, level, cfg.arrival.scale, metrics))
@@ -195,8 +286,10 @@ def compare_experiments(
     model: str = "both",
     independent: bool = False,
     alpha: float = 0.05,
+    jobs: int = 1,
 ) -> ExperimentReport:
-    """A/B comparison of the speed-up policy at the configured load.
+    """A/B comparison of the speed-up policy at the configured load, on
+    ``jobs`` processes.
 
     Experiment A (reported as level 1) runs with the policy disabled,
     experiment B (level 2) with it enabled.  By default both experiments
@@ -210,7 +303,7 @@ def compare_experiments(
         cfg_b = replace(cfg_b, master_seed=int(seq.generate_state(1)[0]))
 
     models = _models_for(model)
-    results = iter(_execute([(m, cfg) for m in models for cfg in (cfg_a, cfg_b)]))
+    results = iter(_execute([(m, cfg) for m in models for cfg in (cfg_a, cfg_b)], jobs))
     rows: list[SummaryRow] = []
     samples: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
     for m in models:

@@ -110,25 +110,25 @@ class SpeedupController:
     ``note_change`` holds the trigger rule.  Models call it after every
     queue or cubicle mutation when the policy is event-driven
     (``event_driven``), and ``handle_poll`` calls it at every poll when the
-    policy polls.  ``cubicles`` is the model's, read through its
-    ``occupied`` and ``capacity``.  ``next_revert`` and ``next_poll``
+    policy polls.  It reads cubicle occupancy from the run's
+    ``telemetry``.  ``next_revert`` and ``next_poll``
     return the next revert delay and polling interval, one per call
     (``next_poll`` may be None when the policy does not poll).
     """
 
-    __slots__ = ("policy", "table", "calendar", "cubicles",
+    __slots__ = ("policy", "table", "calendar", "telemetry",
                  "next_revert", "next_poll", "state", "trace", "event_driven",
                  "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
 
     def __init__(self, policy: ProactivePolicy, table: ServiceTimeTable,
-                 calendar: EventCalendar, queues: QueueSet, cubicles,
+                 calendar: EventCalendar, queues: QueueSet,
                  next_revert: Callable[[], float],
                  next_poll: Optional[Callable[[], float]],
                  telemetry: Telemetry) -> None:
         self.policy = policy
         self.table = table
         self.calendar = calendar
-        self.cubicles = cubicles
+        self.telemetry = telemetry
         self.next_revert = next_revert
         self.next_poll = next_poll
         self.state = SpeedupState()
@@ -152,8 +152,8 @@ class SpeedupController:
         """Hurry if the store is congested: a cubicle is free while the
         entry queue has reached its threshold, or the return or help queue
         has reached its own threshold whatever the cubicles hold."""
-        cub = self.cubicles
-        if ((cub.occupied < cub.capacity and len(self._entry_q) >= self._te)
+        tm = self.telemetry
+        if ((tm.occupied < tm.capacity and len(self._entry_q) >= self._te)
                 or len(self._ret_q) >= self._tr
                 or len(self._help_q) >= self._th):
             self.apply_speedup(now)

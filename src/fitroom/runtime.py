@@ -83,11 +83,11 @@ class Replication:
     and policy, the arrival step, the loop that runs it and the close of
     day.
 
-    A model supplies its event handlers (``handlers``), its cubicles
-    (``open_room``) and its arrival handler, which makes the customer, lets
-    ``arrive`` record it and then takes it in; the agent model also queues
-    messages in ``msgs``, which the loop delivers after every event, so each
-    cascade settles before the clock moves.
+    A model supplies its event handlers (``handlers``) and its arrival
+    handler, which makes the customer, lets ``arrive`` record it and then
+    takes it in; the agent model also queues messages in ``msgs``, which
+    the loop delivers after every event, so each cascade settles before the
+    clock moves.  Cubicle occupancy is counted once, in ``tm``.
 
     Two kinds of event are never more than one at a time pending, so they
     wait in slots beside the heap rather than in it: the next arrival
@@ -97,7 +97,7 @@ class Replication:
     """
 
     __slots__ = ("cfg", "draws", "cal", "queues", "tm", "customers", "msgs",
-                 "room", "table", "ctl", "note", "next_arrival", "pending_job",
+                 "table", "ctl", "note", "next_arrival", "pending_job",
                  "__weakref__")
 
     def __init__(self, cfg, replication: int, trace: Optional[list] = None,
@@ -106,27 +106,20 @@ class Replication:
         self.cfg = cfg
         self.cal = EventCalendar()
         self.queues = QueueSet()
-        self.tm = Telemetry(trace)
+        self.tm = Telemetry(cfg.cubicles, trace)
         self.customers: list = []
         self.msgs: deque = deque()
         self.next_arrival = NEVER
         self.pending_job = NEVER
-        self.room = self.open_room()
         self.table = ServiceTimeTable(*d.job, cfg.speedup_fraction)
         self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
-                                     self.queues, self.room, d.revert, d.poll,
-                                     self.tm)
+                                     self.queues, d.revert, d.poll, self.tm)
         # the models notify the policy of every queue or cubicle change only
         # while it is event-driven; bound once, None otherwise
         self.note = self.ctl.note_change if self.ctl.event_driven else None
 
     def handlers(self) -> dict:
         """Event kind -> handler(target, time) for the model's own events."""
-        raise NotImplementedError
-
-    def open_room(self):
-        """The model's cubicles: an object with ``occupied`` and
-        ``capacity``, which the policy reads as well."""
         raise NotImplementedError
 
     def run(self) -> RunMetrics:
@@ -140,9 +133,9 @@ class Replication:
         first = self.draws.arrival()
         if first is not None:
             self.next_arrival = cal.stamp(first, EV_ARRIVAL)
-        # the heap is drained inline (cheaper than pop() per event);
-        # cal.now must stay in step because stamp() guards against it.  A
-        # NEVER entry at its bottom keeps heap[0] valid once it is empty.
+        # the loop pops the calendar's heap itself; cal.now must stay in
+        # step because stamp() guards against it.  A NEVER entry at its
+        # bottom keeps heap[0] valid once it is empty.
         heap = cal._heap
         heap.append(NEVER)
         pop = heapq.heappop
@@ -210,7 +203,7 @@ class Replication:
             if c.disposition == IN_SYSTEM:
                 c.disposition = CLOSED
         return build_metrics(self.customers, self.tm, self.ctl.state.change_count,
-                             self.cfg.cubicles, horizon, self.cfg.wait_estimator)
+                             horizon, self.cfg.wait_estimator)
 
 
 class WaitingLine:
@@ -289,14 +282,17 @@ class Telemetry:
     The staff's busy clock runs while ``staff_since``, the time the
     current job began, is set; it is None while the staff is idle.  A
     model sets it when a job starts and calls ``staff_done`` when it ends.
+    ``occupied`` is the run's one count of cubicles in use, out of
+    ``capacity``; dispatch and the speed-up policy read it too.
     """
 
-    __slots__ = ("staff_busy", "staff_since", "occupied", "occ_minutes",
-                 "_occ_since", "trace")
+    __slots__ = ("staff_busy", "staff_since", "capacity", "occupied",
+                 "occ_minutes", "_occ_since", "trace")
 
-    def __init__(self, trace: Optional[list] = None) -> None:
+    def __init__(self, capacity: int, trace: Optional[list] = None) -> None:
         self.staff_busy = 0.0
         self.staff_since = None
+        self.capacity = capacity
         self.occupied = 0
         self.occ_minutes = 0.0
         self._occ_since = 0.0
@@ -320,8 +316,7 @@ class Telemetry:
 
 
 def build_metrics(customers, telemetry: Telemetry, change_count: int,
-                  cubicle_capacity: int, horizon: float,
-                  wait_estimator: str) -> RunMetrics:
+                  horizon: float, wait_estimator: str) -> RunMetrics:
     """Fold one finished run into its RunMetrics.
 
     Callers must already have settled every customer's disposition.  The
@@ -346,7 +341,7 @@ def build_metrics(customers, telemetry: Telemetry, change_count: int,
     return RunMetrics(
         mean_wait=mean_wait,
         staff_util=telemetry.staff_busy / horizon,
-        cubicle_util=telemetry.occ_minutes / (cubicle_capacity * horizon),
+        cubicle_util=telemetry.occ_minutes / (telemetry.capacity * horizon),
         served=served,
         not_served=not_served,
         service_time_changes=change_count,

@@ -342,7 +342,7 @@ def test_cubicles_grant_lowest_free_index():
     room.handle(agents.M_REQUEST_CUBICLE, cs[2], 1.0)
     receiver, kind, payload = model.msgs.popleft()
     assert (receiver.id, payload) == (2, 0)
-    assert room.occupied == 2
+    assert model.tm.occupied == 2
 
 
 def test_grant_with_no_free_cubicle_is_a_model_error():

@@ -208,32 +208,32 @@ def served_customer(cid, wait):
 
 
 def test_mean_wait_over_served_customers():
-    tm = Telemetry()
+    tm = Telemetry(8)
     a, b = served_customer(0, 2.0), served_customer(1, 4.0)
     lost = Customer(2, 0.0)
     lost.wait = 10.0
     lost.disposition = RENEGED
-    m = build_metrics([a, b, lost], tm, 0, 8, 480.0, "served")
+    m = build_metrics([a, b, lost], tm, 0, 480.0, "served")
     assert m.mean_wait == 3.0
     assert m.served == 2 and m.not_served == 1
 
 
 def test_mean_wait_over_all_customers():
-    tm = Telemetry()
+    tm = Telemetry(8)
     a, b = served_customer(0, 2.0), served_customer(1, 4.0)
     lost = Customer(2, 0.0)
     lost.wait = 12.0
     lost.disposition = RENEGED
-    m = build_metrics([a, b, lost], tm, 0, 8, 480.0, "all")
+    m = build_metrics([a, b, lost], tm, 0, 480.0, "all")
     assert m.mean_wait == 6.0
 
 
 def test_utilization_ratios_from_telemetry():
-    tm = Telemetry()
+    tm = Telemetry(8)
     tm.staff_busy = 240.0
     tm.cubicle_change(100.0, 1)   # one cubicle occupied from t=100
     tm.flush(480.0)               # ... through closing
-    m = build_metrics([], tm, 5, 8, 480.0, "served")
+    m = build_metrics([], tm, 5, 480.0, "served")
     assert m.staff_util == 0.5
     assert m.cubicle_util == pytest.approx(380.0 / (8 * 480.0))
     assert m.service_time_changes == 5

@@ -10,7 +10,6 @@ from fitroom.engine import (
     HORIZON,
     ArrivalProfile,
     DistributionSpec,
-    Event,
     EventCalendar,
     ModelError,
     RandomStream,
@@ -18,6 +17,7 @@ from fitroom.engine import (
     ReplicationDraws,
     bernoulli,
 )
+from helpers import pop_event
 
 
 def make_stream(seed=123, purpose="test", rep=0):
@@ -32,7 +32,7 @@ def test_calendar_orders_by_time():
     cal.schedule(5.0, "b")
     cal.schedule(1.0, "a")
     cal.schedule(3.0, "c")
-    kinds = [cal.pop().kind for _ in range(3)]
+    kinds = [pop_event(cal)[2] for _ in range(3)]
     assert kinds == ["a", "c", "b"]
 
 
@@ -40,41 +40,32 @@ def test_calendar_ties_break_by_insertion_order():
     cal = EventCalendar()
     for kind in ("first", "second", "third"):
         cal.schedule(2.0, kind)
-    assert [cal.pop().kind for _ in range(3)] == ["first", "second", "third"]
+    assert [pop_event(cal)[2] for _ in range(3)] == ["first", "second", "third"]
 
 
-def test_calendar_pop_advances_now():
+def test_calendar_entries_are_time_seq_kind_target_tuples():
     cal = EventCalendar()
-    cal.schedule(4.5, "x")
-    assert cal.now == 0.0
-    ev = cal.pop()
-    assert isinstance(ev, Event)
-    assert ev.time == 4.5 and cal.now == 4.5
+    target = object()
+    assert cal.stamp(1.0, "slot") == (1.0, 0, "slot", None)
+    assert cal.schedule(4.5, "x", target) == (4.5, 1, "x", target)
+    assert len(cal) == 1  # stamp keeps its entry off the heap
 
 
 def test_calendar_rejects_scheduling_into_the_past():
     cal = EventCalendar()
     cal.schedule(10.0, "x")
-    cal.pop()
+    pop_event(cal)
     with pytest.raises(ModelError):
         cal.schedule(9.999, "y")
     # scheduling exactly at the current instant is fine
     cal.schedule(10.0, "z")
 
 
-def test_calendar_pop_empty_returns_none():
-    cal = EventCalendar()
-    assert cal.pop() is None
-    cal.schedule(1.0, "x")
-    cal.pop()
-    assert cal.pop() is None
-
-
 def test_calendar_carries_target_through():
     cal = EventCalendar()
     payload = object()
     cal.schedule(1.0, "x", payload)
-    assert cal.pop().target is payload
+    assert pop_event(cal)[3] is payload
 
 
 def test_calendar_len_tracks_pending_events():
@@ -83,7 +74,7 @@ def test_calendar_len_tracks_pending_events():
     cal.schedule(1.0, "a")
     cal.schedule(2.0, "b")
     assert len(cal) == 2
-    cal.pop()
+    pop_event(cal)
     assert len(cal) == 1
 
 

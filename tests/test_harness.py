@@ -2,18 +2,22 @@
 
 import hashlib
 import json
+import os
+import pickle
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from fitroom import harness
 from fitroom.abs import run_abs
 from fitroom.cli import main
 from fitroom.config import ScenarioConfig
 from fitroom.des import run_des
-from fitroom.engine import DistributionSpec, ReplicationDraws
+from fitroom.engine import DistributionSpec, ModelError, ReplicationDraws
 from fitroom.harness import (
     MEASURE_ORDER,
     MODEL_ORDER,
@@ -28,6 +32,7 @@ from fitroom.harness import (
     sweep,
 )
 from fitroom.proactive import ProactivePolicy
+from fitroom.stats import RunMetrics
 
 
 def tiny_cfg(**over):
@@ -158,14 +163,106 @@ _PINNED = {
 
 def test_reports_are_pinned():
     cfg = ScenarioConfig(master_seed=42)
-    reports = {
-        "sweep": sweep(replace(cfg, replications=3), SweepSpec(levels=2), "both"),
-        "compare": compare_experiments(replace(cfg, replications=6), "both",
-                                       independent=True),
+    for jobs in (1, 2):
+        reports = {
+            "sweep": sweep(replace(cfg, replications=3), SweepSpec(levels=2), "both",
+                           jobs=jobs),
+            "compare": compare_experiments(replace(cfg, replications=6), "both",
+                                           independent=True, jobs=jobs),
+        }
+        digests = {name: hashlib.sha256(emit_report(r).encode()).hexdigest()
+                   for name, r in reports.items()}
+        assert digests == _PINNED, jobs
+
+
+# --- processes ----------------------------------------------------------------------
+
+
+def experiments(jobs):
+    """Every driver's report on 5 replications, run on ``jobs`` processes."""
+    cfg = tiny_cfg(replications=5)
+    return {
+        "run": run_report(cfg, "both", jobs),
+        "sweep": sweep(cfg, SweepSpec(levels=2), "both", jobs),
+        "compare": compare_experiments(cfg, "both", jobs=jobs),
+        "independent": compare_experiments(cfg, "both", independent=True, jobs=jobs),
     }
-    digests = {name: hashlib.sha256(emit_report(r).encode()).hexdigest()
-               for name, r in reports.items()}
-    assert digests == _PINNED
+
+
+@pytest.fixture(scope="module")
+def serial_reports():
+    return {name: {fmt: emit_report(r, fmt) for fmt in ("csv", "json")}
+            for name, r in experiments(1).items()}
+
+
+# 7 is more processes than the 5 replications
+@pytest.mark.parametrize("jobs", [2, 3, 7])
+def test_reports_are_the_same_on_any_number_of_processes(jobs, serial_reports):
+    for name, report in experiments(jobs).items():
+        for fmt in ("csv", "json"):
+            assert emit_report(report, fmt) == serial_reports[name][fmt], (name, fmt)
+
+
+def fake_runner(cfg, rep, draws=None):
+    """A run that costs nothing and says which replication it was."""
+    return RunMetrics(float(rep), cfg.master_seed, 0.0, rep, 0, 0)
+
+
+def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch):
+    monkeypatch.setitem(harness._RUNNERS, "des", fake_runner)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    cells = [("des", tiny_cfg(replications=3000)), ("des", tiny_cfg(replications=2000))]
+    results = _execute(cells, jobs=3)
+    assert [[m.served for m in out] for out in results] == [list(range(3000)),
+                                                            list(range(2000))]
+    assert len(forks) == 2
+    # a child's block is more than a pipe holds, so it cannot have
+    # finished before the caller read it
+    assert len(pickle.dumps(harness._run_chunk(cells, range(1000, 2000)))) > 65536
+
+    forks.clear()
+    cfg = tiny_cfg(replications=2)
+    assert _execute([("des", cfg)], jobs=8) == [[fake_runner(cfg, 0), fake_runner(cfg, 1)]]
+    assert len(forks) == 1  # capped at the replication count
+
+
+def test_a_childs_error_is_raised_in_the_caller(monkeypatch):
+    def fail_last(cfg, rep, draws=None):
+        if rep == cfg.replications - 1:
+            raise ModelError(f"replication {rep} broke in process {os.getpid()}")
+        return run_des(cfg, rep, draws=draws)
+
+    monkeypatch.setitem(harness._RUNNERS, "des", fail_last)
+    with pytest.raises(ModelError, match=r"^replication 3 broke in process \d+$") as err:
+        _execute([("des", tiny_cfg())], jobs=2)
+    assert not err.value.args[0].endswith(f" {os.getpid()}")  # raised in the child
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch):
+    caller = os.getpid()
+
+    def fail_in_caller(cfg, rep, draws=None):
+        if os.getpid() == caller:
+            raise ModelError("the caller's block broke")
+        time.sleep(60)  # a child still running when the caller fails
+        return run_des(cfg, rep, draws=draws)
+
+    monkeypatch.setitem(harness._RUNNERS, "des", fail_in_caller)
+    start = time.monotonic()
+    with pytest.raises(ModelError, match="the caller's block broke"):
+        _execute([("des", tiny_cfg())], jobs=3)
+    assert time.monotonic() - start < 30  # the children were killed, not waited out
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 _TRACED_SWEEP = """
@@ -440,3 +537,33 @@ def test_cli_subprocess_end_to_end(tmp_path):
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith("model,level,arrival_scale,")
+
+
+_ONE_CPU_CLI = """
+import os, sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+def fork():
+    raise AssertionError("forked on one CPU")
+
+os.fork = fork
+from fitroom.cli import main
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="the platform keeps no CPU affinity mask")
+def test_cli_on_one_cpu_runs_in_process_with_the_same_bytes():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    args = ["compare", "--seed", "11", "--replications", "3", "--format", "json"]
+    pinned = subprocess.run([sys.executable, "-c", _ONE_CPU_CLI, *args], env=env,
+                            capture_output=True, text=True, timeout=120)
+    free = subprocess.run([sys.executable, "-m", "fitroom", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert pinned.returncode == 0, pinned.stderr
+    assert free.returncode == 0, free.stderr
+    serial = compare_experiments(replace(ScenarioConfig(master_seed=11), replications=3))
+    assert pinned.stdout == free.stdout == emit_report(serial, "json")

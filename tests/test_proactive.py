@@ -6,7 +6,7 @@ import pytest
 
 from fitroom.abs import AbsRun
 from fitroom.config import ScenarioConfig
-from fitroom.des import CubicleBank, DesRun, run_des
+from fitroom.des import DesRun, run_des
 from fitroom.engine import DistributionSpec, EventCalendar, ReplicationDraws
 from fitroom.proactive import (
     EV_POLL,
@@ -18,6 +18,7 @@ from fitroom.proactive import (
     SpeedupController,
 )
 from fitroom.runtime import JOB1, JOB2, JOB3, QueueSet, Telemetry
+from helpers import pop_event
 
 
 class Walkin:
@@ -55,14 +56,15 @@ def policy_draws(policy, seed=7):
 
 
 def make_controller(policy, table=None, capacity=8):
+    """A controller on a fresh calendar and queues; returns it with them and
+    the telemetry whose ``occupied`` count it reads."""
     cal = EventCalendar()
     queues = QueueSet()
-    bank = CubicleBank(capacity)
+    tm = Telemetry(capacity, trace=[])
     ctl = SpeedupController(
-        policy, table or make_table(), cal, queues, bank,
-        *policy_draws(policy), Telemetry(trace=[]),
+        policy, table or make_table(), cal, queues, *policy_draws(policy), tm,
     )
-    return ctl, cal, queues, bank
+    return ctl, cal, queues, tm
 
 
 # --- trigger condition --------------------------------------------------------
@@ -74,24 +76,24 @@ def test_condition_entry_queue_needs_a_free_cubicle():
     fill(queues.entry, 3)
     ctl.note_change(0.0)
     assert ctl.table.fast
-    ctl, _, queues, bank = make_controller(policy)
+    ctl, _, queues, tm = make_controller(policy)
     fill(queues.entry, 3)
-    bank.occupied = 8  # store full: a long entry queue alone is expected
+    tm.occupied = 8  # store full: a long entry queue alone is expected
     ctl.note_change(0.0)
     assert not ctl.table.fast
 
 
 def test_condition_return_queue_ignores_cubicles():
-    ctl, _, queues, bank = make_controller(ProactivePolicy())
-    bank.occupied = 8
+    ctl, _, queues, tm = make_controller(ProactivePolicy())
+    tm.occupied = 8
     fill(queues.ret, 3)
     ctl.note_change(0.0)
     assert ctl.table.fast
 
 
 def test_condition_help_queue_ignores_cubicles():
-    ctl, _, queues, bank = make_controller(ProactivePolicy())
-    bank.occupied = 8
+    ctl, _, queues, tm = make_controller(ProactivePolicy())
+    tm.occupied = 8
     fill(queues.help, 3)
     ctl.note_change(0.0)
     assert ctl.table.fast
@@ -178,12 +180,13 @@ def test_sample_covers_all_three_jobs():
 
 def drain_reverts(ctl, cal):
     log = []
-    ev = cal.pop()
+    ev = pop_event(cal)
     while ev is not None:
-        assert ev.kind == EV_REVERT
-        ctl.handle_revert(ev.target, ev.time)
-        log.append((ev.time, ctl.table.fast))
-        ev = cal.pop()
+        t, _, kind, target = ev
+        assert kind == EV_REVERT
+        ctl.handle_revert(target, t)
+        log.append((t, ctl.table.fast))
+        ev = pop_event(cal)
     return log
 
 
@@ -229,18 +232,14 @@ def test_stale_revert_after_natural_end_is_ignored():
 
 def test_speedup_and_revert_are_traced():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(4.0))
-    cal = EventCalendar()
-    tm = Telemetry(trace=[])
-    ctl = SpeedupController(
-        policy, make_table(), cal, QueueSet(), CubicleBank(8),
-        *policy_draws(policy), tm,
-    )
+    ctl, cal, _, tm = make_controller(policy)
     ctl.apply_speedup(1.0)
     for _ in range(4):
-        ev = cal.pop()
+        ev = pop_event(cal)
         if ev is None:
             break
-        ctl.handle_revert(ev.target, ev.time)
+        t, _, _, target = ev
+        ctl.handle_revert(target, t)
     assert tm.trace == [(1.0, L_SPEEDUP, -1), (5.0, L_REVERT, -1)]
 
 
@@ -265,7 +264,7 @@ def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
 
 def test_event_driven_note_change_matches_check_condition():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(2.0))
-    ctl, cal, queues, bank = make_controller(policy)
+    ctl, cal, queues, _ = make_controller(policy)
     assert ctl.event_driven
     ctl.note_change(0.0)
     assert not ctl.table.fast  # queues empty, nothing to react to
@@ -284,13 +283,13 @@ def test_polling_policy_checks_only_at_poll_times():
     ctl.start()
     fill(queues.ret, 5)
 
-    ev = cal.pop()
-    assert ev.kind == EV_POLL and ev.time == 10.0
-    ctl.handle_poll(ev.target, ev.time)
+    t, _, kind, target = pop_event(cal)
+    assert kind == EV_POLL and t == 10.0
+    ctl.handle_poll(target, t)
     assert ctl.table.fast  # congestion picked up at the poll
 
-    nxt = [cal.pop() for _ in range(2)]
-    assert sorted(e.kind for e in nxt) == [EV_POLL, EV_REVERT]
+    nxt = [pop_event(cal) for _ in range(2)]
+    assert sorted(kind for _, _, kind, _ in nxt) == [EV_POLL, EV_REVERT]
 
     # in a run, no queue or cubicle change reaches a polling policy: every
     # speed-up falls on a poll, and the polls fall every 10 minutes

@@ -58,6 +58,9 @@ _EDGES = frozenset(
      (IN_RETURN_SERVICE, SERVED_STATE)]
     + [(s, NOT_SERVED) for s in range(SERVED_STATE)]
 )
+# the same chart by source state, as a tuple of legal targets
+_NEXT = tuple(tuple(to for to in STATE_NAMES if (st, to) in _EDGES)
+              for st in range(len(STATE_NAMES)))
 
 # message kinds
 M_REQUEST_ENTRY = "request_entry"
@@ -80,14 +83,13 @@ _SERVICE_STATE_FOR_JOB = (None, IN_ENTRY_SERVICE, IN_HELP_SERVICE, IN_RETURN_SER
 
 
 class CustomerAgent:
-    __slots__ = ("id", "model", "post", "arrived_at", "joined_at", "in_queue",
-                 "wait", "disposition", "fit_remaining", "state", "cubicle")
+    __slots__ = ("id", "model", "post", "joined_at", "in_queue", "wait",
+                 "disposition", "fit_remaining", "state", "cubicle")
 
     def __init__(self, cid: int, now: float, model: "AbsRun") -> None:
         self.id = cid
         self.model = model
         self.post = model.msgs.append
-        self.arrived_at = now
         self.joined_at = now
         self.in_queue = False
         self.wait = 0.0
@@ -97,7 +99,7 @@ class CustomerAgent:
         self.cubicle = -1
 
     def _transition(self, to: int) -> None:
-        if (self.state, to) not in _EDGES:
+        if to not in _NEXT[self.state]:
             raise ModelError(
                 f"customer {self.id}: illegal transition "
                 f"{STATE_NAMES[self.state]} -> {STATE_NAMES[to]}"
@@ -273,15 +275,12 @@ class FittingRoomAgent:
 
     def handle(self, kind: str, payload, now: float) -> None:
         if kind == M_REQUEST_CUBICLE:
-            idx = -1
-            for i, taken in enumerate(self.slots):
-                if not taken:
-                    idx = i
-                    break
-            if idx < 0:
+            try:
+                idx = self.slots.index(False)
+            except ValueError:
                 # entry service only starts while a cubicle is free, and the
                 # single staff member cannot start another entry in between
-                raise ModelError("cubicle requested with none free")
+                raise ModelError("cubicle requested with none free") from None
             self.slots[idx] = True
             tm = self.tm
             tm.cubicle_change(now, 1)

@@ -32,12 +32,11 @@ _DONE_EVENT = (None, EV_JOB1_DONE, EV_JOB2_DONE, EV_JOB3_DONE)
 
 
 class Customer:
-    __slots__ = ("id", "arrived_at", "joined_at", "in_queue", "awaiting_entry",
-                 "wait", "disposition", "fit_remaining")
+    __slots__ = ("id", "joined_at", "in_queue", "awaiting_entry", "wait",
+                 "disposition", "fit_remaining")
 
     def __init__(self, cid: int, now: float) -> None:
         self.id = cid
-        self.arrived_at = now
         self.joined_at = now
         self.in_queue = False
         self.awaiting_entry = False

@@ -14,12 +14,13 @@ repeated runs with the same seed can be compared byte for byte.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import pickle
 import signal
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, Optional, Sequence
+from typing import BinaryIO, NamedTuple, Optional, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -69,15 +70,25 @@ def _run_chunk(cells: Sequence[Cell], reps: range) -> list[list[RunMetrics]]:
     once, not once per cell, and is let go before replication r+1 starts.
     A run reads the same numbers it would read alone, so the results are
     those of running each cell by itself.
+
+    The cyclic garbage collector is paused meanwhile: a finished run holds
+    no reference cycle, so reference counting frees it, and the passes the
+    collector would make over the runs' many small objects find nothing.
     """
     results: list[list[RunMetrics]] = [[] for _ in cells]
     runners = [(_RUNNERS[model], cfg, out) for (model, cfg), out in zip(cells, results)]
-    for rep in reps:
-        draws = ReplicationDraws(rep)
-        for fn, cfg, out in runners:
-            if rep < cfg.replications:
-                out.append(fn(cfg, rep, draws=draws))
-        draws.close()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for rep in reps:
+            draws = ReplicationDraws(rep)
+            for fn, cfg, out in runners:
+                if rep < cfg.replications:
+                    out.append(fn(cfg, rep, draws=draws))
+            draws.close()
+    finally:
+        if was_enabled:
+            gc.enable()
     return results
 
 
@@ -90,8 +101,8 @@ def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
     the first block itself and a forked child runs each other one.  Every
     replication seeds itself from (master seed, replication, purpose), and
     the blocks are joined in replication order, so the results are the
-    same for any ``jobs``.  A child's exception is raised here; if this
-    process fails, it kills its children first.
+    same for any ``jobs``.  A child's exception is raised here, from the
+    child's traceback; if this process fails, it kills its children first.
     """
     n = max((cfg.replications for _, cfg in cells), default=0)
     jobs = max(1, min(jobs, n))
@@ -120,8 +131,8 @@ def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
 
 def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
     """Fork a child that runs ``reps`` of every cell and writes the pickled
-    results, or the exception it raised, to a pipe; returns the child's pid
-    and the pipe's read end."""
+    results, or a ``_ChildFailure`` for the exception it raised, to a pipe;
+    returns the child's pid and the pipe's read end."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -138,7 +149,7 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
             try:
                 out = _run_chunk(cells, reps)
             except BaseException as exc:
-                out = exc
+                out = _child_failure(exc)
             data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
             with os.fdopen(w, "wb") as pipe:
                 pipe.write(data)
@@ -149,14 +160,45 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
     return pid, os.fdopen(r, "rb")
 
 
+class _RemoteTraceback(Exception):
+    """The text of a child's traceback.  A child's exception is raised from
+    one, so the traceback of the line that failed prints above the
+    caller's."""
+
+
+class _ChildFailure(NamedTuple):
+    """What a child sends in place of its results when it fails: the
+    exception and its formatted traceback."""
+
+    exc: BaseException
+    tb: str
+
+
+def _child_failure(exc: BaseException) -> _ChildFailure:
+    """Package ``exc`` for the pipe.  An exception that does not survive a
+    pickle round trip is replaced by a RuntimeError naming it; the
+    traceback text comes back either way."""
+    import traceback  # only a failing child needs it; the CLI starts without it
+
+    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    except Exception:
+        last = traceback.format_exception_only(type(exc), exc)[-1].strip()
+        exc = RuntimeError(f"a replication worker raised an exception that "
+                           f"cannot be sent back: {last}")
+    return _ChildFailure(exc, f'\n"""\n{tb}"""')
+
+
 def _receive(pid: int, pipe: BinaryIO) -> list[list[RunMetrics]]:
-    """A child's block of results, read to EOF; raises what it raised."""
+    """A child's block of results, read to EOF; raises what it raised, from
+    its traceback."""
     data = pipe.read()
     if not data:
         raise RuntimeError(f"replication worker {pid} exited without its results")
     out = pickle.loads(data)  # written by our own child
-    if isinstance(out, BaseException):
-        raise out
+    if isinstance(out, _ChildFailure):
+        raise out.exc from _RemoteTraceback(out.tb)
     return out
 
 

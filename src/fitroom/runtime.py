@@ -264,12 +264,14 @@ def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, 
     q = queues.help._q
     if q:
         c = q[0]
-        if best is None or (c.joined_at, c.id) < (best.joined_at, best.id):
+        if (best is None or c.joined_at < best.joined_at
+                or (c.joined_at == best.joined_at and c.id < best.id)):
             best, job, line = c, JOB2, queues.help
     q = queues.ret._q
     if q:
         c = q[0]
-        if best is None or (c.joined_at, c.id) < (best.joined_at, best.id):
+        if (best is None or c.joined_at < best.joined_at
+                or (c.joined_at == best.joined_at and c.id < best.id)):
             best, job, line = c, JOB3, queues.ret
     if best is None:
         return None

@@ -287,6 +287,23 @@ def test_any_state_may_abort_to_not_served():
         c._transition(agents.WAITING_ENTRY)  # terminal means terminal
 
 
+def test_exactly_the_charts_edges_are_legal_transitions():
+    model = fresh_model()
+    states = list(agents.STATE_NAMES)
+    assert len(states) == 10
+    for src in states:
+        for to in states:
+            c = CustomerAgent(0, 0.0, model)
+            c.state = src
+            if (src, to) in agents._EDGES:
+                c._transition(to)
+                assert c.state == to
+            else:
+                with pytest.raises(ModelError, match="illegal transition"):
+                    c._transition(to)
+                assert c.state == src
+
+
 def test_serve_message_must_match_waiting_state():
     model = fresh_model()
     c = CustomerAgent(0, 0.0, model)

@@ -9,7 +9,8 @@ from fitroom.config import ScenarioConfig
 from fitroom.des import Customer, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec
 from fitroom.proactive import ProactivePolicy
-from fitroom.runtime import RENEGED, SERVED, Telemetry, build_metrics
+from fitroom.runtime import (JOB1, JOB2, JOB3, RENEGED, SERVED, QueueSet, Telemetry,
+                             build_metrics, select_service)
 from fitroom.stats import RunMetrics
 
 
@@ -195,6 +196,46 @@ def test_wait_accrues_until_renege():
     metrics, trace = run_traced(cfg)
     assert any(label == "renege" for _, label, _ in trace)
     assert metrics.mean_wait > 0.0
+
+
+# --- service order (unit level) ----------------------------------------------
+
+
+def queued(heads):
+    """Queues whose heads are ``heads``: (job, customer id, join time) for
+    each non-empty queue; each head has one later customer behind it."""
+    queues = QueueSet()
+    lines = {JOB1: queues.entry, JOB2: queues.help, JOB3: queues.ret}
+    for job, cid, t in heads:
+        lines[job].join(Customer(cid, t), t)
+        lines[job].join(Customer(100 + cid, t + 50.0), t + 50.0)
+    return queues, lines
+
+
+@pytest.mark.parametrize("first", [JOB1, JOB2, JOB3])
+def test_the_earliest_joined_head_wins_across_the_queues(first):
+    # join times run against ids, so only the times can pick the winner
+    later = [job for job in (JOB1, JOB2, JOB3) if job != first]
+    heads = [(first, 9, 1.0), (later[0], 1, 2.0), (later[1], 0, 3.0)]
+    queues, lines = queued(heads)
+    assert select_service(queues, True) == (first, lines[first])
+
+
+@pytest.mark.parametrize("first", [JOB1, JOB2, JOB3])
+def test_equal_join_times_break_by_the_lower_customer_id(first):
+    later = [job for job in (JOB1, JOB2, JOB3) if job != first]
+    heads = [(later[0], 5, 4.0), (first, 3, 4.0), (later[1], 7, 4.0)]
+    queues, lines = queued(heads)
+    assert select_service(queues, True) == (first, lines[first])
+
+
+def test_the_entry_head_waits_while_no_cubicle_is_free():
+    queues, lines = queued([(JOB1, 0, 1.0), (JOB2, 1, 2.0), (JOB3, 2, 3.0)])
+    assert select_service(queues, True) == (JOB1, lines[JOB1])
+    assert select_service(queues, False) == (JOB2, lines[JOB2])
+    queues, lines = queued([(JOB1, 0, 1.0)])
+    assert select_service(queues, False) is None
+    assert select_service(QueueSet(), True) is None
 
 
 # --- metric folding (unit level) ---------------------------------------------

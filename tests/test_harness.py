@@ -1,5 +1,6 @@
 """Experiment drivers, report serialization, and the command line."""
 
+import gc
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import pickle
 import subprocess
 import sys
 import time
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -245,6 +247,91 @@ def test_a_childs_error_is_raised_in_the_caller(monkeypatch):
     assert not err.value.args[0].endswith(f" {os.getpid()}")  # raised in the child
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_childs_error_chains_the_childs_traceback(monkeypatch):
+    def broken_replication(cfg, rep, draws=None):
+        if rep == cfg.replications - 1:
+            raise ModelError("replication broke")
+        return run_des(cfg, rep, draws=draws)
+
+    monkeypatch.setitem(harness._RUNNERS, "des", broken_replication)
+    with pytest.raises(ModelError, match="^replication broke$") as err:
+        _execute([("des", tiny_cfg())], jobs=2)
+    cause = err.value.__cause__
+    assert isinstance(cause, harness._RemoteTraceback)
+    assert "in broken_replication" in str(cause)
+    assert "in broken_replication" in "".join(traceback.format_exception(
+        type(err.value), err.value, err.value.__traceback__))
+
+
+class RebuiltWrong(Exception):
+    """Pickles, but cannot be rebuilt from its args."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+class HoldsALambda(Exception):
+    """Cannot be pickled at all."""
+
+    def __init__(self, what):
+        super().__init__(what)
+        self.hook = lambda: what
+
+
+@pytest.mark.parametrize("make", [lambda: RebuiltWrong("broke", "rep 3"),
+                                  lambda: HoldsALambda("broke")],
+                         ids=["rebuilt_wrong", "holds_a_lambda"])
+def test_an_unpicklable_error_comes_back_as_a_runtime_error(monkeypatch, make):
+    def unsendable_replication(cfg, rep, draws=None):
+        if rep == cfg.replications - 1:
+            raise make()
+        return run_des(cfg, rep, draws=draws)
+
+    monkeypatch.setitem(harness._RUNNERS, "des", unsendable_replication)
+    with pytest.raises(RuntimeError, match="cannot be sent back: .*broke") as err:
+        _execute([("des", tiny_cfg())], jobs=2)
+    assert type(err.value) is RuntimeError
+    assert "in unsendable_replication" in str(err.value.__cause__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fails", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_chunk_pauses_the_collector_and_restores_its_state(monkeypatch, enabled,
+                                                               fails):
+    seen = []
+
+    def runner(cfg, rep, draws=None):
+        seen.append(gc.isenabled())
+        if fails:
+            raise ModelError("replication broke")
+        return run_des(cfg, rep, draws=draws)
+
+    monkeypatch.setitem(harness._RUNNERS, "des", runner)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(ModelError):
+                harness._run_chunk([("des", tiny_cfg())], range(2))
+        else:
+            harness._run_chunk([("des", tiny_cfg())], range(2))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
+
+
+def test_a_sweep_leaves_nothing_for_the_cycle_collector(gc_disabled):
+    # the premise of pausing the collector: every run is freed by
+    # reference counting, so a pass after a sweep finds no garbage
+    gc.collect()
+    report = sweep(tiny_cfg(replications=2), SweepSpec(levels=2), model="both")
+    assert len(report.rows) == 2 * 2 * len(MEASURE_ORDER)
+    assert gc.collect() == 0
 
 
 def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch):

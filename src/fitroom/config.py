@@ -30,6 +30,9 @@ class ConfigError(Exception):
 
 DEFAULT_HOURLY_RATES = (20.0, 34.0, 48.0, 56.0, 56.0, 48.0, 34.0, 20.0)
 
+# far above any day's peak occupancy; the agent model keeps a slot per cubicle
+MAX_CUBICLES = 10_000
+
 _D = DistributionSpec
 
 
@@ -48,7 +51,6 @@ class ScenarioConfig:
 
     arrival: ArrivalProfile = ArrivalProfile(DEFAULT_HOURLY_RATES)
     cubicles: int = 8
-    staff_count: int = 1
     job1: DistributionSpec = _D.triangular(0.2, 0.4, 0.6)
     job2: DistributionSpec = _D.triangular(0.5, 1.0, 1.5)
     job3: DistributionSpec = _D.triangular(0.1, 0.3, 0.5)
@@ -73,10 +75,8 @@ class ScenarioConfig:
         def is_int(v) -> bool:
             return isinstance(v, int) and not isinstance(v, bool)
 
-        need(is_int(self.cubicles) and self.cubicles >= 1,
-             "cubicles: must be an integer >= 1")
-        need(is_int(self.staff_count) and self.staff_count == 1,
-             "staff: this system has exactly one staff member")
+        need(is_int(self.cubicles) and 1 <= self.cubicles <= MAX_CUBICLES,
+             f"cubicles: must be an integer from 1 to {MAX_CUBICLES}")
         need(is_int(self.replications) and self.replications >= 1,
              "replications: must be an integer >= 1")
         need(is_int(self.master_seed) and self.master_seed >= 0,
@@ -143,10 +143,11 @@ def _spec_from_value(v) -> DistributionSpec:
     if isinstance(v, bool):
         raise ValueError("expected a distribution, got a boolean")
     if isinstance(v, (int, float)):
-        return DistributionSpec.deterministic(float(v))
+        return DistributionSpec.deterministic(v)  # it rejects ints past float
     if isinstance(v, list) and v and isinstance(v[0], str):
         if not all(_is_number(x) for x in v[1:]):
-            raise ValueError(f"{v[0]} parameters must be numbers: {json.dumps(v[1:])}")
+            raise ValueError(f"{json.dumps(v[0])} parameters must be numbers: "
+                             f"{json.dumps(v[1:])}")
         return DistributionSpec(v[0], tuple(v[1:]))
     raise ValueError("expected a number or [family, params...] list")
 
@@ -172,7 +173,6 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
         "seed": ("master_seed", None),
         "replications": ("replications", None),
         "cubicles": ("cubicles", None),
-        "staff": ("staff_count", None),
         "horizon": ("horizon", None),
         "help.probability": ("help_probability", None),
         "wait.estimator": ("wait_estimator", None),
@@ -197,6 +197,10 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
                 if not _is_number(value):
                     raise ValueError("expected a positive number")
                 arrival_scale = value
+            elif key == "staff":
+                # int 1 only: json gives 1.0 as a float and true as a bool
+                if not (type(value) is int and value == 1):
+                    raise ValueError("this system has exactly one staff member")
             elif key == "patience":
                 updates["patience"] = None if value == "infinite" else _spec_from_value(value)
             elif key == "proactive.enabled":
@@ -226,9 +230,14 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
             updates["proactive"] = replace(cfg.proactive, **policy)
         except (TypeError, ValueError) as exc:
             errors.append(f"proactive: {exc}")
+    # the dataclass checks what did convert, so one message names every bad key
+    try:
+        cfg = replace(cfg, **updates)
+    except ConfigError as exc:
+        errors.append(str(exc))
     if errors:
         raise ConfigError("\n".join(errors))
-    return replace(cfg, **updates)
+    return cfg
 
 
 def load_config(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:

@@ -45,9 +45,6 @@ class EventCalendar:
         self._heap: list[tuple] = []
         self._seq = 0
 
-    def __len__(self) -> int:
-        return len(self._heap)
-
     def stamp(self, time: float, kind: str, target: object = None) -> tuple:
         """Give an event its key without adding it to the heap; returns its
         (time, seq, kind, target) entry.
@@ -64,11 +61,9 @@ class EventCalendar:
         self._seq += 1
         return ev
 
-    def schedule(self, time: float, kind: str, target: object = None) -> tuple:
-        """Add an event to the heap; returns its entry, as ``stamp`` does."""
-        ev = self.stamp(time, kind, target)
-        heapq.heappush(self._heap, ev)
-        return ev
+    def schedule(self, time: float, kind: str, target: object = None) -> None:
+        """Add an event to the heap, keyed as ``stamp`` keys it."""
+        heapq.heappush(self._heap, self.stamp(time, kind, target))
 
 
 class RandomStream:
@@ -81,7 +76,7 @@ class RandomStream:
     stream it has already drawn.
     """
 
-    __slots__ = ("next_block", "_buf", "_blocks")
+    __slots__ = ("next_block", "_buf")
 
     _BLOCK = 512
 
@@ -92,7 +87,6 @@ class RandomStream:
             next_block = partial(gen.random, self._BLOCK)
         self.next_block = next_block
         self._buf: list[float] = []
-        self._blocks = 0
 
     def uniform(self) -> float:
         buf = self._buf
@@ -100,13 +94,7 @@ class RandomStream:
             # reversed so list.pop() hands the block out in generator order
             buf = self.next_block()[::-1].tolist()
             self._buf = buf
-            self._blocks += 1
         return buf.pop()
-
-    def state_token(self) -> int:
-        """Draws dealt so far; on one stream, equal tokens mean equal
-        positions."""
-        return self._blocks * self._BLOCK - len(self._buf)
 
 
 class RandomStreams:
@@ -210,16 +198,6 @@ class DistributionSpec:
     def triangular(cls, low: float, mode: float, high: float) -> "DistributionSpec":
         return cls("triangular", (low, mode, high))
 
-    def mean(self) -> float:
-        p = self.params
-        if self.family == "deterministic":
-            return p[0]
-        if self.family == "exponential":
-            return 1.0 / p[0]
-        if self.family == "uniform":
-            return (p[0] + p[1]) / 2.0
-        return (p[0] + p[1] + p[2]) / 3.0
-
     def support(self) -> tuple[float, float]:
         p = self.params
         if self.family == "deterministic":
@@ -280,9 +258,6 @@ class ArrivalProfile:
             if not math.isfinite(r * self.scale):
                 raise ValueError(f"hour {hour}: rate {r:g} times scale "
                                  f"{self.scale:g} is not finite")
-
-    def expected_daily(self) -> float:
-        return sum(self.hourly_rates) * self.scale
 
     def next_arrival(self, now: float, stream: RandomStream) -> Optional[float]:
         """Time of the next arrival after ``now``, or None if past closing."""

@@ -1,10 +1,11 @@
 """Experiment drivers: replication batches, the arrival-pressure sweep, and
 the paired policy comparison, plus report serialization.
 
-Each driver builds a list of (model, config) cells, runs them all on one
-runner, ``_execute``, and folds the results into its report.  The runner
-can share the replications among forked processes; the library runs them
-in the calling process unless asked for more.
+Each driver builds one experiment plan, a list of (model, level, config)
+entries, and ``_run_plan`` runs it on one runner, ``_execute``, and folds
+every entry's results into summary rows.  The runner can share the
+replications among forked processes; the library runs them in the calling
+process unless asked for more.
 
 Reports are flat tables.  Every summary row is one (model, load level,
 measure) cell; a comparison report carries hypothesis rows after the summary
@@ -252,16 +253,24 @@ class ExperimentReport:
     hypotheses: tuple[HypothesisOutcome, ...] = field(default_factory=tuple)
 
 
-def _summary_rows(
-    model: str, level: int, scale: float, metrics: list[RunMetrics]
-) -> list[SummaryRow]:
+# A plan entry is one (model, load level, config) cell of an experiment;
+# it runs the config's replications and is reported at its level.
+Entry = tuple[str, int, ScenarioConfig]
+
+
+def _run_plan(plan: Sequence[Entry],
+              jobs: int) -> tuple[list[SummaryRow], list[list[RunMetrics]]]:
+    """Run every entry of ``plan`` on ``jobs`` processes; returns the
+    summary rows, entry by entry in plan order and measure by measure in
+    MEASURE_ORDER, and each entry's results in replication order."""
+    results = _execute([(m, cfg) for m, _, cfg in plan], jobs)
     rows = []
-    for measure in MEASURE_ORDER:
-        s = summarize([getattr(m, measure) for m in metrics])
-        rows.append(
-            SummaryRow(model, level, scale, measure, s.mean, s.sd, s.median, s.n)
-        )
-    return rows
+    for (m, level, cfg), metrics in zip(plan, results):
+        for measure in MEASURE_ORDER:
+            s = summarize([getattr(x, measure) for x in metrics])
+            rows.append(SummaryRow(m, level, cfg.arrival.scale, measure,
+                                   s.mean, s.sd, s.median, s.n))
+    return rows, results
 
 
 def run_report(config: ScenarioConfig, model: str = "both",
@@ -271,11 +280,7 @@ def run_report(config: ScenarioConfig, model: str = "both",
     ``jobs`` is the number of processes that share the replications; the
     report is the same for any number.
     """
-    models = _models_for(model)
-    results = _execute([(m, config) for m in models], jobs)
-    rows: list[SummaryRow] = []
-    for m, metrics in zip(models, results):
-        rows.extend(_summary_rows(m, 1, config.arrival.scale, metrics))
+    rows, _ = _run_plan([(m, 1, config) for m in _models_for(model)], jobs)
     return ExperimentReport(rows=tuple(rows))
 
 
@@ -293,12 +298,9 @@ def sweep(
     the config (seed, replications, service times, policy) is untouched.
     """
     spec = spec or SweepSpec()
-    grid = [(m, level, _level_config(config, spec, level))
+    plan = [(m, level, _level_config(config, spec, level))
             for m in _models_for(model) for level in range(1, spec.levels + 1)]
-    results = _execute([(m, cfg) for m, _, cfg in grid], jobs)
-    rows: list[SummaryRow] = []
-    for (m, level, cfg), metrics in zip(grid, results):
-        rows.extend(_summary_rows(m, level, cfg.arrival.scale, metrics))
+    rows, _ = _run_plan(plan, jobs)
     return ExperimentReport(rows=tuple(rows))
 
 
@@ -345,27 +347,15 @@ def compare_experiments(
         cfg_b = replace(cfg_b, master_seed=int(seq.generate_state(1)[0]))
 
     models = _models_for(model)
-    results = iter(_execute([(m, cfg) for m in models for cfg in (cfg_a, cfg_b)], jobs))
-    rows: list[SummaryRow] = []
-    samples: dict[tuple[str, str], tuple[list[float], list[float]]] = {}
-    for m in models:
-        metrics_a = next(results)
-        metrics_b = next(results)
-        rows.extend(_summary_rows(m, 1, config.arrival.scale, metrics_a))
-        rows.extend(_summary_rows(m, 2, config.arrival.scale, metrics_b))
-        for measure in ("mean_wait", "staff_util"):
-            samples[(m, measure)] = (
-                [getattr(x, measure) for x in metrics_a],
-                [getattr(x, measure) for x in metrics_b],
-            )
-
+    plan = [(m, level, cfg) for m in models for level, cfg in ((1, cfg_a), (2, cfg_b))]
+    rows, results = _run_plan(plan, jobs)
+    runs = {(m, level): metrics for (m, level, _), metrics in zip(plan, results)}
     hyps = []
     for label, m, measure in _HYPOTHESES:
-        if (m, measure) not in samples:
-            continue
-        a, b = samples[(m, measure)]
-        res = mann_whitney_u(a, b)
-        hyps.append(decide(label, res.p_value, alpha))
+        if m in models:
+            a = [getattr(x, measure) for x in runs[m, 1]]
+            b = [getattr(x, measure) for x in runs[m, 2]]
+            hyps.append(decide(label, mann_whitney_u(a, b).p_value, alpha))
     return ExperimentReport(rows=tuple(rows), hypotheses=tuple(hyps))
 
 
@@ -382,8 +372,7 @@ def _g(x: float) -> str:
 def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
     """Render a report as CSV or JSON text.
 
-    Floats are written with six significant digits in both formats, so a
-    report survives an emit/load/emit round trip byte-identically.
+    Floats are written with six significant digits in both formats.
     """
     if fmt == "csv":
         lines = [_ROW_HEADER]
@@ -425,51 +414,3 @@ def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
 
-
-def load_report(text: str) -> ExperimentReport:
-    """Parse text produced by emit_report, either format."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        doc = json.loads(text)
-        rows = tuple(
-            SummaryRow(
-                d["model"], int(d["level"]), float(d["arrival_scale"]), d["measure"],
-                float(d["mean"]), float(d["sd"]), float(d["median"]), int(d["n"]),
-            )
-            for d in doc.get("rows", ())
-        )
-        hyps = tuple(
-            HypothesisOutcome(
-                d["hypothesis"], float(d["p_value"]), float(d["alpha"]), d["decision"]
-            )
-            for d in doc.get("hypotheses", ())
-        )
-        return ExperimentReport(rows=rows, hypotheses=hyps)
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _ROW_HEADER:
-        raise ValueError("unrecognized report text: missing summary header")
-    rows = []
-    hyps = []
-    in_hyp = False
-    for ln in lines[1:]:
-        if ln == _HYP_HEADER:
-            in_hyp = True
-            continue
-        parts = ln.split(",")
-        if in_hyp:
-            if len(parts) != 4:
-                raise ValueError(f"bad hypothesis line: {ln!r}")
-            hyps.append(
-                HypothesisOutcome(parts[0], float(parts[1]), float(parts[2]), parts[3])
-            )
-        else:
-            if len(parts) != 8:
-                raise ValueError(f"bad summary line: {ln!r}")
-            rows.append(
-                SummaryRow(
-                    parts[0], int(parts[1]), float(parts[2]), parts[3],
-                    float(parts[4]), float(parts[5]), float(parts[6]), int(parts[7]),
-                )
-            )
-    return ExperimentReport(rows=tuple(rows), hypotheses=tuple(hyps))

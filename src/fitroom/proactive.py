@@ -86,23 +86,6 @@ class ServiceTimeTable:
         return self.jobs[job]() * self.factor
 
 
-class SpeedupState:
-    """Mutable per-run policy state: transition count and the live revert.
-
-    revert_at is when the current fast episode ends (meaningful only while
-    fast); chain_head is the time of the nearest scheduled revert event.
-    Re-triggers just move revert_at, and the event chain catches up when it
-    fires, so a congestion storm does not flood the calendar.
-    """
-
-    __slots__ = ("change_count", "revert_at", "chain_head")
-
-    def __init__(self) -> None:
-        self.change_count = 0
-        self.revert_at = 0.0
-        self.chain_head: Optional[float] = None
-
-
 class SpeedupController:
     """Runs one replication's policy: evaluates triggers, flips the pace,
     and schedules/handles reverts and (optionally) polls.
@@ -114,10 +97,17 @@ class SpeedupController:
     ``telemetry``.  ``next_revert`` and ``next_poll``
     return the next revert delay and polling interval, one per call
     (``next_poll`` may be None when the policy does not poll).
+
+    ``change_count`` counts the switches to the fast pace.  ``revert_at``
+    is when the current fast episode ends (meaningful only while fast);
+    ``chain_head`` is the time of the nearest scheduled revert event.
+    Re-triggers just move ``revert_at``, and the event chain catches up
+    when it fires, so a congestion storm does not flood the calendar.
     """
 
     __slots__ = ("policy", "table", "calendar", "telemetry",
-                 "next_revert", "next_poll", "state", "trace", "event_driven",
+                 "next_revert", "next_poll", "change_count", "revert_at",
+                 "chain_head", "trace", "event_driven",
                  "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
 
     def __init__(self, policy: ProactivePolicy, table: ServiceTimeTable,
@@ -131,7 +121,9 @@ class SpeedupController:
         self.telemetry = telemetry
         self.next_revert = next_revert
         self.next_poll = next_poll
-        self.state = SpeedupState()
+        self.change_count = 0
+        self.revert_at = 0.0
+        self.chain_head: Optional[float] = None
         self.trace = telemetry.trace
         self.event_driven = policy.enabled and policy.check_interval is None
         # note_change runs on every queue/cubicle mutation, so it reads
@@ -160,16 +152,15 @@ class SpeedupController:
 
     def apply_speedup(self, now: float) -> None:
         """Trigger (or re-trigger) the fast pace; the revert clock restarts."""
-        st = self.state
         at = now + self.next_revert()
-        st.revert_at = at
-        head = st.chain_head
+        self.revert_at = at
+        head = self.chain_head
         if head is None or at < head:
             self.calendar.schedule(at, EV_REVERT)
-            st.chain_head = at
+            self.chain_head = at
         if not self.table.fast:
             self.table.set_fast()
-            st.change_count += 1
+            self.change_count += 1
             if self.trace is not None:
                 self.trace.append((now, L_SPEEDUP, -1))
         # else: already fast, the re-trigger just restarted the revert clock
@@ -181,16 +172,15 @@ class SpeedupController:
     def handle_revert(self, _target, t: float) -> None:
         if not self.table.fast:
             return  # leftover event from an already-ended fast episode
-        st = self.state
-        if t == st.revert_at:
+        if t == self.revert_at:
             self.table.set_normal()
-            st.chain_head = None
+            self.chain_head = None
             if self.trace is not None:
                 self.trace.append((t, L_REVERT, -1))
-        elif t == st.chain_head:
+        elif t == self.chain_head:
             # a re-trigger moved the revert later; walk the chain forward
-            self.calendar.schedule(st.revert_at, EV_REVERT)
-            st.chain_head = st.revert_at
+            self.calendar.schedule(self.revert_at, EV_REVERT)
+            self.chain_head = self.revert_at
         # else: superseded duplicate, drop it
 
     def handle_poll(self, _target, t: float) -> None:

@@ -202,7 +202,7 @@ class Replication:
                 c.wait += horizon - c.joined_at
             if c.disposition == IN_SYSTEM:
                 c.disposition = CLOSED
-        return build_metrics(self.customers, self.tm, self.ctl.state.change_count,
+        return build_metrics(self.customers, self.tm, self.ctl.change_count,
                              horizon, self.cfg.wait_estimator)
 
 
@@ -214,17 +214,10 @@ class WaitingLine:
     def __init__(self) -> None:
         self._q: deque = deque()
 
-    def __len__(self) -> int:
-        return len(self._q)
-
     def join(self, c, now: float) -> None:
         c.joined_at = now
         c.in_queue = True
         self._q.append(c)
-
-    def head(self):
-        q = self._q
-        return q[0] if q else None
 
     def pop_head(self):
         c = self._q.popleft()

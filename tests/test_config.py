@@ -1,11 +1,15 @@
 """Scenario validation and the flat key = value file format."""
 
+import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitroom.config import (
     DEFAULT_HOURLY_RATES,
+    MAX_CUBICLES,
     ConfigError,
     ScenarioConfig,
     build_config,
@@ -27,9 +31,8 @@ def write(tmp_path, text, name="scenario.cfg"):
 def test_defaults_are_a_valid_scenario():
     cfg = ScenarioConfig()
     assert cfg.cubicles == 8
-    assert cfg.staff_count == 1
     assert cfg.arrival.hourly_rates == DEFAULT_HOURLY_RATES
-    assert cfg.arrival.expected_daily() == 316.0
+    assert sum(cfg.arrival.hourly_rates) * cfg.arrival.scale == 316.0
     assert cfg.proactive.enabled
 
 
@@ -38,7 +41,7 @@ def test_defaults_are_a_valid_scenario():
     [
         ("cubicles", 0, "cubicles"),
         ("cubicles", 2.5, "cubicles"),
-        ("staff_count", 2, "staff"),
+        ("cubicles", MAX_CUBICLES + 1, "cubicles"),
         ("replications", 0, "replications"),
         ("master_seed", -1, "seed"),
         ("horizon", 0.0, "horizon"),
@@ -59,7 +62,7 @@ def test_each_bad_field_is_named(field, value, fragment):
 
 def test_all_problems_reported_at_once():
     with pytest.raises(ConfigError) as err:
-        ScenarioConfig(cubicles=0, staff_count=3, help_probability=7.0)
+        build_config({"cubicles": 0, "staff": 3, "help.probability": 7.0})
     msg = str(err.value)
     assert "cubicles" in msg and "staff" in msg and "help.probability" in msg
 
@@ -293,6 +296,96 @@ def test_a_file_that_is_not_utf8_is_named_not_a_crash(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"fitroom: {path}: not UTF-8")
 
 
+@pytest.mark.parametrize("key", ["service.job1", "service.fitting", "help.fraction",
+                                 "patience", "proactive.revert", "proactive.check"])
+def test_a_duration_past_the_largest_float_is_named_not_a_crash(key):
+    # JSON reads 1e400 as inf, but 10**400 written out as an int stays one
+    with pytest.raises(ConfigError) as err:
+        build_config(parse_config_text(f"{key} = {10 ** 400}"))
+    assert str(err.value).startswith(f"{key}: deterministic parameters must be finite")
+
+
+def test_a_family_name_cannot_break_the_message_into_lines():
+    with pytest.raises(ConfigError) as err:
+        build_config({"patience": ["a\nb", "x"]})
+    assert str(err.value) == 'patience: "a\\nb" parameters must be numbers: ["x"]'
+
+
 def test_non_numeric_distribution_params_rejected():
     with pytest.raises(ConfigError):
         build_config({"service.job1": ["uniform", "a", "b"]})
+
+
+# --- staff and cubicle counts ------------------------------------------------------
+
+
+def test_one_staff_member_loads():
+    assert build_config({"staff": 1}) == ScenarioConfig()
+
+
+@pytest.mark.parametrize("value", [2, 0, 1.0, True, "one", [1]])
+def test_any_other_staff_count_is_rejected(value):
+    with pytest.raises(ConfigError) as err:
+        build_config({"staff": value})
+    assert str(err.value) == "staff: this system has exactly one staff member"
+
+
+def test_the_cubicle_ceiling_loads():
+    assert build_config({"cubicles": MAX_CUBICLES}).cubicles == MAX_CUBICLES
+
+
+@pytest.mark.parametrize("count", [MAX_CUBICLES + 1, 10 ** 20])
+def test_a_cubicle_count_past_the_ceiling_is_named_not_run(count, tmp_path, capsys):
+    # the agent model keeps one slot per cubicle; 10**20 of them raised
+    # OverflowError there while the event model ran
+    from fitroom.cli import main
+
+    with pytest.raises(ConfigError) as err:
+        load_config(write(tmp_path, f"cubicles = {count}\n"))
+    assert str(err.value).startswith("cubicles:")
+    path = write(tmp_path, f"cubicles = {count}\n")
+    assert main(["run", "--model", "abs", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("fitroom: cubicles: ")
+
+
+# --- any scenario text either loads or names its bad keys ----------------------------
+
+_KEYS = (
+    "seed", "replications", "cubicles", "staff", "horizon", "help.probability",
+    "wait.estimator", "service.job1", "service.job2", "service.job3",
+    "service.fitting", "help.fraction", "proactive.speedup", "arrival.rates",
+    "arrival.scale", "patience", "proactive.enabled", "proactive.threshold",
+    "proactive.threshold.entry", "proactive.threshold.return",
+    "proactive.threshold.help", "proactive.revert", "proactive.check",
+)
+
+_numbers = (st.sampled_from([0, 1, -1, 0.5, 480, MAX_CUBICLES + 1, 2 ** 63, 10 ** 20,
+                             10 ** 400, -10 ** 400, 1e308, float("inf"), float("nan")])
+            | st.integers() | st.floats())
+_words = st.sampled_from(["infinite", "event", "served", "all", "fast", "yes",
+                          "deterministic", "exponential", "uniform", "triangular"])
+_strings = _words | st.sampled_from(["", "a\nb", "#", "=", "["]) | st.text(max_size=6)
+_scalars = _numbers | st.booleans() | _strings
+_values = (_scalars
+           | st.lists(_scalars, max_size=9)
+           | st.tuples(_strings, _scalars).map(list)
+           | st.tuples(_words, _numbers, _numbers, _numbers).map(list))
+
+
+def _line(key, value):
+    # strings go in bare or as JSON text; everything else as JSON
+    if isinstance(value, str) and value.isidentifier():
+        return f"{key} = {value}"
+    return f"{key} = {json.dumps(value)}"
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.dictionaries(st.sampled_from(_KEYS), _values, max_size=6))
+def test_any_scenario_text_loads_or_names_its_bad_keys(values):
+    text = "\n".join(_line(k, v) for k, v in values.items())
+    try:
+        build_config(parse_config_text(text))
+    except ConfigError as exc:
+        for line in str(exc).split("\n"):
+            assert (line.split(":", 1)[0] in values
+                    or line.startswith(("line ", "arrival", "proactive"))), line

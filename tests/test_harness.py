@@ -1,5 +1,6 @@
 """Experiment drivers, report serialization, and the command line."""
 
+import csv
 import gc
 import hashlib
 import json
@@ -26,9 +27,9 @@ from fitroom.harness import (
     ExperimentReport,
     SweepSpec,
     _execute,
+    _g,
     compare_experiments,
     emit_report,
-    load_report,
     run_replications,
     run_report,
     sweep,
@@ -160,20 +161,32 @@ def test_each_replications_draws_are_let_go_before_the_next(
 _PINNED = {
     "sweep": "b15b142f639bc8a33f7956ad3b23597c8832297a4a6dbdedb046c0899467d778",
     "compare": "dec8af4b4020b2def4617d55bf6b031e87d257a59e5b82c14961181749db352a",
+    "run_hot": "6ea044dc386299cfa285bc3e56ed935d9bab68bc469b4cea38a62b5b9a430af5",
+    "compare_des_csv": "b9a31b6161f2758f58cfae0403efa71fdb6c0f6a7ee29c17eb059d9bb807d7bb",
+    "compare_des_json": "4155cc508274db6dd2dd4b41b8463ad21ea4f41902eae333595f99b27dcf68d7",
+    "compare_abs_csv": "d7a55b78b5bb947dd91097d442b65e4c26cc3b140b368134a154dee0c65fa2d2",
+    "compare_abs_json": "8661e551327e258236fb4fb4625df75a8fc8394a2cae16212994793aa6820223",
 }
 
 
 def test_reports_are_pinned():
     cfg = ScenarioConfig(master_seed=42)
+    hot = replace(cfg, replications=4, arrival=replace(cfg.arrival, scale=1.7))
     for jobs in (1, 2):
-        reports = {
-            "sweep": sweep(replace(cfg, replications=3), SweepSpec(levels=2), "both",
-                           jobs=jobs),
-            "compare": compare_experiments(replace(cfg, replications=6), "both",
-                                           independent=True, jobs=jobs),
+        texts = {
+            "sweep": emit_report(sweep(replace(cfg, replications=3), SweepSpec(levels=2),
+                                       "both", jobs=jobs)),
+            "compare": emit_report(compare_experiments(replace(cfg, replications=6), "both",
+                                                       independent=True, jobs=jobs)),
+            "run_hot": emit_report(run_report(hot, "both", jobs=jobs)),
         }
-        digests = {name: hashlib.sha256(emit_report(r).encode()).hexdigest()
-                   for name, r in reports.items()}
+        # one model alone: its own hypothesis pair, in label order
+        for m in ("des", "abs"):
+            report = compare_experiments(replace(cfg, replications=6), m, jobs=jobs)
+            for fmt in ("csv", "json"):
+                texts[f"compare_{m}_{fmt}"] = emit_report(report, fmt)
+        digests = {name: hashlib.sha256(t.encode()).hexdigest()
+                   for name, t in texts.items()}
         assert digests == _PINNED, jobs
 
 
@@ -488,37 +501,56 @@ def test_independent_seeding_changes_b_but_not_a():
 # --- serialization -----------------------------------------------------------------
 
 
+def table(report):
+    """The report's summary rows and hypothesis rows as the emitted text
+    should carry them: each float rounded to six significant digits."""
+    rows = [[r.model, r.level, float(_g(r.arrival_scale)), r.measure,
+             float(_g(r.mean)), float(_g(r.sd)), float(_g(r.median)), r.n]
+            for r in report.rows]
+    hyps = [[h.label, float(_g(h.p_value)), float(_g(h.alpha)), h.decision]
+            for h in report.hypotheses]
+    return rows, hyps
+
+
+def parse_csv(text):
+    """Summary and hypothesis rows of an emitted CSV report, typed as in
+    ``table``."""
+    lines = list(csv.reader(text.splitlines()))
+    assert lines[0] == "model,level,arrival_scale,measure,mean,sd,median,n".split(",")
+    cut = next((i for i, ln in enumerate(lines) if ln[0] == "hypothesis"), len(lines))
+    rows = [[m, int(lv), float(sc), ms, float(a), float(b), float(c), int(n)]
+            for m, lv, sc, ms, a, b, c, n in lines[1:cut]]
+    hyps = [[lb, float(p), float(al), d] for lb, p, al, d in lines[cut + 1:]]
+    return rows, hyps
+
+
+def parse_json(text):
+    doc = json.loads(text)  # must be plain JSON
+    assert set(doc) == {"rows", "hypotheses"}
+    return ([list(d.values()) for d in doc["rows"]],
+            [list(d.values()) for d in doc["hypotheses"]])
+
+
 def test_csv_round_trip_is_stable():
     report = compare_experiments(tiny_cfg(), model="both")
     text = emit_report(report, "csv")
-    again = emit_report(load_report(text), "csv")
-    assert text == again
+    assert parse_csv(text) == table(report)
     assert text.endswith("\n") and "\r" not in text
 
 
 def test_json_round_trip_is_stable():
     report = sweep(tiny_cfg(replications=2), SweepSpec(levels=2), model="abs")
-    text = emit_report(report, "json")
-    doc = json.loads(text)  # must be plain JSON
-    assert set(doc) == {"rows", "hypotheses"}
-    assert emit_report(load_report(text), "json") == text
+    assert parse_json(emit_report(report, "json")) == table(report)
 
 
 def test_report_formats_carry_the_same_numbers():
     report = compare_experiments(tiny_cfg(), model="des")
-    from_csv = load_report(emit_report(report, "csv"))
-    from_json = load_report(emit_report(report, "json"))
-    assert from_csv == from_json
+    assert parse_csv(emit_report(report, "csv")) == parse_json(emit_report(report, "json"))
 
 
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError):
         emit_report(ExperimentReport(rows=()), "xml")
-
-
-def test_load_rejects_garbage():
-    with pytest.raises(ValueError):
-        load_report("definitely,not,a,report\n1,2,3,4\n")
 
 
 def test_run_report_uses_configured_scale():
@@ -562,8 +594,8 @@ def test_cli_compare_emits_hypotheses(tmp_path):
     text = out.read_text()
     assert "hypothesis,p_value,alpha,decision" in text
     assert "H01," in text and "H03," in text and "H02," not in text
-    parsed = load_report(text)
-    assert len(parsed.hypotheses) == 2
+    _, hyps = parse_csv(text)
+    assert len(hyps) == 2
 
 
 def test_cli_json_output_parses(capsys):

@@ -196,14 +196,14 @@ def test_change_count_increments_only_on_pace_transitions():
     ctl.apply_speedup(0.0)
     ctl.apply_speedup(1.0)  # re-trigger while already fast
     ctl.apply_speedup(2.0)
-    assert ctl.state.change_count == 1
+    assert ctl.change_count == 1
     assert ctl.table.fast
 
     drain_reverts(ctl, cal)
     assert not ctl.table.fast
 
     ctl.apply_speedup(20.0)  # a fresh episode counts again
-    assert ctl.state.change_count == 2
+    assert ctl.change_count == 2
 
 
 def test_retrigger_extends_the_fast_episode():
@@ -224,10 +224,10 @@ def test_stale_revert_after_natural_end_is_ignored():
     ctl.apply_speedup(0.0)
     drain_reverts(ctl, cal)
     assert not ctl.table.fast
-    before = ctl.state.change_count
+    before = ctl.change_count
     # replay a leftover revert; nothing may change
     ctl.handle_revert(None, 99.0)
-    assert not ctl.table.fast and ctl.state.change_count == before
+    assert not ctl.table.fast and ctl.change_count == before
 
 
 def test_speedup_and_revert_are_traced():
@@ -247,7 +247,7 @@ def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
     ctl, cal, _, _ = make_controller(ProactivePolicy(enabled=False))
     ctl.start()
     assert not ctl.event_driven
-    assert len(cal) == 0  # no poll either
+    assert len(cal._heap) == 0  # no poll either
 
     base = ScenarioConfig(replications=1, master_seed=7)
     cfg = replace(base, arrival=replace(base.arrival, scale=2.0),
@@ -270,7 +270,7 @@ def test_event_driven_note_change_matches_check_condition():
     assert not ctl.table.fast  # queues empty, nothing to react to
     fill(queues.ret, 3)
     ctl.note_change(1.0)
-    assert ctl.table.fast and ctl.state.change_count == 1
+    assert ctl.table.fast and ctl.change_count == 1
 
 
 def test_polling_policy_checks_only_at_poll_times():

@@ -7,9 +7,10 @@ latency) in send order, each cascade finishing before the next scheduled
 event fires.  Timers (service completions, patience, fitting progress) go
 through the event loop both models share.
 
-Given the same scenario, seed, and replication index, this model consumes
-the random streams in exactly the same order as the event-scheduling one,
-so with degenerate distributions the two traces match byte for byte.
+Given the same scenario, seed, and replication index, this model reads the
+same replication draws as the event-scheduling one and takes the same
+shared steps in runtime.py, so on any scenario, stochastic or degenerate,
+the two traces match byte for byte.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from typing import Optional
 
 from .config import ScenarioConfig
 from .engine import ModelError, ReplicationDraws, bernoulli
-from .runtime import (EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2, JOB3,
-                      L_END, L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP,
-                      L_START, RENEGED, SERVED, QueueSet, Replication,
+from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_PATIENCE,
+                      IN_SYSTEM, JOB1, JOB2, JOB3, L_END, L_ENTER, L_LEAVE,
+                      L_REQUEST_HELP, SERVED, Customer, QueueSet, Replication,
                       select_service)
 from .stats import RunMetrics
 
@@ -73,28 +74,20 @@ M_CUBICLE_GRANTED = "cubicle_granted"
 M_CUBICLE_RELEASED = "cubicle_released"
 M_RENEGE = "renege"
 
-# timer kinds, besides EV_ARRIVAL and EV_PATIENCE
+# timer kinds, besides the shared ones
 EV_SVC_DONE = "svc_done"
-EV_HELP_DUE = "help_due"
-EV_FIT_DONE = "fit_done"
 
 _WAIT_STATE_FOR_JOB = (None, WAITING_ENTRY, WAITING_HELP, WAITING_RETURN)
 _SERVICE_STATE_FOR_JOB = (None, IN_ENTRY_SERVICE, IN_HELP_SERVICE, IN_RETURN_SERVICE)
 
 
-class CustomerAgent:
-    __slots__ = ("id", "model", "post", "joined_at", "in_queue", "wait",
-                 "disposition", "fit_remaining", "state", "cubicle")
+class CustomerAgent(Customer):
+    __slots__ = ("model", "post", "state", "cubicle")
 
     def __init__(self, cid: int, now: float, model: "AbsRun") -> None:
-        self.id = cid
+        Customer.__init__(self, cid, now)
         self.model = model
         self.post = model.msgs.append
-        self.joined_at = now
-        self.in_queue = False
-        self.wait = 0.0
-        self.disposition = IN_SYSTEM
-        self.fit_remaining = 0.0
         self.state = ARRIVED
         self.cubicle = -1
 
@@ -153,11 +146,7 @@ class CustomerAgent:
         if self.state != WAITING_ENTRY:
             return  # being (or already been) served; the timer is stale
         model = self.model
-        tr = model.tm.trace
-        if tr is not None:
-            tr.append((now, L_RENEGE, self.id))
-        self.disposition = RENEGED
-        self.wait += now - self.joined_at
+        model.record_renege(self, now)
         self._transition(NOT_SERVED)
         self.post((model.staff, M_RENEGE, self))
 
@@ -174,15 +163,8 @@ class CustomerAgent:
         elif kind == M_CUBICLE_GRANTED:
             self.cubicle = payload
             model = self.model
-            cfg = model.cfg
-            d = model.draws
-            fit = d.fitting()
-            if bernoulli(cfg.help_probability, d.help):
-                frac = cfg.help_fraction.sample(d.help)
-                self.fit_remaining = fit * (1.0 - frac)
-                model.cal.schedule(now + fit * frac, EV_HELP_DUE, self)
-            else:
-                model.cal.schedule(now + fit, EV_FIT_DONE, self)
+            model.start_fitting(self, now, bernoulli(model.cfg.help_probability,
+                                                     model.draws.help))
             self._transition(FITTING)
             self.post((model.staff, M_SERVICE_DONE, self))
         else:
@@ -201,8 +183,7 @@ class StaffAgent:
         self.current_job = 0
 
     def handle(self, kind: str, payload, now: float) -> None:
-        model = self.model
-        note = model.note
+        note = self.model.note
         if kind == M_SERVICE_DONE:
             self.tm.staff_done(now)
             job = self.current_job
@@ -212,53 +193,32 @@ class StaffAgent:
             if job == JOB1 and note is not None:
                 note(now)
             self.scan(now)
-        elif kind == M_REQUEST_ENTRY:
+            return
+        if kind == M_REQUEST_ENTRY:
             self.queues.entry.join(payload, now)
-            if note is not None:
-                note(now)
-            if self.tm.staff_since is None:
-                self.scan(now)
         elif kind == M_REQUEST_RETURN:
             self.queues.ret.join(payload, now)
-            if note is not None:
-                note(now)
-            if self.tm.staff_since is None:
-                self.scan(now)
         elif kind == M_REQUEST_HELP:
             self.queues.help.join(payload, now)
-            if note is not None:
-                note(now)
-            if self.tm.staff_since is None:
-                self.scan(now)
         elif kind == M_RENEGE:
             self.queues.entry.remove(payload)
-            if note is not None:
-                note(now)
-            if self.tm.staff_since is None:
-                self.scan(now)
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
+        if note is not None:
+            note(now)
+        if self.tm.staff_since is None:
+            self.scan(now)
 
     def scan(self, now: float) -> None:
         """Look for the next job under the shared service-order rule."""
-        model = self.model
         tm = self.tm
         pick = select_service(self.queues, tm.occupied < tm.capacity)
         if pick is None:
             return
         job, line = pick
-        c = line.pop_head()
-        c.wait += now - c.joined_at
-        note = model.note
-        if note is not None:
-            note(now)
-        dur = model.table.duration(job)
-        tr = tm.trace
-        if tr is not None:
-            tr.append((now, L_START[job], c.id))
-        tm.staff_since = now
+        model = self.model
+        c = model.start_job(job, line, now, EV_SVC_DONE)
         self.current_job = job
-        model.stamp_job(now + dur, EV_SVC_DONE, c)
         model.msgs.append((c, M_SERVE, job))
 
 

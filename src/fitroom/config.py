@@ -110,6 +110,17 @@ class ScenarioConfig:
             raise ConfigError("\n".join(errors))
 
 
+_MAX_NESTING = 32   # a valid value is at most one list deep
+
+
+def _nests_deeper(v, limit: int) -> bool:
+    """Whether lists and objects nest in ``v`` more than ``limit`` deep."""
+    if isinstance(v, dict):
+        v = list(v.values())
+    return isinstance(v, list) and (
+        limit == 0 or any(_nests_deeper(x, limit - 1) for x in v))
+
+
 def parse_config_text(text: str) -> dict:
     """Raw ``key = value`` lines to a {dotted key: parsed value} dict."""
     values: dict = {}
@@ -131,9 +142,15 @@ def parse_config_text(text: str) -> dict:
             errors.append(f"line {lineno}: duplicate key {key!r}")
             continue
         try:
-            values[key] = json.loads(val)
+            value = json.loads(val)
+            if _nests_deeper(value, _MAX_NESTING):
+                raise RecursionError  # error messages render values recursively
+        except RecursionError:
+            errors.append(f"line {lineno}: value nested too deeply")
+            continue
         except ValueError:
-            values[key] = val  # bare word, keep as string
+            value = val  # bare word, keep as string
+        values[key] = value
     if errors:
         raise ConfigError("\n".join(errors))
     return values

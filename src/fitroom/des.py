@@ -6,9 +6,10 @@ from the end of entry service until their fitting finishes, and may renege
 from the entry queue when their patience runs out.  Customers who want help
 pause their fitting partway through and resume it once helped.
 
-The agent-based model in abs.py describes the same system; with all
-distributions degenerate the two produce identical traces, which is how
-both are cross-validated.
+The agent-based model in abs.py describes the same system.  Both read one
+replication's draws and take the shared steps in runtime.py, so on any
+scenario, stochastic or degenerate, the two produce identical traces,
+which is how both are cross-validated.
 """
 
 from __future__ import annotations
@@ -17,32 +18,21 @@ from typing import Optional
 
 from .config import ScenarioConfig
 from .engine import ReplicationDraws, bernoulli
-from .runtime import (EV_ARRIVAL, EV_PATIENCE, IN_SYSTEM, JOB1, JOB2, JOB3,
-                      L_END, L_ENTER, L_LEAVE, L_RENEGE, L_REQUEST_HELP,
-                      L_START, RENEGED, SERVED, Replication, select_service)
+from .runtime import (Customer as _Customer, EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE,
+                      EV_PATIENCE, JOB1, JOB2, JOB3, L_END, L_ENTER, L_LEAVE,
+                      L_REQUEST_HELP, SERVED, Replication, select_service)
 from .stats import RunMetrics
 
 EV_JOB1_DONE = "job1_done"
 EV_JOB2_DONE = "job2_done"
 EV_JOB3_DONE = "job3_done"
-EV_HELP_DUE = "help_due"
-EV_FIT_DONE = "fit_done"
 
 _DONE_EVENT = (None, EV_JOB1_DONE, EV_JOB2_DONE, EV_JOB3_DONE)
 
 
-class Customer:
-    __slots__ = ("id", "joined_at", "in_queue", "awaiting_entry", "wait",
-                 "disposition", "fit_remaining")
-
-    def __init__(self, cid: int, now: float) -> None:
-        self.id = cid
-        self.joined_at = now
-        self.in_queue = False
-        self.awaiting_entry = False
-        self.wait = 0.0
-        self.disposition = IN_SYSTEM
-        self.fit_remaining = 0.0
+class Customer(_Customer):
+    # set on arrival; true while the customer waits for entry service
+    __slots__ = ("awaiting_entry",)
 
 
 class DesRun(Replication):
@@ -78,18 +68,9 @@ class DesRun(Replication):
         if pick is None:
             return
         job, line = pick
-        c = line.pop_head()
-        c.wait += now - c.joined_at
+        c = self.start_job(job, line, now, _DONE_EVENT[job])
         if job == JOB1:
             c.awaiting_entry = False
-        if self.note is not None:
-            self.note(now)
-        dur = self.table.duration(job)
-        tr = tm.trace
-        if tr is not None:
-            tr.append((now, L_START[job], c.id))
-        tm.staff_since = now
-        self.stamp_job(now + dur, _DONE_EVENT[job], c)
 
     def complete_job1(self, c: Customer, now: float) -> None:
         tr = self.tm.trace
@@ -100,14 +81,8 @@ class DesRun(Replication):
         self.tm.cubicle_change(now, 1)
         if tr is not None:
             tr.append((now, L_ENTER, c.id))
-        d = self.draws
-        fit = d.fitting()
-        if bernoulli(self.cfg.help_probability, d.help):
-            frac = self.cfg.help_fraction.sample(d.help)
-            c.fit_remaining = fit * (1.0 - frac)
-            self.cal.schedule(now + fit * frac, EV_HELP_DUE, c)
-        else:
-            self.cal.schedule(now + fit, EV_FIT_DONE, c)
+        self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
+                                             self.draws.help))
         self.tm.staff_done(now)
         if self.note is not None:
             self.note(now)
@@ -153,11 +128,7 @@ class DesRun(Replication):
     def renege(self, c: Customer, now: float) -> None:
         if not c.awaiting_entry:
             return  # already being served; the timer is stale
-        tr = self.tm.trace
-        if tr is not None:
-            tr.append((now, L_RENEGE, c.id))
-        c.disposition = RENEGED
-        c.wait += now - c.joined_at
+        self.record_renege(c, now)
         c.awaiting_entry = False
         self.queues.entry.remove(c)
         if self.note is not None:

@@ -1,6 +1,6 @@
-"""Pieces both store models share verbatim: the event loop, the arrival
-step and the close of day, each run's random draws, waiting lines, the
-staff's service-order rule, occupancy/busy-time accounting, and run
+"""Pieces both store models share verbatim: the customer record, the event
+loop, each run's random draws, the steps both models take, waiting lines,
+the staff's service-order rule, occupancy/busy-time accounting, and run
 metrics.
 
 Keeping these identical (not merely similar) is what lets a deterministic
@@ -37,10 +37,28 @@ L_RENEGE = "renege"
 # event kinds both models schedule
 EV_ARRIVAL = "arrival"
 EV_PATIENCE = "patience"
+EV_HELP_DUE = "help_due"
+EV_FIT_DONE = "fit_done"
 
 # the entry of an empty slot: later than any event, and equal to itself
 # without comparing its kind
 NEVER = (math.inf, -1, None, None)
+
+
+class Customer:
+    """What the shared steps read and write of a customer; each model's
+    customer adds its own fields."""
+
+    __slots__ = ("id", "joined_at", "in_queue", "wait", "disposition",
+                 "fit_remaining")
+
+    def __init__(self, cid: int, now: float) -> None:
+        self.id = cid
+        self.joined_at = now
+        self.in_queue = False
+        self.wait = 0.0
+        self.disposition = IN_SYSTEM
+        self.fit_remaining = 0.0
 
 
 class CellDraws:
@@ -79,15 +97,15 @@ class CellDraws:
 
 
 class Replication:
-    """One replication of either model: its calendar, its draws, its pace
-    and policy, the arrival step, the loop that runs it and the close of
-    day.
+    """One replication of either model: its calendar, draws, pace and
+    policy, the loop that runs it, and the steps both models take: arrival,
+    job start, fitting start, renege and the close of day.
 
-    A model supplies its event handlers (``handlers``) and its arrival
-    handler, which makes the customer, lets ``arrive`` record it and then
-    takes it in; the agent model also queues messages in ``msgs``, which
-    the loop delivers after every event, so each cascade settles before the
-    clock moves.  Cubicle occupancy is counted once, in ``tm``.
+    A model's event handlers (``handlers``) call those steps; its arrival
+    handler makes the customer and lets ``arrive`` record it first.  The
+    agent model also queues messages in ``msgs``, which the loop delivers
+    after every event, so each cascade settles before the clock moves.
+    Cubicle occupancy is counted once, in ``tm``.
 
     Two kinds of event are never more than one at a time pending, so they
     wait in slots beside the heap rather than in it: the next arrival
@@ -185,12 +203,44 @@ class Replication:
         if nxt is not None:
             self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
 
-    def stamp_job(self, time: float, kind: str, target) -> None:
-        """Put the staff's job completion in its slot."""
+    def start_job(self, job: int, line: WaitingLine, now: float, kind: str):
+        """Start the staff on ``job`` for the head of ``line``, who is
+        returned; the job's completion is an event of ``kind``."""
         if self.pending_job is not NEVER:
             raise ModelError(f"cannot stamp {kind!r}: the staff's "
                              f"{self.pending_job[2]!r} is still pending")
-        self.pending_job = self.cal.stamp(time, kind, target)
+        c = line.pop_head()
+        c.wait += now - c.joined_at
+        if self.note is not None:
+            self.note(now)
+        dur = self.table.duration(job)
+        tm = self.tm
+        tr = tm.trace
+        if tr is not None:
+            tr.append((now, L_START[job], c.id))
+        tm.staff_since = now
+        self.pending_job = self.cal.stamp(now + dur, kind, c)
+        return c
+
+    def start_fitting(self, c: Customer, now: float, helped: bool) -> None:
+        """Start ``c``'s fitting; one who wants help (``helped``, the
+        model's own coin flip) is due to ask for it partway through."""
+        d = self.draws
+        fit = d.fitting()
+        if helped:
+            frac = self.cfg.help_fraction.sample(d.help)
+            c.fit_remaining = fit * (1.0 - frac)
+            self.cal.schedule(now + fit * frac, EV_HELP_DUE, c)
+        else:
+            self.cal.schedule(now + fit, EV_FIT_DONE, c)
+
+    def record_renege(self, c: Customer, now: float) -> None:
+        """Mark ``c`` reneged; the model takes them out of the entry queue."""
+        tr = self.tm.trace
+        if tr is not None:
+            tr.append((now, L_RENEGE, c.id))
+        c.disposition = RENEGED
+        c.wait += now - c.joined_at
 
     def finalize(self, horizon: float) -> RunMetrics:
         """Close the day: stop the clocks, charge customers still queued for

@@ -15,6 +15,7 @@ from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError
 from fitroom.proactive import ProactivePolicy
+from fitroom.runtime import JOB1, Customer
 from fitroom.stats import RunMetrics
 
 
@@ -224,11 +225,28 @@ def test_simultaneous_events_run_in_stamp_order(model, arrivals, at_three):
     assert [e for e in trace if e[0] == 3.0] == at_three
 
 
-def test_stamping_a_second_staff_job_is_a_model_error():
-    run = DesRun(ScenarioConfig(replications=1), 0)
-    run.stamp_job(1.0, "job1_done", None)
-    with pytest.raises(ModelError):
-        run.stamp_job(2.0, "job3_done", None)
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_starting_a_staff_job(model):
+    # the shared step: the head of the line is charged its wait, the policy
+    # is told, the start is traced and the completion fills the staff's slot
+    trace, noted = [], []
+    cfg = replace(ScenarioConfig(replications=1),
+                  job1=DistributionSpec.deterministic(0.5))
+    run = model(cfg, 0, trace=trace)
+    run.note = noted.append
+    first, second = Customer(0, 1.0), Customer(1, 2.0)
+    run.queues.entry.join(first, 1.0)
+    run.queues.entry.join(second, 2.0)
+    assert run.start_job(JOB1, run.queues.entry, 4.0, "job_kind") is first
+    assert first.wait == 3.0 and not first.in_queue
+    assert noted == [4.0]
+    assert trace == [(4.0, "start_job1", 0)]
+    assert run.tm.staff_since == 4.0
+    assert run.pending_job[0] == 4.5 and run.pending_job[2:] == ("job_kind", first)
+    # a second job while one is pending is a wiring bug; nobody is served
+    with pytest.raises(ModelError, match="still pending"):
+        run.start_job(JOB1, run.queues.entry, 5.0, "job_kind")
+    assert second.in_queue and second.wait == 0.0 and noted == [4.0]
 
 
 @pytest.mark.parametrize("model", [DesRun, AbsRun])

@@ -296,6 +296,22 @@ def test_a_file_that_is_not_utf8_is_named_not_a_crash(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"fitroom: {path}: not UTF-8")
 
 
+@pytest.mark.parametrize("value", [
+    "[" * 100_000,
+    '["uniform", ' + "[" * 990,
+    # json parses this one; rendering it in the parameter error would not
+    '["uniform", ' + "[" * 990 + "]" * 990 + "]",
+], ids=["unclosed", "unclosed_params", "closed_params"])
+def test_a_value_nested_too_deeply_is_named_not_a_crash(value, tmp_path, capsys):
+    from fitroom.cli import main
+
+    path = write(tmp_path, f"# deep\nservice.job1 = {value}\n")
+    with pytest.raises(ConfigError, match="^line 2: value nested too deeply$"):
+        load_config(path)
+    assert main(["run", "--model", "des", "--replications", "1", "--config", path]) == 1
+    assert capsys.readouterr().err == "fitroom: line 2: value nested too deeply\n"
+
+
 @pytest.mark.parametrize("key", ["service.job1", "service.fitting", "help.fraction",
                                  "patience", "proactive.revert", "proactive.check"])
 def test_a_duration_past_the_largest_float_is_named_not_a_crash(key):

@@ -164,7 +164,7 @@ class CustomerAgent(Customer):
             self.cubicle = payload
             model = self.model
             model.start_fitting(self, now, bernoulli(model.cfg.help_probability,
-                                                     model.draws.help))
+                                                     model.help_draws))
             self._transition(FITTING)
             self.post((model.staff, M_SERVICE_DONE, self))
         else:
@@ -195,11 +195,14 @@ class StaffAgent:
             self.scan(now)
             return
         if kind == M_REQUEST_ENTRY:
-            self.queues.entry.join(payload, now)
+            # joined_at was set at arrival, which is now
+            self.queues.entry.append(payload)
         elif kind == M_REQUEST_RETURN:
-            self.queues.ret.join(payload, now)
+            payload.joined_at = now
+            self.queues.ret.append(payload)
         elif kind == M_REQUEST_HELP:
-            self.queues.help.join(payload, now)
+            payload.joined_at = now
+            self.queues.help.append(payload)
         elif kind == M_RENEGE:
             self.queues.entry.remove(payload)
         else:

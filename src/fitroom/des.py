@@ -54,7 +54,7 @@ class DesRun(Replication):
     def handle_arrival(self, _target, now: float) -> None:
         c = Customer(len(self.customers), now)
         self.arrive(c, now)
-        self.queues.entry.join(c, now)
+        self.queues.entry.append(c)
         c.awaiting_entry = True
         if self.note is not None:
             self.note(now)
@@ -82,7 +82,7 @@ class DesRun(Replication):
         if tr is not None:
             tr.append((now, L_ENTER, c.id))
         self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
-                                             self.draws.help))
+                                             self.help_draws))
         self.tm.staff_done(now)
         if self.note is not None:
             self.note(now)
@@ -92,7 +92,8 @@ class DesRun(Replication):
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_REQUEST_HELP, c.id))
-        self.queues.help.join(c, now)
+        c.joined_at = now
+        self.queues.help.append(c)
         if self.note is not None:
             self.note(now)
         if self.tm.staff_since is None:
@@ -111,7 +112,8 @@ class DesRun(Replication):
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_LEAVE, c.id))
-        self.queues.ret.join(c, now)
+        c.joined_at = now
+        self.queues.ret.append(c)
         if self.note is not None:
             self.note(now)
         if self.tm.staff_since is None:

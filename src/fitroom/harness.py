@@ -20,6 +20,7 @@ import json
 import os
 import pickle
 import signal
+import sys
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO, NamedTuple, Optional, Sequence
 from zlib import crc32
@@ -102,23 +103,37 @@ def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
     the first block itself and a forked child runs each other one.  Every
     replication seeds itself from (master seed, replication, purpose), and
     the blocks are joined in replication order, so the results are the
-    same for any ``jobs``.  A child's exception is raised here, from the
-    child's traceback; if this process fails, it kills its children first.
+    same for any ``jobs``.  If a fork fails (the process limit is reached,
+    say), this process runs that block and every later one itself, after
+    its own, and says so once on stderr.  A child's exception is raised
+    here, from the child's traceback; if this process fails, it kills its
+    children first.
     """
     n = max((cfg.replications for _, cfg in cells), default=0)
     jobs = max(1, min(jobs, n))
     cuts = [n * k // jobs for k in range(jobs + 1)]
     children: list[tuple[int, BinaryIO]] = []
+    rest = range(n, n)  # the blocks no child took
     try:
         for k in range(1, jobs):
-            children.append(_fork_block(cells, range(cuts[k], cuts[k + 1])))
+            try:
+                children.append(_fork_block(cells, range(cuts[k], cuts[k + 1])))
+            except OSError as exc:
+                rest = range(cuts[k], n)
+                print(f"fitroom: could not fork a replication worker ({exc}); "
+                      f"running the remaining replications in this process",
+                      file=sys.stderr)
+                break
         results = _run_chunk(cells, range(cuts[0], cuts[1]))
+        tail = _run_chunk(cells, rest)
         # each pipe is read to EOF before its child is waited for: a block's
         # results can outgrow the pipe's buffer, and the child cannot exit
         # until they are read
         for pid, pipe in children:
             for out, block in zip(results, _receive(pid, pipe)):
                 out.extend(block)
+        for out, block in zip(results, tail):
+            out.extend(block)
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)

@@ -128,9 +128,9 @@ class SpeedupController:
         self.event_driven = policy.enabled and policy.check_interval is None
         # note_change runs on every queue/cubicle mutation, so it reads
         # these cached references
-        self._entry_q = queues.entry._q
-        self._ret_q = queues.ret._q
-        self._help_q = queues.help._q
+        self._entry_q = queues.entry
+        self._ret_q = queues.ret
+        self._help_q = queues.help
         self._te = policy.threshold_entry
         self._tr = policy.threshold_return
         self._th = policy.threshold_help

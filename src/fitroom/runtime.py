@@ -1,10 +1,10 @@
 """Pieces both store models share verbatim: the customer record, the event
-loop, each run's random draws, the steps both models take, waiting lines,
-the staff's service-order rule, occupancy/busy-time accounting, and run
-metrics.
+loop, each run's draw readers, the steps both models take, the three queues
+(plain deques of customers), the staff's service-order rule,
+occupancy/busy-time accounting, and run metrics.
 
-Keeping these identical (not merely similar) is what lets a deterministic
-scenario produce byte-for-byte the same trace from either model.
+Keeping these identical (not merely similar) is what lets any scenario
+produce byte-for-byte the same trace from either model.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .proactive import ServiceTimeTable, SpeedupController
 from .stats import RunMetrics
 
 # customer dispositions
-IN_SYSTEM, SERVED, RENEGED, CLOSED = 0, 1, 2, 3
+IN_SYSTEM, SERVED, RENEGED = 0, 1, 2
 
 JOB1, JOB2, JOB3 = 1, 2, 3
 
@@ -49,51 +49,14 @@ class Customer:
     """What the shared steps read and write of a customer; each model's
     customer adds its own fields."""
 
-    __slots__ = ("id", "joined_at", "in_queue", "wait", "disposition",
-                 "fit_remaining")
+    __slots__ = ("id", "joined_at", "wait", "disposition", "fit_remaining")
 
     def __init__(self, cid: int, now: float) -> None:
         self.id = cid
         self.joined_at = now
-        self.in_queue = False
         self.wait = 0.0
         self.disposition = IN_SYSTEM
         self.fit_remaining = 0.0
-
-
-class CellDraws:
-    """One run's readers of its replication's draws, one per stream the
-    models read, each from the stream's first draw.
-
-    Runs of the same replication (other models, load levels or policies)
-    pass the same ``shared`` ReplicationDraws, so each number is drawn once;
-    a run on its own gets a private one.  Either way a run reads the same
-    numbers.  ``patience`` is None for infinite patience and ``poll`` is
-    None unless the policy polls.
-    """
-
-    __slots__ = ("arrival", "job", "fitting", "help", "patience", "revert", "poll")
-
-    def __init__(self, cfg, replication: int,
-                 shared: Optional[ReplicationDraws] = None) -> None:
-        if shared is None:
-            shared = ReplicationDraws(replication)
-        elif shared.replication != replication:
-            raise ValueError(f"draws of replication {shared.replication} "
-                             f"passed to replication {replication}")
-        seed = cfg.master_seed
-        values = shared.values
-        self.arrival = shared.arrivals(seed, cfg.arrival)
-        self.job = (values(seed, "job1", cfg.job1), values(seed, "job2", cfg.job2),
-                    values(seed, "job3", cfg.job3))
-        self.fitting = values(seed, "fitting", cfg.fitting)
-        self.help = shared.uniforms(seed, "help")
-        self.patience = (None if cfg.patience is None
-                         else values(seed, "patience", cfg.patience))
-        policy = cfg.proactive
-        self.revert = values(seed, "revert", policy.revert_delay)
-        self.poll = (None if policy.check_interval is None
-                     else values(seed, "poll", policy.check_interval))
 
 
 class Replication:
@@ -112,15 +75,32 @@ class Replication:
     (``next_arrival``) and the single staff member's job completion
     (``pending_job``).  Both are stamped by the calendar, so the loop
     handles every event in the (time, seq) order one heap would.
+
+    Each stream's reader, from its first draw, is kept where it is read:
+    job durations in ``table``, revert delays and poll intervals in
+    ``ctl``, the rest here (``patience`` is None if patience is infinite).
+    Runs of one replication share its ``draws``, so each number is drawn
+    once; a run alone makes its own and reads the same numbers.
     """
 
-    __slots__ = ("cfg", "draws", "cal", "queues", "tm", "customers", "msgs",
-                 "table", "ctl", "note", "next_arrival", "pending_job",
-                 "__weakref__")
+    __slots__ = ("cfg", "arrivals", "patience", "fitting", "help_draws", "cal",
+                 "queues", "tm", "customers", "msgs", "table", "ctl", "note",
+                 "next_arrival", "pending_job", "__weakref__")
 
     def __init__(self, cfg, replication: int, trace: Optional[list] = None,
                  draws: Optional[ReplicationDraws] = None) -> None:
-        d = self.draws = CellDraws(cfg, replication, draws)
+        if draws is None:
+            draws = ReplicationDraws(replication)
+        elif draws.replication != replication:
+            raise ValueError(f"draws of replication {draws.replication} "
+                             f"passed to replication {replication}")
+        seed = cfg.master_seed
+        values = draws.values
+        self.arrivals = draws.arrivals(seed, cfg.arrival)
+        self.patience = (None if cfg.patience is None
+                         else values(seed, "patience", cfg.patience))
+        self.fitting = values(seed, "fitting", cfg.fitting)
+        self.help_draws = draws.uniforms(seed, "help")
         self.cfg = cfg
         self.cal = EventCalendar()
         self.queues = QueueSet()
@@ -129,9 +109,15 @@ class Replication:
         self.msgs: deque = deque()
         self.next_arrival = NEVER
         self.pending_job = NEVER
-        self.table = ServiceTimeTable(*d.job, cfg.speedup_fraction)
-        self.ctl = SpeedupController(cfg.proactive, self.table, self.cal,
-                                     self.queues, d.revert, d.poll, self.tm)
+        self.table = ServiceTimeTable(
+            values(seed, "job1", cfg.job1), values(seed, "job2", cfg.job2),
+            values(seed, "job3", cfg.job3), cfg.speedup_fraction)
+        policy = cfg.proactive
+        poll = policy.check_interval
+        self.ctl = SpeedupController(
+            policy, self.table, self.cal, self.queues,
+            values(seed, "revert", policy.revert_delay),
+            None if poll is None else values(seed, "poll", poll), self.tm)
         # the models notify the policy of every queue or cubicle change only
         # while it is event-driven; bound once, None otherwise
         self.note = self.ctl.note_change if self.ctl.event_driven else None
@@ -148,7 +134,7 @@ class Replication:
         handlers = self.handlers()
         handlers.update(self.ctl.handlers())
         self.ctl.start()
-        first = self.draws.arrival()
+        first = self.arrivals()
         if first is not None:
             self.next_arrival = cal.stamp(first, EV_ARRIVAL)
         # the loop pops the calendar's heap itself; cal.now must stay in
@@ -192,24 +178,23 @@ class Replication:
         sequence number; the model then takes ``c`` in.  A patience timer
         stays on the heap after its customer's entry service begins and
         does nothing when it pops."""
-        d = self.draws
         self.customers.append(c)
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_ARRIVAL, c.id))
-        if d.patience is not None:
-            self.cal.schedule(now + d.patience(), EV_PATIENCE, c)
-        nxt = d.arrival()
+        if self.patience is not None:
+            self.cal.schedule(now + self.patience(), EV_PATIENCE, c)
+        nxt = self.arrivals()
         if nxt is not None:
             self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
 
-    def start_job(self, job: int, line: WaitingLine, now: float, kind: str):
+    def start_job(self, job: int, line: deque, now: float, kind: str):
         """Start the staff on ``job`` for the head of ``line``, who is
         returned; the job's completion is an event of ``kind``."""
         if self.pending_job is not NEVER:
             raise ModelError(f"cannot stamp {kind!r}: the staff's "
                              f"{self.pending_job[2]!r} is still pending")
-        c = line.pop_head()
+        c = line.popleft()
         c.wait += now - c.joined_at
         if self.note is not None:
             self.note(now)
@@ -225,10 +210,9 @@ class Replication:
     def start_fitting(self, c: Customer, now: float, helped: bool) -> None:
         """Start ``c``'s fitting; one who wants help (``helped``, the
         model's own coin flip) is due to ask for it partway through."""
-        d = self.draws
-        fit = d.fitting()
+        fit = self.fitting()
         if helped:
-            frac = self.cfg.help_fraction.sample(d.help)
+            frac = self.cfg.help_fraction.sample(self.help_draws)
             c.fit_remaining = fit * (1.0 - frac)
             self.cal.schedule(now + fit * frac, EV_HELP_DUE, c)
         else:
@@ -244,39 +228,14 @@ class Replication:
 
     def finalize(self, horizon: float) -> RunMetrics:
         """Close the day: stop the clocks, charge customers still queued for
-        their unfinished wait, mark everyone still inside as closed out,
-        and fold the run into its metrics."""
+        their unfinished wait, and fold the run into its metrics."""
         self.tm.flush(horizon)
-        for c in self.customers:
-            if c.in_queue:
+        q = self.queues
+        for line in (q.entry, q.help, q.ret):
+            for c in line:
                 c.wait += horizon - c.joined_at
-            if c.disposition == IN_SYSTEM:
-                c.disposition = CLOSED
         return build_metrics(self.customers, self.tm, self.ctl.change_count,
                              horizon, self.cfg.wait_estimator)
-
-
-class WaitingLine:
-    """FIFO queue that stamps entities with their join time."""
-
-    __slots__ = ("_q",)
-
-    def __init__(self) -> None:
-        self._q: deque = deque()
-
-    def join(self, c, now: float) -> None:
-        c.joined_at = now
-        c.in_queue = True
-        self._q.append(c)
-
-    def pop_head(self):
-        c = self._q.popleft()
-        c.in_queue = False
-        return c
-
-    def remove(self, c) -> None:
-        self._q.remove(c)
-        c.in_queue = False
 
 
 class QueueSet:
@@ -285,37 +244,37 @@ class QueueSet:
     __slots__ = ("entry", "help", "ret")
 
     def __init__(self) -> None:
-        self.entry = WaitingLine()
-        self.help = WaitingLine()
-        self.ret = WaitingLine()
+        self.entry: deque = deque()
+        self.help: deque = deque()
+        self.ret: deque = deque()
 
 
-def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, WaitingLine]]:
+def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, deque]]:
     """Pick the staff's next job under global first-come-first-served.
 
     The earliest-joined head across the three queues wins; the entry head
     only competes while a cubicle is free (entry service ends with the
     customer walking into one).  Ties break by customer id, i.e. arrival
-    order.  Returns (job number, line holding the winner) or None.
+    order.  Returns (job number, queue holding the winner) or None.
     """
     best = None
     job = 0
     line = None
-    q = queues.entry._q
+    q = queues.entry
     if cubicle_free and q:
-        best, job, line = q[0], JOB1, queues.entry
-    q = queues.help._q
+        best, job, line = q[0], JOB1, q
+    q = queues.help
     if q:
         c = q[0]
         if (best is None or c.joined_at < best.joined_at
                 or (c.joined_at == best.joined_at and c.id < best.id)):
-            best, job, line = c, JOB2, queues.help
-    q = queues.ret._q
+            best, job, line = c, JOB2, q
+    q = queues.ret
     if q:
         c = q[0]
         if (best is None or c.joined_at < best.joined_at
                 or (c.joined_at == best.joined_at and c.id < best.id)):
-            best, job, line = c, JOB3, queues.ret
+            best, job, line = c, JOB3, q
     if best is None:
         return None
     return job, line
@@ -364,9 +323,10 @@ def build_metrics(customers, telemetry: Telemetry, change_count: int,
                   horizon: float, wait_estimator: str) -> RunMetrics:
     """Fold one finished run into its RunMetrics.
 
-    Callers must already have settled every customer's disposition.  The
-    default wait estimator averages over served customers only; "all" also
-    counts reneged customers' partial waits and waits cut off at closing.
+    A customer is served once their return job ends; one who reneged or
+    was still inside at closing counts as not served.  The default wait estimator averages
+    over served customers only; "all" also counts reneged customers'
+    partial waits and waits cut off at closing.
     """
     served = 0
     not_served = 0

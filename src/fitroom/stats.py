@@ -3,14 +3,11 @@ experiments.
 
 The two-sample test is Mann-Whitney U, two-sided.  Small tie-free samples
 get an exact p-value from the counting recurrence; anything else falls back
-to the normal approximation with continuity and tie corrections.  A separate
-brute-force oracle (full enumeration, no recurrence) exists purely so the
-exact path can be cross-checked.
+to the normal approximation with continuity and tie corrections.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -155,42 +152,6 @@ def mann_whitney_u(a: Sequence[float], b: Sequence[float],
         p = min(1.0, 2.0 * _normal_cdf(z))
     return MannWhitneyResult(u=u_min, p_value=p, method="approx",
                              tie_corrected=ties)
-
-
-def exact_mw_oracle(a: Sequence[float], b: Sequence[float]) -> float:
-    """Two-sided exact p-value by enumerating every rank assignment.
-
-    Deliberately independent of mann_whitney_u's recurrence: it walks all
-    C(n+m, n) splits with itertools and counts directly.  Only usable on
-    tiny tie-free samples (n + m <= 12).
-    """
-    xs = [float(v) for v in a]
-    ys = [float(v) for v in b]
-    if not xs or not ys:
-        raise ValueError("both samples must be non-empty")
-    n, m = len(xs), len(ys)
-    big_n = n + m
-    if big_n > 12:
-        raise ValueError("oracle limited to n + m <= 12")
-    pooled = xs + ys
-    if len(set(pooled)) != big_n:
-        raise ValueError("oracle requires tie-free samples")
-
-    order = sorted(range(big_n), key=pooled.__getitem__)
-    pos_of = [0] * big_n
-    for rank0, idx in enumerate(order):
-        pos_of[idx] = rank0
-    base = n * (n - 1) // 2
-    obs_ua = sum(pos_of[:n]) - base
-    obs_u = min(obs_ua, n * m - obs_ua)
-
-    count = 0
-    total = 0
-    for combo in itertools.combinations(range(big_n), n):
-        total += 1
-        if sum(combo) - base <= obs_u:
-            count += 1
-    return min(1.0, 2.0 * count / total)
 
 
 def decide(label: str, p_value: float, alpha: float = 0.05) -> HypothesisOutcome:

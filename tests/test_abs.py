@@ -220,7 +220,7 @@ def test_simultaneous_events_run_in_stamp_order(model, arrivals, at_three):
     # times an event in a slot and one on the heap go in stamp order
     trace = []
     run = model(served_by_the_clock(), 0, trace=trace)
-    run.draws.arrival = iter(arrivals).__next__
+    run.arrivals = iter(arrivals).__next__
     run.run()
     assert [e for e in trace if e[0] == 3.0] == at_three
 
@@ -235,10 +235,9 @@ def test_starting_a_staff_job(model):
     run = model(cfg, 0, trace=trace)
     run.note = noted.append
     first, second = Customer(0, 1.0), Customer(1, 2.0)
-    run.queues.entry.join(first, 1.0)
-    run.queues.entry.join(second, 2.0)
+    run.queues.entry.extend([first, second])
     assert run.start_job(JOB1, run.queues.entry, 4.0, "job_kind") is first
-    assert first.wait == 3.0 and not first.in_queue
+    assert first.wait == 3.0 and list(run.queues.entry) == [second]
     assert noted == [4.0]
     assert trace == [(4.0, "start_job1", 0)]
     assert run.tm.staff_since == 4.0
@@ -246,7 +245,37 @@ def test_starting_a_staff_job(model):
     # a second job while one is pending is a wiring bug; nobody is served
     with pytest.raises(ModelError, match="still pending"):
         run.start_job(JOB1, run.queues.entry, 5.0, "job_kind")
-    assert second.in_queue and second.wait == 0.0 and noted == [4.0]
+    assert list(run.queues.entry) == [second] and second.wait == 0.0 and noted == [4.0]
+
+
+# the trace labels that start and end a spell in a queue
+_JOINS = {"arrival": "entry", "request_help": "help", "leave_cubicle": "ret"}
+_LEAVES = {"start_job1", "start_job2", "start_job3", "renege"}
+
+
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_waits_cut_off_at_closing_are_charged_in_every_queue(model):
+    # a short, busy day on which everyone wants help ends with someone in
+    # each of the three queues; under the "all" estimator the mean wait is
+    # the one rebuilt from the trace alone, every unfinished spell charged
+    # up to the horizon
+    base = ScenarioConfig(replications=1, master_seed=3, horizon=90.0,
+                          wait_estimator="all", help_probability=1.0)
+    cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
+    trace = []
+    metrics = model(cfg, 0, trace=trace).run()
+    joined, waits = {}, {}
+    for t, label, cid in trace:
+        if label in _JOINS:
+            joined[cid] = (t, _JOINS[label])
+            waits.setdefault(cid, 0.0)
+        elif label in _LEAVES:
+            waits[cid] += t - joined.pop(cid)[0]
+    assert sorted({queue for _, queue in joined.values()}) == ["entry", "help", "ret"]
+    for cid, (t, _) in joined.items():
+        waits[cid] += cfg.horizon - t
+    assert len(waits) == metrics.served + metrics.not_served
+    assert metrics.mean_wait == pytest.approx(sum(waits.values()) / len(waits), rel=1e-12)
 
 
 @pytest.mark.parametrize("model", [DesRun, AbsRun])

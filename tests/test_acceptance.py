@@ -19,7 +19,8 @@ from fitroom.engine import ArrivalProfile, DistributionSpec, RandomStreams, Repl
 from fitroom.harness import SweepSpec, sweep
 from fitroom.proactive import ProactivePolicy, ServiceTimeTable
 from fitroom.runtime import JOB2
-from fitroom.stats import decide, exact_mw_oracle, mann_whitney_u
+from fitroom.stats import decide, mann_whitney_u
+from oracles import exact_mw_oracle
 
 D = DistributionSpec
 

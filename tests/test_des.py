@@ -207,8 +207,7 @@ def queued(heads):
     queues = QueueSet()
     lines = {JOB1: queues.entry, JOB2: queues.help, JOB3: queues.ret}
     for job, cid, t in heads:
-        lines[job].join(Customer(cid, t), t)
-        lines[job].join(Customer(100 + cid, t + 50.0), t + 50.0)
+        lines[job].extend([Customer(cid, t), Customer(100 + cid, t + 50.0)])
     return queues, lines
 
 

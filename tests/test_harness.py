@@ -1,6 +1,7 @@
 """Experiment drivers, report serialization, and the command line."""
 
 import csv
+import errno
 import gc
 import hashlib
 import json
@@ -246,6 +247,27 @@ def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch):
     cfg = tiny_cfg(replications=2)
     assert _execute([("des", cfg)], jobs=8) == [[fake_runner(cfg, 0), fake_runner(cfg, 1)]]
     assert len(forks) == 1  # capped at the replication count
+
+
+@pytest.mark.parametrize("failing", [1, 2])
+def test_a_failed_fork_runs_the_rest_in_the_caller(monkeypatch, capsys, failing):
+    # the process limit is hit at the ``failing``-th fork: the caller runs
+    # that block and every later one itself, and the results do not change
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        if len(forks) == failing:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    cells = [("des", tiny_cfg(replications=5)), ("abs", tiny_cfg(replications=3))]
+    serial = _execute(cells, jobs=1)
+    monkeypatch.setattr(os, "fork", fork)
+    assert _execute(cells, jobs=3) == serial
+    assert len(forks) == failing
+    assert capsys.readouterr().err.count("could not fork") == 1
 
 
 def test_a_childs_error_is_raised_in_the_caller(monkeypatch):
@@ -686,3 +708,45 @@ def test_cli_on_one_cpu_runs_in_process_with_the_same_bytes():
     assert free.returncode == 0, free.stderr
     serial = compare_experiments(replace(ScenarioConfig(master_seed=11), replications=3))
     assert pinned.stdout == free.stdout == emit_report(serial, "json")
+
+
+_FORK_FAILS_CLI = """
+import errno, os, sys
+from fitroom import cli
+
+def fork():
+    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+os.fork = fork
+cli._cpu_count = lambda: 3
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_whose_forks_fail_prints_the_serial_report():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    args = ["run", "--model", "both", "--seed", "11", "--replications", "3"]
+    done = subprocess.run([sys.executable, "-c", _FORK_FAILS_CLI, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    serial = run_report(replace(ScenarioConfig(master_seed=11), replications=3))
+    assert done.stdout == emit_report(serial)
+    assert done.stderr.count("could not fork") == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="the platform has no /proc/self/task")
+def test_importing_the_cli_starts_no_thread():
+    # the runner forks from the CLI's process; a fork of a process with
+    # more than one thread is unsafe, and deprecated from Python 3.12 on
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import os, fitroom.cli; print(len(os.listdir('/proc/self/task')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"

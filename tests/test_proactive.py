@@ -22,15 +22,15 @@ from helpers import pop_event
 
 
 class Walkin:
-    """Bare queueable body; WaitingLine stamps the rest on."""
+    """Bare queueable body; the trigger reads only queue lengths."""
 
     def __init__(self, cid):
         self.id = cid
 
 
-def fill(line, count, now=0.0):
+def fill(line, count):
     for i in range(count):
-        line.join(Walkin(i), now)
+        line.append(Walkin(i))
 
 
 def job_readers(*specs, seed=7):

@@ -10,10 +10,10 @@ from fitroom.stats import (
     HypothesisOutcome,
     RunMetrics,
     decide,
-    exact_mw_oracle,
     mann_whitney_u,
     summarize,
 )
+from oracles import exact_mw_oracle
 
 
 # --- summarize ---------------------------------------------------------------

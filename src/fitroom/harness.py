@@ -22,7 +22,7 @@ import pickle
 import signal
 import sys
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO, NamedTuple, Optional, Sequence
+from typing import BinaryIO, Optional, Sequence
 from zlib import crc32
 
 import numpy as np
@@ -103,37 +103,35 @@ def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
     the first block itself and a forked child runs each other one.  Every
     replication seeds itself from (master seed, replication, purpose), and
     the blocks are joined in replication order, so the results are the
-    same for any ``jobs``.  If a fork fails (the process limit is reached,
-    say), this process runs that block and every later one itself, after
-    its own, and says so once on stderr.  A child's exception is raised
-    here, from the child's traceback; if this process fails, it kills its
-    children first.
+    same for any ``jobs``, and any process can run any block.
+
+    So a block that does not come back is run here: one whose fork failed
+    (then no later fork is tried, and stderr says so once), and one whose
+    child exited non-zero or was killed (stderr names the child and its
+    block).  A child that raised exits 1, and this process's run of its
+    block raises the error again, with a local traceback.  If this process
+    fails while children run, it kills them first.
     """
     n = max((cfg.replications for _, cfg in cells), default=0)
     jobs = max(1, min(jobs, n))
     cuts = [n * k // jobs for k in range(jobs + 1)]
+    blocks = [range(cuts[k], cuts[k + 1]) for k in range(jobs)]
     children: list[tuple[int, BinaryIO]] = []
-    rest = range(n, n)  # the blocks no child took
+    codes: list[int] = []
     try:
-        for k in range(1, jobs):
+        for reps in blocks[1:]:
             try:
-                children.append(_fork_block(cells, range(cuts[k], cuts[k + 1])))
+                children.append(_fork_block(cells, reps))
             except OSError as exc:
-                rest = range(cuts[k], n)
                 print(f"fitroom: could not fork a replication worker ({exc}); "
                       f"running the remaining replications in this process",
                       file=sys.stderr)
                 break
-        results = _run_chunk(cells, range(cuts[0], cuts[1]))
-        tail = _run_chunk(cells, rest)
+        results = _run_chunk(cells, blocks[0])
         # each pipe is read to EOF before its child is waited for: a block's
         # results can outgrow the pipe's buffer, and the child cannot exit
         # until they are read
-        for pid, pipe in children:
-            for out, block in zip(results, _receive(pid, pipe)):
-                out.extend(block)
-        for out, block in zip(results, tail):
-            out.extend(block)
+        sent = [pipe.read() for _, pipe in children]
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -141,14 +139,28 @@ def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
     finally:
         for pid, pipe in children:
             pipe.close()
-            os.waitpid(pid, 0)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for k, reps in enumerate(blocks[1:]):
+        if k < len(children) and codes[k] == 0:
+            block = pickle.loads(sent[k])  # written by our own child
+        else:
+            if k < len(children):
+                code = codes[k]
+                how = (f"was killed by signal {-code}" if code < 0
+                       else f"exited with code {code}")
+                print(f"fitroom: replication worker {children[k][0]} "
+                      f"(replications {reps.start}-{reps.stop - 1}) {how}; "
+                      f"running its replications in this process", file=sys.stderr)
+            block = _run_chunk(cells, reps)
+        for out, part in zip(results, block):
+            out.extend(part)
     return results
 
 
 def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
-    """Fork a child that runs ``reps`` of every cell and writes the pickled
-    results, or a ``_ChildFailure`` for the exception it raised, to a pipe;
-    returns the child's pid and the pipe's read end."""
+    """Fork a child that runs ``reps`` of every cell, writes the pickled
+    results to a pipe and exits 0; on any exception it exits 1 having
+    written nothing.  Returns the child's pid and the pipe's read end."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -162,11 +174,7 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
         code = 1
         try:
             os.close(r)
-            try:
-                out = _run_chunk(cells, reps)
-            except BaseException as exc:
-                out = _child_failure(exc)
-            data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(_run_chunk(cells, reps), pickle.HIGHEST_PROTOCOL)
             with os.fdopen(w, "wb") as pipe:
                 pipe.write(data)
             code = 0
@@ -174,48 +182,6 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
             os._exit(code)
     os.close(w)
     return pid, os.fdopen(r, "rb")
-
-
-class _RemoteTraceback(Exception):
-    """The text of a child's traceback.  A child's exception is raised from
-    one, so the traceback of the line that failed prints above the
-    caller's."""
-
-
-class _ChildFailure(NamedTuple):
-    """What a child sends in place of its results when it fails: the
-    exception and its formatted traceback."""
-
-    exc: BaseException
-    tb: str
-
-
-def _child_failure(exc: BaseException) -> _ChildFailure:
-    """Package ``exc`` for the pipe.  An exception that does not survive a
-    pickle round trip is replaced by a RuntimeError naming it; the
-    traceback text comes back either way."""
-    import traceback  # only a failing child needs it; the CLI starts without it
-
-    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-    try:
-        pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
-    except Exception:
-        last = traceback.format_exception_only(type(exc), exc)[-1].strip()
-        exc = RuntimeError(f"a replication worker raised an exception that "
-                           f"cannot be sent back: {last}")
-    return _ChildFailure(exc, f'\n"""\n{tb}"""')
-
-
-def _receive(pid: int, pipe: BinaryIO) -> list[list[RunMetrics]]:
-    """A child's block of results, read to EOF; raises what it raised, from
-    its traceback."""
-    data = pipe.read()
-    if not data:
-        raise RuntimeError(f"replication worker {pid} exited without its results")
-    out = pickle.loads(data)  # written by our own child
-    if isinstance(out, _ChildFailure):
-        raise out.exc from _RemoteTraceback(out.tb)
-    return out
 
 
 def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetrics]:
@@ -339,12 +305,14 @@ _HYPOTHESES = (
     ("H04", "abs", "staff_util"),
 )
 
+# every hypothesis is decided at this significance level
+ALPHA = 0.05
+
 
 def compare_experiments(
     config: ScenarioConfig,
     model: str = "both",
     independent: bool = False,
-    alpha: float = 0.05,
     jobs: int = 1,
 ) -> ExperimentReport:
     """A/B comparison of the speed-up policy at the configured load, on
@@ -370,7 +338,7 @@ def compare_experiments(
         if m in models:
             a = [getattr(x, measure) for x in runs[m, 1]]
             b = [getattr(x, measure) for x in runs[m, 2]]
-            hyps.append(decide(label, mann_whitney_u(a, b).p_value, alpha))
+            hyps.append(decide(label, mann_whitney_u(a, b).p_value, ALPHA))
     return ExperimentReport(rows=tuple(rows), hypotheses=tuple(hyps))
 
 

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -270,18 +271,26 @@ def test_a_failed_fork_runs_the_rest_in_the_caller(monkeypatch, capsys, failing)
     assert capsys.readouterr().err.count("could not fork") == 1
 
 
-def test_a_childs_error_is_raised_in_the_caller(monkeypatch):
+def assert_no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_childs_error_is_raised_in_the_caller(monkeypatch, capsys):
+    # the child's block fails there, so the caller runs it again, and the
+    # same replication fails again here
     def fail_last(cfg, rep, draws=None):
         if rep == cfg.replications - 1:
             raise ModelError(f"replication {rep} broke in process {os.getpid()}")
         return run_des(cfg, rep, draws=draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", fail_last)
-    with pytest.raises(ModelError, match=r"^replication 3 broke in process \d+$") as err:
+    with pytest.raises(ModelError, match=rf"^replication 3 broke in process {os.getpid()}$"):
         _execute([("des", tiny_cfg())], jobs=2)
-    assert not err.value.args[0].endswith(f" {os.getpid()}")  # raised in the child
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    err = capsys.readouterr().err
+    assert err.count("fitroom: replication worker") == 1
+    assert "(replications 2-3) exited with code 1" in err
+    assert_no_child_is_left()
 
 
 def test_a_childs_error_chains_the_childs_traceback(monkeypatch):
@@ -293,9 +302,6 @@ def test_a_childs_error_chains_the_childs_traceback(monkeypatch):
     monkeypatch.setitem(harness._RUNNERS, "des", broken_replication)
     with pytest.raises(ModelError, match="^replication broke$") as err:
         _execute([("des", tiny_cfg())], jobs=2)
-    cause = err.value.__cause__
-    assert isinstance(cause, harness._RemoteTraceback)
-    assert "in broken_replication" in str(cause)
     assert "in broken_replication" in "".join(traceback.format_exception(
         type(err.value), err.value, err.value.__traceback__))
 
@@ -318,19 +324,61 @@ class HoldsALambda(Exception):
 @pytest.mark.parametrize("make", [lambda: RebuiltWrong("broke", "rep 3"),
                                   lambda: HoldsALambda("broke")],
                          ids=["rebuilt_wrong", "holds_a_lambda"])
-def test_an_unpicklable_error_comes_back_as_a_runtime_error(monkeypatch, make):
+def test_an_unpicklable_error_is_raised_as_itself(monkeypatch, make):
+    # nothing crosses the pipe but results, so an exception that cannot be
+    # pickled keeps its type: the caller's own run raises it
     def unsendable_replication(cfg, rep, draws=None):
         if rep == cfg.replications - 1:
             raise make()
         return run_des(cfg, rep, draws=draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", unsendable_replication)
-    with pytest.raises(RuntimeError, match="cannot be sent back: .*broke") as err:
+    with pytest.raises((RebuiltWrong, HoldsALambda), match="broke") as err:
         _execute([("des", tiny_cfg())], jobs=2)
-    assert type(err.value) is RuntimeError
-    assert "in unsendable_replication" in str(err.value.__cause__)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert type(err.value) is type(make())
+    assert_no_child_is_left()
+
+
+def exit_9():
+    os._exit(9)
+
+
+def kill_myself():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_an_error():
+    raise ModelError("broke in a child only")
+
+
+@pytest.mark.parametrize("die, how", [(exit_9, "exited with code 9"),
+                                      (kill_myself, f"was killed by signal {signal.SIGKILL:d}"),
+                                      (raise_an_error, "exited with code 1")],
+                         ids=["exit_9", "sigkill", "raises"])
+def test_a_block_whose_child_dies_is_run_in_the_caller(monkeypatch, capsys, die, how):
+    # a child killed, out of memory or failing costs time, not the results:
+    # the caller runs each lost block itself and names it on stderr
+    caller = os.getpid()
+    runners = dict(harness._RUNNERS)
+
+    def dies_in_a_child(model):
+        def runner(cfg, rep, draws=None):
+            if os.getpid() != caller:
+                die()
+            return runners[model](cfg, rep, draws=draws)
+        return runner
+
+    cells = [("des", tiny_cfg(replications=5)), ("abs", tiny_cfg(replications=3))]
+    serial = _execute(cells, jobs=1)
+    for model in runners:
+        monkeypatch.setitem(harness._RUNNERS, model, dies_in_a_child(model))
+    assert _execute(cells, jobs=3) == serial
+    notes = capsys.readouterr().err.splitlines()
+    assert len(notes) == 2
+    for note, reps in zip(notes, ("1-2", "3-4")):
+        assert note.startswith("fitroom: replication worker ")
+        assert f"(replications {reps}) {how}; " in note
+    assert_no_child_is_left()
 
 
 @pytest.mark.parametrize("fails", [False, True])
@@ -383,8 +431,7 @@ def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch):
     with pytest.raises(ModelError, match="the caller's block broke"):
         _execute([("des", tiny_cfg())], jobs=3)
     assert time.monotonic() - start < 30  # the children were killed, not waited out
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_is_left()
 
 
 _TRACED_SWEEP = """
@@ -734,6 +781,40 @@ def test_cli_whose_forks_fail_prints_the_serial_report():
     serial = run_report(replace(ScenarioConfig(master_seed=11), replications=3))
     assert done.stdout == emit_report(serial)
     assert done.stderr.count("could not fork") == 1
+
+
+_CHILDREN_DIE_CLI = """
+import os, sys
+from fitroom import cli, harness
+
+caller = os.getpid()
+run_chunk = harness._run_chunk
+
+def run_chunk_or_die(cells, reps):
+    if os.getpid() != caller:
+        os._exit(9)  # as a child killed for memory would, without its results
+    return run_chunk(cells, reps)
+
+harness._run_chunk = run_chunk_or_die
+cli._cpu_count = lambda: 3
+raise SystemExit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_cli_whose_children_die_prints_the_serial_report():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    args = ["run", "--model", "both", "--seed", "11", "--replications", "3"]
+    done = subprocess.run([sys.executable, "-c", _CHILDREN_DIE_CLI, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    serial = run_report(replace(ScenarioConfig(master_seed=11), replications=3))
+    assert done.stdout == emit_report(serial)
+    notes = done.stderr.splitlines()
+    assert len(notes) == 2
+    assert all(n.startswith("fitroom: replication worker ") and "exited with code 9" in n
+               for n in notes)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),

@@ -293,7 +293,8 @@ class ReplicationDraws:
     day's arrival times are worked out once per arrival profile.  Every
     reader starts at its stream's first draw, so a cell reads exactly the
     numbers a private stream would deal it.  Everything drawn is kept
-    until ``close``, so the object should serve one replication only.
+    while the object or any of its readers lives, so the object should
+    serve one replication only.
     """
 
     __slots__ = ("replication", "_streams", "_blocks", "_days")
@@ -320,18 +321,6 @@ class ReplicationDraws:
                  profile: ArrivalProfile) -> Callable[[], Optional[float]]:
         """The day's arrival times in order, then None, one per call."""
         return chain.from_iterable(self._day(seed, profile)).__next__
-
-    def close(self) -> None:
-        """Let go of everything drawn, even while a run that raised still
-        holds a reader; the runner empties the object at the end of its
-        replication rather than rely on every run being freed."""
-        for blocks in self._blocks.values():
-            blocks.clear()
-        for times in self._days.values():
-            times.clear()
-        self._blocks.clear()
-        self._days.clear()
-        self._streams.clear()
 
     def _day(self, seed: int, profile: ArrivalProfile) -> Iterator[list]:
         key = (seed, profile)

@@ -87,7 +87,7 @@ def _run_chunk(cells: Sequence[Cell], reps: range) -> list[list[RunMetrics]]:
             for fn, cfg, out in runners:
                 if rep < cfg.replications:
                     out.append(fn(cfg, rep, draws=draws))
-            draws.close()
+            del draws
     finally:
         if was_enabled:
             gc.enable()
@@ -305,9 +305,6 @@ _HYPOTHESES = (
     ("H04", "abs", "staff_util"),
 )
 
-# every hypothesis is decided at this significance level
-ALPHA = 0.05
-
 
 def compare_experiments(
     config: ScenarioConfig,
@@ -338,7 +335,7 @@ def compare_experiments(
         if m in models:
             a = [getattr(x, measure) for x in runs[m, 1]]
             b = [getattr(x, measure) for x in runs[m, 2]]
-            hyps.append(decide(label, mann_whitney_u(a, b).p_value, ALPHA))
+            hyps.append(decide(label, mann_whitney_u(a, b)))
     return ExperimentReport(rows=tuple(rows), hypotheses=tuple(hyps))
 
 

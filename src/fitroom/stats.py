@@ -2,15 +2,14 @@
 experiments.
 
 The two-sample test is Mann-Whitney U, two-sided.  Small tie-free samples
-get an exact p-value from the counting recurrence; anything else falls back
-to the normal approximation with continuity and tie corrections.
+get an exact p-value from the null distribution of U; anything else falls
+back to the normal approximation with continuity and tie corrections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from statistics import fmean, median, stdev
 from typing import Sequence
 
@@ -48,14 +47,6 @@ def summarize(sample: Sequence[float]) -> SummaryStats:
 
 
 @dataclass(frozen=True)
-class MannWhitneyResult:
-    u: float
-    p_value: float
-    method: str  # "exact" or "approx"
-    tie_corrected: bool
-
-
-@dataclass(frozen=True)
 class HypothesisOutcome:
     label: str
     p_value: float
@@ -85,79 +76,62 @@ def _ranks(pooled: Sequence[float]) -> tuple[list[float], float]:
     return ranks, tie_term
 
 
-@lru_cache(maxsize=None)
-def _count_u(n: int, m: int, u: int) -> int:
-    """Number of n-vs-m rank assignments whose U statistic equals u."""
-    if u < 0 or u > n * m:
-        return 0
-    if n == 0 or m == 0:
-        return 1  # u must be 0 here, the range check above did the rest
-    return _count_u(n - 1, m, u - m) + _count_u(n, m - 1, u)
-
-
-def _exact_two_sided(u_min: int, n: int, m: int) -> float:
-    total = math.comb(n + m, n)
-    below = sum(_count_u(n, m, k) for k in range(u_min + 1))
-    return min(1.0, 2.0 * below / total)
+def _u_counts(n: int, m: int) -> list[int]:
+    """How many of the C(n+m, n) equally likely orderings of an n- and an
+    m-sample give each U = 0..n*m: the coefficients of the Gaussian binomial
+    [n+m, n] in q, built as the product over k = 1..min(n, m) of
+    (1 - q^(max(n, m) + k)) / (1 - q^k).  Terms past q^(n*m) are dropped
+    along the way; the product is a polynomial of that degree, so none of
+    them counts."""
+    size = n * m + 1
+    counts = [1] + [0] * (size - 1)
+    for k in range(1, min(n, m) + 1):
+        j = max(n, m) + k
+        for i in range(size - 1, j - 1, -1):  # times (1 - q^j)
+            counts[i] -= counts[i - j]
+        for i in range(k, size):  # divided by (1 - q^k)
+            counts[i] += counts[i - k]
+    return counts
 
 
 def _normal_cdf(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def mann_whitney_u(a: Sequence[float], b: Sequence[float],
-                   method: str = "auto") -> MannWhitneyResult:
-    """Two-sided Mann-Whitney U test.
-
-    ``method`` is normally left at "auto": exact when min(n, m) <= 8 and the
-    pooled sample is tie-free, the corrected normal approximation otherwise.
-    Forcing "exact" on larger tie-free samples is supported (it is how the
-    approximation gets validated) but slow.
-    """
+def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> float:
+    """Two-sided p-value of the Mann-Whitney U test: exact when
+    min(n, m) <= 8 and the pooled sample is tie-free, the corrected normal
+    approximation otherwise."""
     xs = [float(v) for v in a]
     ys = [float(v) for v in b]
     if not xs or not ys:
         raise ValueError("both samples must be non-empty")
     n, m = len(xs), len(ys)
     ranks, tie_term = _ranks(xs + ys)
-    ties = tie_term > 0.0
     r_a = sum(ranks[:n])
     u_a = r_a - n * (n + 1) / 2.0
     u_b = n * m - u_a
     u_min = min(u_a, u_b)
 
-    if method == "auto":
-        use_exact = min(n, m) <= 8 and not ties
-    elif method == "exact":
-        if ties:
-            raise ValueError("exact method requires tie-free samples")
-        use_exact = True
-    elif method == "approx":
-        use_exact = False
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
-    if use_exact:
-        p = _exact_two_sided(int(round(u_min)), n, m)
-        return MannWhitneyResult(u=u_min, p_value=p, method="exact",
-                                 tie_corrected=False)
+    if min(n, m) <= 8 and tie_term == 0.0:
+        below = sum(_u_counts(n, m)[:int(round(u_min)) + 1])
+        return min(1.0, 2.0 * below / math.comb(n + m, n))
 
     big_n = n + m
     mu = n * m / 2.0
     var = n * m / 12.0 * ((big_n + 1.0) - tie_term / (big_n * (big_n - 1.0)))
     if var <= 0.0:
-        p = 1.0  # pooled sample is one big tie group; no evidence either way
-    else:
-        z = (u_min - mu + 0.5) / math.sqrt(var)
-        p = min(1.0, 2.0 * _normal_cdf(z))
-    return MannWhitneyResult(u=u_min, p_value=p, method="approx",
-                             tie_corrected=ties)
+        return 1.0  # pooled sample is one big tie group; no evidence either way
+    z = (u_min - mu + 0.5) / math.sqrt(var)
+    return min(1.0, 2.0 * _normal_cdf(z))
 
 
-def decide(label: str, p_value: float, alpha: float = 0.05) -> HypothesisOutcome:
-    """Reject the named null hypothesis iff p < alpha (strict)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    decision = "reject" if p_value < alpha else "fail-to-reject"
-    return HypothesisOutcome(label=label, p_value=p_value, alpha=alpha,
+# every hypothesis is decided at this significance level
+ALPHA = 0.05
+
+
+def decide(label: str, p_value: float) -> HypothesisOutcome:
+    """Reject the named null hypothesis iff p < ALPHA (strict)."""
+    decision = "reject" if p_value < ALPHA else "fail-to-reject"
+    return HypothesisOutcome(label=label, p_value=p_value, alpha=ALPHA,
                              decision=decision)

@@ -8,7 +8,7 @@ from typing import Sequence
 def exact_mw_oracle(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided exact p-value by enumerating every rank assignment.
 
-    Deliberately independent of mann_whitney_u's recurrence: it walks all
+    Deliberately independent of mann_whitney_u's exact count: it walks all
     C(n+m, n) splits with itertools and counts directly.  Only usable on
     tiny tie-free samples (n + m <= 12).
     """

@@ -466,16 +466,3 @@ def test_arrivals_are_worked_out_once_per_profile(opened_streams):
         assert arrival_day(draws.arrivals(11, profile)) == want[profile]
     assert opened_streams == [(11, "arrivals", 4)]
 
-
-def test_close_lets_go_of_every_draw(dealt_blocks, gc_disabled):
-    # readers still held (as a finished agent-model run holds them) must
-    # not keep the draws alive once the replication is closed
-    draws = ReplicationDraws(0)
-    readers = [draws.values(1, "job1", DistributionSpec.uniform(0.0, 1.0)),
-               draws.uniforms(1, "help").uniform,
-               draws.arrivals(1, ArrivalProfile((60.0,) * 8))]
-    for read in readers:
-        read()
-    assert len(dealt_blocks) == 3
-    draws.close()
-    assert [ref() for _, ref in dealt_blocks] == [None] * 3

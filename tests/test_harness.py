@@ -143,8 +143,8 @@ def test_a_degenerate_day_opens_only_the_arrival_stream(opened_streams):
 
 def test_each_replications_draws_are_let_go_before_the_next(
         monkeypatch, dealt_blocks, gc_disabled):
-    # with the cycle collector off, finished agent-model runs stay in memory
-    # holding their readers; the runner must still free the draws they read
+    # with the cycle collector off, reference counting alone must free a
+    # replication's draws once the runner drops it and its finished runs
     seen_alive = []
     real_init = ReplicationDraws.__init__
 

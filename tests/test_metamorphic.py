@@ -8,6 +8,7 @@ defect in a step both models share.
 """
 
 from dataclasses import replace
+from itertools import accumulate
 
 import pytest
 
@@ -15,7 +16,8 @@ from fitroom.abs import run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import run_des
 from fitroom.engine import DistributionSpec
-from fitroom.proactive import L_SPEEDUP
+from fitroom.proactive import L_REVERT, L_SPEEDUP
+from fitroom.runtime import L_ENTER, L_LEAVE
 
 MODELS = {"des": run_des, "abs": run_abs}
 CHECKS = {"event": None, "polling": DistributionSpec.exponential(0.5)}
@@ -69,3 +71,46 @@ def test_thresholds_no_queue_reaches_turn_the_policy_off(model, check):
             t_on, t_off = [], []
             assert run(unreachable, rep, trace=t_on) == run(off, rep, trace=t_off)
             assert t_on == t_off, f"rep {rep}"
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_a_speedup_of_nothing_is_the_policy_off(model, check):
+    run = MODELS[model]
+    for rep, cfg in enumerate(scenarios(CHECKS[check])):
+        t_on, t_off = [], []
+        on = run(replace(cfg, speedup_fraction=0.0), rep, trace=t_on)
+        off = run(replace(cfg, proactive=replace(cfg.proactive, enabled=False)),
+                  rep, trace=t_off)
+        assert on.service_time_changes > 0, f"rep {rep}: the policy never acted"
+        assert replace(on, service_time_changes=0) == off
+        assert [e for e in t_on if e[1] not in (L_SPEEDUP, L_REVERT)] == t_off, f"rep {rep}"
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_cubicles_no_day_fills_change_nothing(model, check):
+    run = MODELS[model]
+    for rep, cfg in enumerate(scenarios(CHECKS[check])):
+        t_wide = []
+        wide = run(replace(cfg, cubicles=10_000), rep, trace=t_wide)
+        steps = [{L_ENTER: 1, L_LEAVE: -1}.get(label, 0) for _, label, _ in t_wide]
+        peak = max(accumulate(steps, initial=0))
+        for cubicles in (peak + 1, peak + 7):
+            t_narrow = []
+            narrow = run(replace(cfg, cubicles=cubicles), rep, trace=t_narrow)
+            assert replace(narrow, cubicle_util=wide.cubicle_util) == wide
+            assert t_narrow == t_wide, f"rep {rep}, {cubicles} cubicles"
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+@pytest.mark.parametrize("model", sorted(MODELS))
+def test_patience_that_never_runs_out_is_infinite_patience(model, check):
+    run = MODELS[model]
+    for rep, cfg in enumerate(scenarios(CHECKS[check])):
+        t_inf, t_long = [], []
+        infinite = run(replace(cfg, patience=None), rep, trace=t_inf)
+        long = run(replace(cfg, patience=DistributionSpec.deterministic(10**6)),
+                   rep, trace=t_long)
+        assert infinite == long
+        assert t_inf == t_long, f"rep {rep}"

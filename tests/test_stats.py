@@ -9,6 +9,7 @@ import pytest
 from fitroom.stats import (
     HypothesisOutcome,
     RunMetrics,
+    _u_counts,
     decide,
     mann_whitney_u,
     summarize,
@@ -45,36 +46,65 @@ def test_summarize_rejects_empty():
 # --- mann-whitney ------------------------------------------------------------
 
 
+def pairwise_u(a, b):
+    """min(Ua, Ub), with Ua counted pair by pair (tie-free samples)."""
+    u_a = sum(x > y for x in a for y in b)
+    return min(u_a, len(a) * len(b) - u_a)
+
+
+def subset_sum_p(a, b):
+    """Exact two-sided p-value of a tie-free pair of samples: count the
+    n-subsets of the ranks 0..n+m-1 whose U is at most the observed one,
+    by a table over (subset size, rank sum)."""
+    n, m = len(a), len(b)
+    ways = [[0] * (n * (n + m) + 1) for _ in range(n + 1)]
+    ways[0][0] = 1
+    for rank in range(n + m):
+        for size in range(min(rank + 1, n), 0, -1):
+            for total in range(rank, len(ways[size])):
+                ways[size][total] += ways[size - 1][total - rank]
+    base = n * (n - 1) // 2
+    below = sum(ways[n][base:base + pairwise_u(a, b) + 1])
+    return min(1.0, 2.0 * below / math.comb(n + m, n))
+
+
+def normal_p(a, b, tie_term=0.0):
+    """The tie- and continuity-corrected normal approximation, written out."""
+    n, m = len(a), len(b)
+    pooled = sorted(a + b)
+    r_a = sum((2 * pooled.index(x) + pooled.count(x) + 1) / 2.0 for x in a)
+    u_a = r_a - n * (n + 1) / 2.0
+    u = min(u_a, n * m - u_a)
+    big_n = n + m
+    var = n * m / 12.0 * (big_n + 1.0 - tie_term / (big_n * (big_n - 1.0)))
+    z = (u - n * m / 2.0 + 0.5) / math.sqrt(var)
+    return min(1.0, 1.0 + math.erf(z / math.sqrt(2.0)))
+
+
 def test_separated_samples_hand_computed():
     # complete separation of 3 vs 3: U = 0 and the exact two-sided
     # p-value is 2 * 1/C(6,3) = 0.1
-    res = mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-    assert res.method == "exact" and not res.tie_corrected
-    assert res.u == 0.0
-    assert res.p_value == pytest.approx(0.1, abs=1e-15)
+    assert mann_whitney_u([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]) == pytest.approx(0.1, abs=1e-15)
 
 
 def test_one_vs_one_is_uninformative():
-    assert mann_whitney_u([1.0], [2.0]).p_value == 1.0
+    assert mann_whitney_u([1.0], [2.0]) == 1.0
 
 
 def test_statistic_is_symmetric_in_sample_order():
     a = [3.1, 0.4, 5.9, 2.6]
     b = [5.3, 5.8, 9.7]
-    ra = mann_whitney_u(a, b)
-    rb = mann_whitney_u(b, a)
-    assert ra.u == rb.u and ra.p_value == rb.p_value
+    assert mann_whitney_u(a, b) == mann_whitney_u(b, a)
 
 
 def test_u_statistic_stays_in_range():
+    # U itself is not reported; the p-value it gives must lie in (0, 1]
     rng = random.Random(4)
     for _ in range(50):
         n, m = rng.randint(1, 10), rng.randint(1, 10)
         a = [rng.random() for _ in range(n)]
         b = [rng.random() for _ in range(m)]
-        res = mann_whitney_u(a, b)
-        assert 0.0 <= res.u <= n * m / 2.0  # reported statistic is min(Ua, Ub)
-        assert 0.0 < res.p_value <= 1.0
+        assert 0.0 < mann_whitney_u(a, b) <= 1.0
 
 
 def test_p_value_invariant_under_monotone_transform():
@@ -82,9 +112,8 @@ def test_p_value_invariant_under_monotone_transform():
     rng = random.Random(9)
     a = [rng.gauss(0.0, 1.0) for _ in range(7)]
     b = [rng.gauss(0.6, 1.0) for _ in range(5)]
-    plain = mann_whitney_u(a, b)
     warped = mann_whitney_u([math.exp(x) for x in a], [math.exp(x) for x in b])
-    assert plain.u == warped.u and plain.p_value == warped.p_value
+    assert mann_whitney_u(a, b) == warped
 
 
 def test_auto_switches_to_approx_above_small_sample_cutoff():
@@ -92,23 +121,23 @@ def test_auto_switches_to_approx_above_small_sample_cutoff():
     small = [rng.random() for _ in range(8)]
     large9 = [rng.random() for _ in range(9)]
     other = [rng.random() for _ in range(30)]
-    assert mann_whitney_u(small, other).method == "exact"
-    assert mann_whitney_u(large9, other).method == "approx"
+    for a, exact in ((small, True), (large9, False)):
+        p_exact, p_normal = subset_sum_p(a, other), normal_p(a, other)
+        assert abs(p_exact - p_normal) > 1e-4  # the two routes tell apart
+        want = p_exact if exact else p_normal
+        assert mann_whitney_u(a, other) == pytest.approx(want, rel=1e-12)
 
 
 def test_ties_force_the_corrected_approximation():
-    res = mann_whitney_u([1.0, 2.0, 2.0], [2.0, 3.0, 4.0])
-    assert res.method == "approx" and res.tie_corrected
+    # one group of three tied values: tie term 3^3 - 3
+    a, b = [1.0, 2.0, 2.0], [2.0, 3.0, 4.0]
+    want = normal_p(a, b, tie_term=24.0)
+    assert abs(want - normal_p(a, b)) > 1e-4  # the correction shows
+    assert mann_whitney_u(a, b) == pytest.approx(want, rel=1e-12)
 
 
 def test_all_ties_are_no_evidence():
-    res = mann_whitney_u([5.0] * 4, [5.0] * 6)
-    assert res.p_value == 1.0
-
-
-def test_exact_method_rejects_ties():
-    with pytest.raises(ValueError):
-        mann_whitney_u([1.0, 1.0], [2.0], method="exact")
+    assert mann_whitney_u([5.0] * 4, [5.0] * 6) == 1.0
 
 
 def test_empty_sample_rejected():
@@ -116,11 +145,6 @@ def test_empty_sample_rejected():
         mann_whitney_u([], [1.0])
     with pytest.raises(ValueError):
         mann_whitney_u([1.0], [])
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        mann_whitney_u([1.0], [2.0], method="bogus")
 
 
 def test_recurrence_agrees_with_enumeration_oracle():
@@ -132,23 +156,33 @@ def test_recurrence_agrees_with_enumeration_oracle():
         pool = rng.sample(range(1000), n + m)
         a = [float(v) for v in pool[:n]]
         b = [float(v) for v in pool[n:]]
-        p_fast = mann_whitney_u(a, b).p_value
-        p_slow = exact_mw_oracle(a, b)
-        assert p_fast == pytest.approx(p_slow, abs=1e-15)
+        assert mann_whitney_u(a, b) == pytest.approx(exact_mw_oracle(a, b), abs=1e-15)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2000), (3, 600), (8, 500)])
+def test_lopsided_samples_get_the_exact_p_value(n, m):
+    # one sample far smaller than the other still takes the exact path
+    scipy_stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(n * 10_007 + m)
+    pool = rng.sample(range(1_000_000), n + m)
+    a = [float(v) for v in pool[:n]]
+    b = [float(v) + 0.5 for v in pool[n:]]
+    want = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", method="exact").pvalue
+    assert mann_whitney_u(a, b) == pytest.approx(want, abs=1e-12)
 
 
 def test_approximation_quality_at_moderate_sizes():
     # at n = m = 20 the corrected normal approximation should sit within
-    # 0.01 of the exact tail; "exact" is forced past the auto cutoff
+    # 0.01 of the exact tail
     rng = random.Random(55)
+    counts = _u_counts(20, 20)
     worst = 0.0
     for _ in range(10):
         pool = rng.sample(range(10_000), 40)
         a = [float(v) for v in pool[:20]]
         b = [float(v) + 400.5 for v in pool[20:]]
-        exact = mann_whitney_u(a, b, method="exact").p_value
-        approx = mann_whitney_u(a, b, method="approx").p_value
-        worst = max(worst, abs(exact - approx))
+        exact = min(1.0, 2.0 * sum(counts[:pairwise_u(a, b) + 1]) / math.comb(40, 20))
+        worst = max(worst, abs(exact - mann_whitney_u(a, b)))
     assert worst < 0.01
 
 
@@ -174,14 +208,8 @@ def test_decide_keeps_null_on_moderate_p():
 
 
 def test_decide_boundary_is_strict():
-    assert decide("H", 0.05, alpha=0.05).decision == "fail-to-reject"
-    assert decide("H", 0.04999, alpha=0.05).decision == "reject"
-
-
-def test_decide_validates_alpha():
-    for bad in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            decide("H", 0.5, alpha=bad)
+    assert decide("H", 0.05).decision == "fail-to-reject"
+    assert decide("H", 0.04999).decision == "reject"
 
 
 def test_run_metrics_is_plain_data():

@@ -7,10 +7,10 @@ latency) in send order, each cascade finishing before the next scheduled
 event fires.  Timers (service completions, patience, fitting progress) go
 through the event loop both models share.
 
-Given the same scenario, seed, and replication index, this model reads the
-same replication draws as the event-scheduling one and takes the same
-shared steps in runtime.py, so on any scenario, stochastic or degenerate,
-the two traces match byte for byte.
+Given the same scenario and replication draws, this model reads the same
+numbers as the event-scheduling one and takes the same shared steps in
+runtime.py, so on any scenario, stochastic or degenerate, the two traces
+match byte for byte.
 """
 
 from __future__ import annotations
@@ -82,14 +82,13 @@ _SERVICE_STATE_FOR_JOB = (None, IN_ENTRY_SERVICE, IN_HELP_SERVICE, IN_RETURN_SER
 
 
 class CustomerAgent(Customer):
-    __slots__ = ("model", "post", "state", "cubicle")
+    __slots__ = ("model", "post", "state")
 
     def __init__(self, cid: int, now: float, model: "AbsRun") -> None:
         Customer.__init__(self, cid, now)
         self.model = model
         self.post = model.msgs.append
         self.state = ARRIVED
-        self.cubicle = -1
 
     def _transition(self, to: int) -> None:
         if to not in _NEXT[self.state]:
@@ -161,7 +160,6 @@ class CustomerAgent(Customer):
                 )
             self._transition(_SERVICE_STATE_FOR_JOB[payload])
         elif kind == M_CUBICLE_GRANTED:
-            self.cubicle = payload
             model = self.model
             model.start_fitting(self, now, bernoulli(model.cfg.help_probability,
                                                      model.help_draws))
@@ -226,34 +224,28 @@ class StaffAgent:
 
 
 class FittingRoomAgent:
-    """The bank of cubicles; grants the lowest-numbered free one.  The run's
-    telemetry counts how many are taken."""
+    """The bank of cubicles: grants one while any is free.  The run's one
+    count of those taken is ``tm.occupied``."""
 
-    __slots__ = ("post", "tm", "slots")
+    __slots__ = ("post", "tm")
 
-    def __init__(self, model: "AbsRun", capacity: int) -> None:
+    def __init__(self, model: "AbsRun") -> None:
         self.post = model.msgs.append
         self.tm = model.tm
-        self.slots = [False] * capacity
 
     def handle(self, kind: str, payload, now: float) -> None:
         if kind == M_REQUEST_CUBICLE:
-            try:
-                idx = self.slots.index(False)
-            except ValueError:
+            tm = self.tm
+            if tm.occupied >= tm.capacity:
                 # entry service only starts while a cubicle is free, and the
                 # single staff member cannot start another entry in between
-                raise ModelError("cubicle requested with none free") from None
-            self.slots[idx] = True
-            tm = self.tm
+                raise ModelError("cubicle requested with none free")
             tm.cubicle_change(now, 1)
             tr = tm.trace
             if tr is not None:
                 tr.append((now, L_ENTER, payload.id))
-            self.post((payload, M_CUBICLE_GRANTED, idx))
+            self.post((payload, M_CUBICLE_GRANTED, None))
         elif kind == M_CUBICLE_RELEASED:
-            self.slots[payload.cubicle] = False
-            payload.cubicle = -1
             tm = self.tm
             tm.cubicle_change(now, -1)
             tr = tm.trace
@@ -268,12 +260,11 @@ class AbsRun(Replication):
 
     __slots__ = ("staff", "room")
 
-    def __init__(self, cfg: ScenarioConfig, replication: int,
-                 trace: Optional[list] = None,
-                 draws: Optional[ReplicationDraws] = None) -> None:
-        super().__init__(cfg, replication, trace, draws)
+    def __init__(self, cfg: ScenarioConfig, draws: ReplicationDraws,
+                 trace: Optional[list] = None) -> None:
+        super().__init__(cfg, draws, trace)
         self.staff = StaffAgent(self, self.queues)
-        self.room = FittingRoomAgent(self, cfg.cubicles)
+        self.room = FittingRoomAgent(self)
 
     def handlers(self) -> dict:
         # the timers are the customers' own: each handler takes the
@@ -304,9 +295,9 @@ class AbsRun(Replication):
         return super().finalize(horizon)
 
 
-def run_abs(cfg: ScenarioConfig, replication: int,
-            trace: Optional[list] = None,
-            draws: Optional[ReplicationDraws] = None) -> RunMetrics:
-    """Run one replication of the agent-based model, reading the
-    replication's shared ``draws`` if given."""
-    return AbsRun(cfg, replication, trace, draws).run()
+def run_abs(cfg: ScenarioConfig, draws: ReplicationDraws,
+            trace: Optional[list] = None) -> RunMetrics:
+    """Run the replication whose ``draws`` are given through the agent-based
+    model; ``run_abs(cfg, ReplicationDraws(r))`` runs replication r on its
+    own."""
+    return AbsRun(cfg, draws, trace).run()

@@ -102,9 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble_config(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = ScenarioConfig()
-    if args.config:
-        cfg = load_config(args.config, base=cfg)
+    cfg = load_config(args.config) if args.config else ScenarioConfig()
     overrides: dict = {}
     if args.seed is not None:
         overrides["seed"] = args.seed

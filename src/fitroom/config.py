@@ -30,7 +30,7 @@ class ConfigError(Exception):
 
 DEFAULT_HOURLY_RATES = (20.0, 34.0, 48.0, 56.0, 56.0, 48.0, 34.0, 20.0)
 
-# far above any day's peak occupancy; the agent model keeps a slot per cubicle
+# far above any day's peak occupancy
 MAX_CUBICLES = 10_000
 
 _D = DistributionSpec
@@ -227,8 +227,12 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
             elif key in _THRESHOLDS:
                 if not is_threshold(value):
                     raise ValueError("expected an integer >= 1")
+                # the shared key fills only what no per-queue key sets, so
+                # the line order never matters
+                shared = key == "proactive.threshold"
                 for fieldname in _THRESHOLDS[key]:
-                    policy[fieldname] = value
+                    if not (shared and fieldname in policy):
+                        policy[fieldname] = value
             elif key == "proactive.revert":
                 policy["revert_delay"] = _spec_from_value(value)
             elif key == "proactive.check":
@@ -257,14 +261,14 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
     return cfg
 
 
-def load_config(path: str, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
-    """Read a config file.  Raises ConfigError for bad content, a file that
-    is not UTF-8 text included; I/O errors (missing file, unreadable path)
-    propagate as OSError."""
+def load_config(path: str) -> ScenarioConfig:
+    """Read a config file over the defaults.  Raises ConfigError for bad
+    content, a file that is not UTF-8 text included; I/O errors (missing
+    file, unreadable path) propagate as OSError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: "
                               f"{exc.reason})") from None
-    return build_config(parse_config_text(text), base)
+    return build_config(parse_config_text(text))

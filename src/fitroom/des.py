@@ -139,9 +139,9 @@ class DesRun(Replication):
             self.dispatch_staff(now)
 
 
-def run_des(cfg: ScenarioConfig, replication: int,
-            trace: Optional[list] = None,
-            draws: Optional[ReplicationDraws] = None) -> RunMetrics:
-    """Run one replication of the event-scheduling model, reading the
-    replication's shared ``draws`` if given."""
-    return DesRun(cfg, replication, trace, draws).run()
+def run_des(cfg: ScenarioConfig, draws: ReplicationDraws,
+            trace: Optional[list] = None) -> RunMetrics:
+    """Run the replication whose ``draws`` are given through the
+    event-scheduling model; ``run_des(cfg, ReplicationDraws(r))`` runs
+    replication r on its own."""
+    return DesRun(cfg, draws, trace).run()

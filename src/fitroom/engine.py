@@ -66,25 +66,23 @@ class EventCalendar:
         heapq.heappush(self._heap, self.stamp(time, kind, target))
 
 
+# how many uniforms a stream draws from its generator at once
+BLOCK = 512
+
+
 class RandomStream:
     """Reader of uniform(0,1) draws, handed out one at a time as Python floats.
 
-    The draws come in blocks from ``next_block``.  By default that is a
-    private PCG64 generator seeded with ``seed_seq``, and the sequence is
+    The draws come in blocks, arrays of uniforms, from ``next_block``.
+    ``RandomStreams.stream`` passes a PCG64 generator's, and the sequence is
     identical to calling ``Generator.random()`` one value at a time, just
-    cheaper.  ReplicationDraws passes its own ``next_block`` to replay a
-    stream it has already drawn.
+    cheaper; ReplicationDraws passes its own to replay a stream it has
+    already drawn.
     """
 
     __slots__ = ("next_block", "_buf")
 
-    _BLOCK = 512
-
-    def __init__(self, seed_seq: Optional[np.random.SeedSequence] = None,
-                 next_block: Optional[Callable[[], np.ndarray]] = None) -> None:
-        if next_block is None:
-            gen = np.random.Generator(np.random.PCG64(seed_seq))
-            next_block = partial(gen.random, self._BLOCK)
+    def __init__(self, next_block: Callable[[], np.ndarray]) -> None:
         self.next_block = next_block
         self._buf: list[float] = []
 
@@ -115,7 +113,9 @@ class RandomStreams:
 
     def stream(self, purpose: str, replication: int) -> RandomStream:
         key = (replication, zlib.crc32(purpose.encode("ascii")))
-        return RandomStream(np.random.SeedSequence(self.master_seed, spawn_key=key))
+        gen = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(self.master_seed, spawn_key=key)))
+        return RandomStream(partial(gen.random, BLOCK))
 
 
 def bernoulli(p: float, stream: RandomStream) -> bool:
@@ -315,7 +315,7 @@ class ReplicationDraws:
 
     def uniforms(self, seed: int, purpose: str) -> RandomStream:
         """A reader of the stream's raw uniforms."""
-        return RandomStream(next_block=self._iter_blocks(seed, purpose, None).__next__)
+        return RandomStream(self._iter_blocks(seed, purpose, None).__next__)
 
     def arrivals(self, seed: int,
                  profile: ArrivalProfile) -> Callable[[], Optional[float]]:

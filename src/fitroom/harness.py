@@ -86,7 +86,7 @@ def _run_chunk(cells: Sequence[Cell], reps: range) -> list[list[RunMetrics]]:
             draws = ReplicationDraws(rep)
             for fn, cfg, out in runners:
                 if rep < cfg.replications:
-                    out.append(fn(cfg, rep, draws=draws))
+                    out.append(fn(cfg, draws))
             del draws
     finally:
         if was_enabled:

@@ -93,10 +93,11 @@ class SpeedupController:
     ``note_change`` holds the trigger rule.  Models call it after every
     queue or cubicle mutation when the policy is event-driven
     (``event_driven``), and ``handle_poll`` calls it at every poll when the
-    policy polls.  It reads cubicle occupancy from the run's
-    ``telemetry``.  ``next_revert`` and ``next_poll``
-    return the next revert delay and polling interval, one per call
-    (``next_poll`` may be None when the policy does not poll).
+    policy polls; a polling controller schedules its first poll when it is
+    made.  It reads cubicle occupancy from the run's ``telemetry``.
+    ``next_revert`` and ``next_poll`` return the next revert delay and
+    polling interval, one per call (``next_poll`` may be None when the
+    policy does not poll).
 
     ``change_count`` counts the switches to the fast pace.  ``revert_at``
     is when the current fast episode ends (meaningful only while fast);
@@ -105,7 +106,7 @@ class SpeedupController:
     when it fires, so a congestion storm does not flood the calendar.
     """
 
-    __slots__ = ("policy", "table", "calendar", "telemetry",
+    __slots__ = ("table", "calendar", "telemetry",
                  "next_revert", "next_poll", "change_count", "revert_at",
                  "chain_head", "trace", "event_driven",
                  "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
@@ -115,7 +116,6 @@ class SpeedupController:
                  next_revert: Callable[[], float],
                  next_poll: Optional[Callable[[], float]],
                  telemetry: Telemetry) -> None:
-        self.policy = policy
         self.table = table
         self.calendar = calendar
         self.telemetry = telemetry
@@ -134,11 +134,8 @@ class SpeedupController:
         self._te = policy.threshold_entry
         self._tr = policy.threshold_return
         self._th = policy.threshold_help
-
-    def start(self) -> None:
-        """Schedule the first poll if the policy checks by polling."""
-        if self.policy.enabled and self.policy.check_interval is not None:
-            self.calendar.schedule(self.calendar.now + self.next_poll(), EV_POLL)
+        if policy.enabled and policy.check_interval is not None:
+            calendar.schedule(calendar.now + next_poll(), EV_POLL)
 
     def note_change(self, now: float) -> None:
         """Hurry if the store is congested: a cubicle is free while the

@@ -76,24 +76,20 @@ class Replication:
     (``pending_job``).  Both are stamped by the calendar, so the loop
     handles every event in the (time, seq) order one heap would.
 
-    Each stream's reader, from its first draw, is kept where it is read:
-    job durations in ``table``, revert delays and poll intervals in
-    ``ctl``, the rest here (``patience`` is None if patience is infinite).
-    Runs of one replication share its ``draws``, so each number is drawn
-    once; a run alone makes its own and reads the same numbers.
+    A run is built from its replication's ``draws``, which also name the
+    replication; runs of one replication share them, so each number is
+    drawn once.  Each stream's reader, from its first draw, is kept where
+    it is read: job durations in ``table``, revert delays and poll
+    intervals in ``ctl``, the rest here (``patience`` is None if patience
+    is infinite).
     """
 
     __slots__ = ("cfg", "arrivals", "patience", "fitting", "help_draws", "cal",
                  "queues", "tm", "customers", "msgs", "table", "ctl", "note",
                  "next_arrival", "pending_job", "__weakref__")
 
-    def __init__(self, cfg, replication: int, trace: Optional[list] = None,
-                 draws: Optional[ReplicationDraws] = None) -> None:
-        if draws is None:
-            draws = ReplicationDraws(replication)
-        elif draws.replication != replication:
-            raise ValueError(f"draws of replication {draws.replication} "
-                             f"passed to replication {replication}")
+    def __init__(self, cfg, draws: ReplicationDraws,
+                 trace: Optional[list] = None) -> None:
         seed = cfg.master_seed
         values = draws.values
         self.arrivals = draws.arrivals(seed, cfg.arrival)
@@ -133,7 +129,6 @@ class Replication:
         # class after import still takes effect
         handlers = self.handlers()
         handlers.update(self.ctl.handlers())
-        self.ctl.start()
         first = self.arrivals()
         if first is not None:
             self.next_arrival = cal.stamp(first, EV_ARRIVAL)

@@ -13,10 +13,12 @@ from fitroom import abs as agents
 from fitroom.abs import AbsRun, CustomerAgent, run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
-from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError
+from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
 from fitroom.runtime import JOB1, Customer
 from fitroom.stats import RunMetrics
+from helpers import stochastic_scenarios
+from oracles import check_trace
 
 
 def cfg_variants():
@@ -60,56 +62,10 @@ def test_two_models_tell_the_same_story(name):
     cfg = cfg_variants()[name]
     for rep in range(3):
         t_des, t_abs = [], []
-        m_des = run_des(cfg, rep, trace=t_des)
-        m_abs = run_abs(cfg, rep, trace=t_abs)
+        m_des = run_des(cfg, ReplicationDraws(rep), t_des)
+        m_abs = run_abs(cfg, ReplicationDraws(rep), t_abs)
         assert m_des == m_abs, f"{name} rep {rep}: metrics diverge"
         assert t_des == t_abs, f"{name} rep {rep}: traces diverge"
-
-
-def durations(lo, hi):
-    """Duration distributions of every family, with parameters in [lo, hi]."""
-    value = st.floats(lo, hi)
-    D = DistributionSpec
-    return st.one_of(
-        value.map(D.deterministic),
-        st.floats(max(lo, 0.05), hi).map(lambda mean: D.exponential(1.0 / mean)),
-        st.tuples(value, value).map(lambda ab: D.uniform(*sorted(ab))),
-        st.tuples(value, value, value).map(lambda abc: D.triangular(*sorted(abc))),
-    )
-
-
-@st.composite
-def stochastic_scenarios(draw):
-    """A random day: random durations, patience (infinite included), one to
-    eight cubicles, and the policy off, event-driven or polling."""
-    threshold = st.integers(1, 4)
-    policy = ProactivePolicy(
-        enabled=draw(st.booleans()),
-        threshold_entry=draw(threshold),
-        threshold_return=draw(threshold),
-        threshold_help=draw(threshold),
-        revert_delay=draw(durations(0.0, 15.0)),
-        check_interval=draw(st.none() | durations(0.5, 10.0)),
-    )
-    return ScenarioConfig(
-        arrival=ArrivalProfile(tuple(draw(st.lists(st.floats(0.0, 40.0),
-                                                   min_size=8, max_size=8))),
-                               scale=draw(st.floats(0.5, 2.0))),
-        cubicles=draw(st.integers(1, 8)),
-        job1=draw(durations(0.0, 1.0)),
-        job2=draw(durations(0.0, 2.0)),
-        job3=draw(durations(0.0, 1.0)),
-        fitting=draw(durations(0.0, 12.0)),
-        help_probability=draw(st.sampled_from((0.0, 0.3, 1.0))),
-        help_fraction=draw(st.sampled_from((DistributionSpec.uniform(0.0, 1.0),
-                                            DistributionSpec.deterministic(0.5)))),
-        patience=draw(st.none() | durations(0.0, 20.0)),
-        wait_estimator=draw(st.sampled_from(("served", "all"))),
-        speedup_fraction=draw(st.floats(0.0, 0.9)),
-        proactive=policy,
-        replications=1,
-        master_seed=draw(st.integers(0, 10 ** 6)),
-    )
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -118,8 +74,11 @@ def test_two_models_tell_the_same_story_on_stochastic_days(cfg, rep):
     # C3 and the variants above hold durations fixed or hand-picked; here
     # every duration, threshold and policy setting is drawn at random
     t_des, t_abs = [], []
-    assert run_des(cfg, rep, trace=t_des) == run_abs(cfg, rep, trace=t_abs)
+    m_des = run_des(cfg, ReplicationDraws(rep), t_des)
+    assert m_des == run_abs(cfg, ReplicationDraws(rep), t_abs)
     assert t_des == t_abs
+    # and the one trace keeps the store's rules
+    check_trace(t_des, cfg.cubicles, m_des.service_time_changes)
 
 
 # sha256 of repr(trace) per variant and replication 0-2, pinned: DES and ABS
@@ -188,8 +147,8 @@ def test_traces_are_pinned(name):
     cfg = cfg_variants()[name]
     for rep, pinned in enumerate(_PINNED_TRACES[name]):
         t_des, t_abs = [], []
-        run_des(cfg, rep, trace=t_des)
-        run_abs(cfg, rep, trace=t_abs)
+        run_des(cfg, ReplicationDraws(rep), t_des)
+        run_abs(cfg, ReplicationDraws(rep), t_abs)
         assert trace_digest(t_des) == pinned, f"{name} rep {rep}: DES trace moved"
         assert trace_digest(t_abs) == pinned, f"{name} rep {rep}: ABS trace moved"
 
@@ -219,7 +178,7 @@ def test_simultaneous_events_run_in_stamp_order(model, arrivals, at_three):
     # the next arrival and the staff's job wait beside the heap; at equal
     # times an event in a slot and one on the heap go in stamp order
     trace = []
-    run = model(served_by_the_clock(), 0, trace=trace)
+    run = model(served_by_the_clock(), ReplicationDraws(0), trace)
     run.arrivals = iter(arrivals).__next__
     run.run()
     assert [e for e in trace if e[0] == 3.0] == at_three
@@ -232,7 +191,7 @@ def test_starting_a_staff_job(model):
     trace, noted = [], []
     cfg = replace(ScenarioConfig(replications=1),
                   job1=DistributionSpec.deterministic(0.5))
-    run = model(cfg, 0, trace=trace)
+    run = model(cfg, ReplicationDraws(0), trace)
     run.note = noted.append
     first, second = Customer(0, 1.0), Customer(1, 2.0)
     run.queues.entry.extend([first, second])
@@ -263,7 +222,7 @@ def test_waits_cut_off_at_closing_are_charged_in_every_queue(model):
                           wait_estimator="all", help_probability=1.0)
     cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
     trace = []
-    metrics = model(cfg, 0, trace=trace).run()
+    metrics = model(cfg, ReplicationDraws(0), trace).run()
     joined, waits = {}, {}
     for t, label, cid in trace:
         if label in _JOINS:
@@ -291,28 +250,28 @@ def test_a_finished_run_is_freed_by_reference_counting(model, monkeypatch, gc_di
 
     monkeypatch.setattr(model, "__init__", init)
     cfg = cfg_variants()["hot"]
-    metrics = (run_des if model is DesRun else run_abs)(cfg, 0)
+    metrics = (run_des if model is DesRun else run_abs)(cfg, ReplicationDraws(0))
     assert metrics.served > 0 and metrics.not_served > 0
     assert len(runs) == 1 and runs[0]() is None
 
 def test_zero_arrivals_empty_run():
     cfg = ScenarioConfig(arrival=ArrivalProfile((0.0,) * 8), replications=1)
-    assert run_abs(cfg, 0) == RunMetrics(0.0, 0.0, 0.0, 0, 0, 0)
+    assert run_abs(cfg, ReplicationDraws(0)) == RunMetrics(0.0, 0.0, 0.0, 0, 0, 0)
 
 
 def test_same_replication_is_bit_identical():
     cfg = ScenarioConfig(replications=1, master_seed=2)
     t1, t2 = [], []
-    assert run_abs(cfg, 0, trace=t1) == run_abs(cfg, 0, trace=t2)
+    assert run_abs(cfg, ReplicationDraws(0), t1) == run_abs(cfg, ReplicationDraws(0), t2)
     assert t1 == t2
-    assert run_abs(cfg, 0) != run_abs(cfg, 1)
+    assert run_abs(cfg, ReplicationDraws(0)) != run_abs(cfg, ReplicationDraws(1))
 
 
 # --- state chart ---------------------------------------------------------------
 
 
 def fresh_model():
-    return AbsRun(ScenarioConfig(replications=1), 0)
+    return AbsRun(ScenarioConfig(replications=1), ReplicationDraws(0))
 
 
 def test_illegal_transition_is_rejected():
@@ -382,8 +341,8 @@ def test_stale_patience_timer_is_harmless():
 # --- fitting room ----------------------------------------------------------------
 
 
-def test_cubicles_grant_lowest_free_index():
-    model = fresh_model()
+def test_cubicles_are_granted_by_message_while_one_is_free():
+    model = AbsRun(ScenarioConfig(replications=1, cubicles=2), ReplicationDraws(0))
     room = model.room
     cs = [CustomerAgent(i, 0.0, model) for i in range(3)]
     for c in cs:
@@ -392,25 +351,27 @@ def test_cubicles_grant_lowest_free_index():
 
     room.handle(agents.M_REQUEST_CUBICLE, cs[0], 0.0)
     room.handle(agents.M_REQUEST_CUBICLE, cs[1], 0.0)
+    assert model.tm.occupied == 2
     # grants travel by message; drain them
     deliveries = []
     while model.msgs:
-        receiver, kind, payload = model.msgs.popleft()
-        assert kind == agents.M_CUBICLE_GRANTED
-        deliveries.append((receiver.id, payload))
-    assert deliveries == [(0, 0), (1, 1)]
+        receiver, kind, _ = model.msgs.popleft()
+        deliveries.append((receiver.id, kind))
+    assert deliveries == [(0, agents.M_CUBICLE_GRANTED), (1, agents.M_CUBICLE_GRANTED)]
+    with pytest.raises(ModelError):
+        room.handle(agents.M_REQUEST_CUBICLE, cs[2], 1.0)
 
-    # free the first cubicle, next grant must reuse index 0
-    cs[0].cubicle = 0
+    # a release frees a cubicle, and the next request gets it
     room.handle(agents.M_CUBICLE_RELEASED, cs[0], 1.0)
+    assert model.tm.occupied == 1 and not model.msgs
     room.handle(agents.M_REQUEST_CUBICLE, cs[2], 1.0)
-    receiver, kind, payload = model.msgs.popleft()
-    assert (receiver.id, payload) == (2, 0)
+    receiver, kind, _ = model.msgs.popleft()
+    assert (receiver.id, kind) == (2, agents.M_CUBICLE_GRANTED)
     assert model.tm.occupied == 2
 
 
 def test_grant_with_no_free_cubicle_is_a_model_error():
-    model = AbsRun(ScenarioConfig(replications=1, cubicles=1), 0)
+    model = AbsRun(ScenarioConfig(replications=1, cubicles=1), ReplicationDraws(0))
     a, b = CustomerAgent(0, 0.0, model), CustomerAgent(1, 0.0, model)
     model.room.handle(agents.M_REQUEST_CUBICLE, a, 0.0)
     with pytest.raises(ModelError):

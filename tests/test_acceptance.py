@@ -12,6 +12,8 @@ import sys
 import time
 from dataclasses import replace
 
+import pytest
+
 from fitroom.abs import run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import run_des
@@ -20,7 +22,7 @@ from fitroom.harness import SweepSpec, sweep
 from fitroom.proactive import ProactivePolicy, ServiceTimeTable
 from fitroom.runtime import JOB2
 from fitroom.stats import decide, mann_whitney_u
-from oracles import exact_mw_oracle
+from oracles import check_trace, exact_mw_oracle
 
 D = DistributionSpec
 
@@ -82,15 +84,21 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
     )
 
 
-def test_c1_randomized_scenarios_conserve_and_stay_bounded():
+@pytest.fixture(scope="module")
+def c1_days():
+    """C1's 1000 randomized scenarios, run once for C1 and for the trace
+    checker, DES and ABS in turn: (seconds taken, scenarios that broke
+    conservation or a bound, the checker's findings).  The checker runs
+    outside the timed part."""
     rng = random.Random(424242)
     started = time.perf_counter()
-    failures = []
+    checking = 0.0
+    failures, broken = [], []
     for i in range(1000):
         cfg = random_scenario(rng)
         runner = run_des if i % 2 == 0 else run_abs
         trace = []
-        m = runner(cfg, 0, trace=trace)
+        m = runner(cfg, ReplicationDraws(0), trace)
         arrivals = sum(1 for _, label, _ in trace if label == "arrival")
         ok = (
             arrivals == m.served + m.not_served
@@ -101,13 +109,28 @@ def test_c1_randomized_scenarios_conserve_and_stay_bounded():
         )
         if not ok:
             failures.append(i)
-    elapsed = time.perf_counter() - started
+        check_started = time.perf_counter()
+        try:
+            check_trace(trace, cfg.cubicles, m.service_time_changes)
+        except AssertionError as exc:
+            broken.append(f"scenario {i}: {exc}")
+        checking += time.perf_counter() - check_started
+    return time.perf_counter() - started - checking, failures, broken
+
+
+def test_c1_randomized_scenarios_conserve_and_stay_bounded(c1_days):
+    elapsed, failures, _ = c1_days
     verdict(
         "C1",
         not failures and elapsed < 30.0,
         f"1000 randomized scenarios conserve customers and bound utilizations "
         f"({len(failures)} violations, {elapsed:.1f}s, limit 30s)",
     )
+
+
+def test_c1_scenarios_keep_the_store_rules(c1_days):
+    _, _, broken = c1_days
+    assert not broken, "\n".join(broken[:5])
 
 
 # --- 2: the sweep command is fast and bit-reproducible -------------------------
@@ -169,8 +192,8 @@ def test_c3_degenerate_scenarios_replay_identically():
             master_seed=1000 + i,
         )
         t_des, t_abs = [], []
-        m_des = run_des(cfg, 0, trace=t_des)
-        m_abs = run_abs(cfg, 0, trace=t_abs)
+        m_des = run_des(cfg, ReplicationDraws(0), t_des)
+        m_abs = run_abs(cfg, ReplicationDraws(0), t_abs)
         if m_des != m_abs or t_des != t_abs:
             diverged.append(i)
     verdict(
@@ -244,8 +267,8 @@ def test_c5_sweep_measures_rise_with_load():
 def test_c6_policy_reduces_staff_time_per_served_customer():
     base = ScenarioConfig(replications=100, master_seed=1)
     off = replace(base, proactive=ProactivePolicy(enabled=False))
-    a = [run_des(off, rep) for rep in range(100)]
-    b = [run_des(base, rep) for rep in range(100)]
+    a = [run_des(off, ReplicationDraws(rep)) for rep in range(100)]
+    b = [run_des(base, ReplicationDraws(rep)) for rep in range(100)]
 
     wins = sum(
         (mb.staff_util * base.horizon / mb.served)

@@ -156,6 +156,17 @@ def test_full_file_round_trip(tmp_path):
     assert cfg.speedup_fraction == 0.3
 
 
+@pytest.mark.parametrize("lines", [
+    ["proactive.threshold.entry = 5", "proactive.threshold = 2"],
+    ["proactive.threshold = 2", "proactive.threshold.entry = 5"],
+], ids=["per_queue_first", "shared_first"])
+def test_a_per_queue_threshold_wins_whatever_the_line_order(tmp_path, lines):
+    cfg = load_config(write(tmp_path, "\n".join(lines) + "\n"))
+    assert cfg.proactive.threshold_entry == 5
+    assert cfg.proactive.threshold_return == 2
+    assert cfg.proactive.threshold_help == 2
+
+
 def test_patience_infinite_maps_to_none(tmp_path):
     cfg = load_config(write(tmp_path, "patience = infinite\n"))
     assert cfg.patience is None
@@ -352,8 +363,8 @@ def test_the_cubicle_ceiling_loads():
 
 @pytest.mark.parametrize("count", [MAX_CUBICLES + 1, 10 ** 20])
 def test_a_cubicle_count_past_the_ceiling_is_named_not_run(count, tmp_path, capsys):
-    # the agent model keeps one slot per cubicle; 10**20 of them raised
-    # OverflowError there while the event model ran
+    # the ceiling is input validation: a count past it, however large, is
+    # named and never run
     from fitroom.cli import main
 
     with pytest.raises(ConfigError) as err:

@@ -7,7 +7,7 @@ import pytest
 
 from fitroom.config import ScenarioConfig
 from fitroom.des import Customer, run_des
-from fitroom.engine import ArrivalProfile, DistributionSpec
+from fitroom.engine import ArrivalProfile, DistributionSpec, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
 from fitroom.runtime import (JOB1, JOB2, JOB3, RENEGED, SERVED, QueueSet, Telemetry,
                              build_metrics, select_service)
@@ -25,7 +25,7 @@ def scaled(cfg, scale):
 
 def run_traced(cfg, rep=0):
     trace = []
-    metrics = run_des(cfg, rep, trace=trace)
+    metrics = run_des(cfg, ReplicationDraws(rep), trace)
     return metrics, trace
 
 
@@ -115,7 +115,7 @@ def test_conservation_of_customers():
 
 def test_utilizations_are_proportions():
     for scale in (0.5, 1.0, 2.8561):
-        m = run_des(scaled(small_cfg(), scale), 0)
+        m = run_des(scaled(small_cfg(), scale), ReplicationDraws(0))
         assert 0.0 <= m.staff_util <= 1.0
         assert 0.0 <= m.cubicle_util <= 1.0
 
@@ -163,7 +163,7 @@ def test_help_probability_one_routes_everyone_through_help():
 
 def test_zero_arrivals_produce_empty_metrics():
     cfg = small_cfg(arrival=ArrivalProfile((0.0,) * 8))
-    metrics = run_des(cfg, 0)
+    metrics = run_des(cfg, ReplicationDraws(0))
     assert metrics == RunMetrics(0.0, 0.0, 0.0, 0, 0, 0)
 
 
@@ -176,7 +176,7 @@ def test_same_replication_is_bit_identical():
 
 def test_different_replications_differ():
     cfg = small_cfg()
-    assert run_des(cfg, 0) != run_des(cfg, 1)
+    assert run_des(cfg, ReplicationDraws(0)) != run_des(cfg, ReplicationDraws(1))
 
 
 def test_policy_off_never_changes_pace():

@@ -2,11 +2,13 @@
 process."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from fitroom.engine import (
+    BLOCK,
     HORIZON,
     ArrivalProfile,
     DistributionSpec,
@@ -97,10 +99,11 @@ def test_streams_differ_across_purposes_and_replications():
 def test_stream_buffering_matches_raw_generator():
     # the block buffer must be invisible: draw-for-draw identical to the
     # underlying bit generator, including across block boundaries
-    seq = np.random.SeedSequence(77)
-    s = RandomStream(np.random.SeedSequence(77))
-    raw = np.random.Generator(np.random.PCG64(seq)).random(1500)
-    got = [s.uniform() for _ in range(1500)]
+    gen = np.random.Generator(np.random.PCG64(77))
+    s = RandomStream(partial(gen.random, BLOCK))
+    n = 2 * BLOCK + 100  # across two block boundaries
+    raw = np.random.Generator(np.random.PCG64(77)).random(n)
+    got = [s.uniform() for _ in range(n)]
     assert got == raw.tolist()
 
 

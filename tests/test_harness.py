@@ -97,7 +97,8 @@ RUN = {"des": run_des, "abs": run_abs}
 
 def test_cells_sharing_replications_match_cells_run_alone():
     cells = sharing_cells()
-    alone = [[RUN[m](cfg, rep) for rep in range(cfg.replications)] for m, cfg in cells]
+    alone = [[RUN[m](cfg, ReplicationDraws(rep)) for rep in range(cfg.replications)]
+             for m, cfg in cells]
     assert _execute(cells) == alone
     # DES and ABS agree, and every config gives its own results
     assert len({tuple(r) for r in alone}) == len(cells) // 2
@@ -109,13 +110,8 @@ def test_shared_draws_give_the_traces_of_private_ones():
         shared = ReplicationDraws(rep)
         for m, cfg in cells:
             t_shared, t_alone = [], []
-            assert RUN[m](cfg, rep, t_shared, shared) == RUN[m](cfg, rep, t_alone)
+            assert RUN[m](cfg, shared, t_shared) == RUN[m](cfg, ReplicationDraws(rep), t_alone)
             assert t_shared == t_alone
-
-
-def test_draws_must_belong_to_the_replication():
-    with pytest.raises(ValueError):
-        run_des(tiny_cfg(), 1, draws=ReplicationDraws(0))
 
 
 def test_sweep_opens_each_stream_once_per_replication(opened_streams):
@@ -220,8 +216,9 @@ def test_reports_are_the_same_on_any_number_of_processes(jobs, serial_reports):
             assert emit_report(report, fmt) == serial_reports[name][fmt], (name, fmt)
 
 
-def fake_runner(cfg, rep, draws=None):
+def fake_runner(cfg, draws):
     """A run that costs nothing and says which replication it was."""
+    rep = draws.replication
     return RunMetrics(float(rep), cfg.master_seed, 0.0, rep, 0, 0)
 
 
@@ -246,7 +243,8 @@ def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch):
 
     forks.clear()
     cfg = tiny_cfg(replications=2)
-    assert _execute([("des", cfg)], jobs=8) == [[fake_runner(cfg, 0), fake_runner(cfg, 1)]]
+    assert _execute([("des", cfg)], jobs=8) == [[fake_runner(cfg, ReplicationDraws(0)),
+                                                 fake_runner(cfg, ReplicationDraws(1))]]
     assert len(forks) == 1  # capped at the replication count
 
 
@@ -279,10 +277,11 @@ def assert_no_child_is_left():
 def test_a_childs_error_is_raised_in_the_caller(monkeypatch, capsys):
     # the child's block fails there, so the caller runs it again, and the
     # same replication fails again here
-    def fail_last(cfg, rep, draws=None):
+    def fail_last(cfg, draws):
+        rep = draws.replication
         if rep == cfg.replications - 1:
             raise ModelError(f"replication {rep} broke in process {os.getpid()}")
-        return run_des(cfg, rep, draws=draws)
+        return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", fail_last)
     with pytest.raises(ModelError, match=rf"^replication 3 broke in process {os.getpid()}$"):
@@ -294,10 +293,10 @@ def test_a_childs_error_is_raised_in_the_caller(monkeypatch, capsys):
 
 
 def test_a_childs_error_chains_the_childs_traceback(monkeypatch):
-    def broken_replication(cfg, rep, draws=None):
-        if rep == cfg.replications - 1:
+    def broken_replication(cfg, draws):
+        if draws.replication == cfg.replications - 1:
             raise ModelError("replication broke")
-        return run_des(cfg, rep, draws=draws)
+        return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", broken_replication)
     with pytest.raises(ModelError, match="^replication broke$") as err:
@@ -327,10 +326,10 @@ class HoldsALambda(Exception):
 def test_an_unpicklable_error_is_raised_as_itself(monkeypatch, make):
     # nothing crosses the pipe but results, so an exception that cannot be
     # pickled keeps its type: the caller's own run raises it
-    def unsendable_replication(cfg, rep, draws=None):
-        if rep == cfg.replications - 1:
+    def unsendable_replication(cfg, draws):
+        if draws.replication == cfg.replications - 1:
             raise make()
-        return run_des(cfg, rep, draws=draws)
+        return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", unsendable_replication)
     with pytest.raises((RebuiltWrong, HoldsALambda), match="broke") as err:
@@ -362,10 +361,10 @@ def test_a_block_whose_child_dies_is_run_in_the_caller(monkeypatch, capsys, die,
     runners = dict(harness._RUNNERS)
 
     def dies_in_a_child(model):
-        def runner(cfg, rep, draws=None):
+        def runner(cfg, draws):
             if os.getpid() != caller:
                 die()
-            return runners[model](cfg, rep, draws=draws)
+            return runners[model](cfg, draws)
         return runner
 
     cells = [("des", tiny_cfg(replications=5)), ("abs", tiny_cfg(replications=3))]
@@ -387,11 +386,11 @@ def test_run_chunk_pauses_the_collector_and_restores_its_state(monkeypatch, enab
                                                                fails):
     seen = []
 
-    def runner(cfg, rep, draws=None):
+    def runner(cfg, draws):
         seen.append(gc.isenabled())
         if fails:
             raise ModelError("replication broke")
-        return run_des(cfg, rep, draws=draws)
+        return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", runner)
     was = gc.isenabled()
@@ -420,11 +419,11 @@ def test_a_sweep_leaves_nothing_for_the_cycle_collector(gc_disabled):
 def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch):
     caller = os.getpid()
 
-    def fail_in_caller(cfg, rep, draws=None):
+    def fail_in_caller(cfg, draws):
         if os.getpid() == caller:
             raise ModelError("the caller's block broke")
         time.sleep(60)  # a child still running when the caller fails
-        return run_des(cfg, rep, draws=draws)
+        return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", fail_in_caller)
     start = time.monotonic()
@@ -551,8 +550,8 @@ def test_zero_fraction_traces_match_outside_policy_markers():
     cfg = tiny_cfg(speedup_fraction=0.0)
     off = replace(cfg, proactive=ProactivePolicy(enabled=False))
     t_on, t_off = [], []
-    run_des(cfg, 0, trace=t_on)
-    run_des(off, 0, trace=t_off)
+    run_des(cfg, ReplicationDraws(0), t_on)
+    run_des(off, ReplicationDraws(0), t_off)
     visible = [e for e in t_on if e[1] not in ("speedup", "revert")]
     assert visible == t_off
     assert len(visible) < len(t_on)  # the policy did fire, silently

@@ -4,23 +4,31 @@ whose effect on the output is known exactly.
 Every draw comes from a stream seeded by (master seed, replication,
 purpose), so the changed and the unchanged day read the same numbers and
 the relations hold with zero tolerance.  Unlike DES ≡ ABS, they can see a
-defect in a step both models share.
+defect in a step both models share.  Each relation is checked on three
+hand-picked days and on days hypothesis generates.
 """
 
 from dataclasses import replace
 from itertools import accumulate
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fitroom.abs import run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import run_des
-from fitroom.engine import DistributionSpec
+from fitroom.engine import DistributionSpec, ReplicationDraws
 from fitroom.proactive import L_REVERT, L_SPEEDUP
 from fitroom.runtime import L_ENTER, L_LEAVE
+from helpers import stochastic_scenarios
 
 MODELS = {"des": run_des, "abs": run_abs}
 CHECKS = {"event": None, "polling": DistributionSpec.exponential(0.5)}
+
+
+def policy(cfg, **changes):
+    return replace(cfg, proactive=replace(cfg.proactive, **changes))
 
 
 def scenarios(check):
@@ -28,7 +36,7 @@ def scenarios(check):
     day, a congested one with short patience, and one with a single
     cubicle where everyone asks for help."""
     base = ScenarioConfig(replications=1, master_seed=2024)
-    base = replace(base, proactive=replace(base.proactive, check_interval=check))
+    base = policy(base, check_interval=check)
     hot = replace(base, arrival=replace(base.arrival, scale=2.2),
                   patience=DistributionSpec.exponential(0.1))
     tight = replace(base, cubicles=1, help_probability=1.0)
@@ -45,72 +53,146 @@ def horizons(trace):
             speedups[0] if speedups else times[len(times) // 3]]
 
 
+# --- the relations, each on one day (``cfg``, replication ``rep``) ----------------
+
+
+def check_cut_short(run, cfg, rep, horizons):
+    """A day cut at each of ``horizons(full trace)`` is the full day up to
+    the cut."""
+    full = []
+    run(cfg, ReplicationDraws(rep), full)
+    for h in horizons(full):
+        cut = []
+        run(replace(cfg, horizon=h), ReplicationDraws(rep), cut)
+        assert cut == [e for e in full if e[0] <= h], f"rep {rep}, horizon {h}"
+
+
+def check_unreachable_thresholds(run, cfg, rep):
+    """Thresholds above any queue length give the policy-off day."""
+    draws = ReplicationDraws(rep)
+    t_on, t_off = [], []
+    unreachable = policy(cfg, enabled=True, threshold_entry=10**9,
+                         threshold_return=10**9, threshold_help=10**9)
+    assert run(unreachable, draws, t_on) == run(policy(cfg, enabled=False), draws, t_off)
+    assert t_on == t_off, f"rep {rep}"
+
+
+def check_speedup_of_nothing(run, cfg, rep) -> int:
+    """A speed-up fraction of 0 gives the policy-off day less the pace
+    changes; returns how many pace changes there were."""
+    t_on, t_off = [], []
+    on = run(policy(replace(cfg, speedup_fraction=0.0), enabled=True),
+             ReplicationDraws(rep), t_on)
+    off = run(policy(cfg, enabled=False), ReplicationDraws(rep), t_off)
+    assert replace(on, service_time_changes=0) == off
+    assert [e for e in t_on if e[1] not in (L_SPEEDUP, L_REVERT)] == t_off, f"rep {rep}"
+    return on.service_time_changes
+
+
+def check_unfilled_cubicles(run, cfg, rep):
+    """More cubicles than the day's peak occupancy change nothing but the
+    cubicle utilization."""
+    t_wide = []
+    wide = run(replace(cfg, cubicles=10_000), ReplicationDraws(rep), t_wide)
+    steps = [{L_ENTER: 1, L_LEAVE: -1}.get(label, 0) for _, label, _ in t_wide]
+    peak = max(accumulate(steps, initial=0))
+    for cubicles in (peak + 1, peak + 7):
+        t_narrow = []
+        narrow = run(replace(cfg, cubicles=cubicles), ReplicationDraws(rep), t_narrow)
+        assert replace(narrow, cubicle_util=wide.cubicle_util) == wide
+        assert t_narrow == t_wide, f"rep {rep}, {cubicles} cubicles"
+
+
+def check_endless_patience(run, cfg, rep):
+    """A patience that never runs out within the day is infinite patience."""
+    t_inf, t_long = [], []
+    infinite = run(replace(cfg, patience=None), ReplicationDraws(rep), t_inf)
+    long = run(replace(cfg, patience=DistributionSpec.deterministic(10**6)),
+               ReplicationDraws(rep), t_long)
+    assert infinite == long
+    assert t_inf == t_long, f"rep {rep}"
+
+
+# --- on three hand-picked days ----------------------------------------------------
+
+
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_a_day_cut_short_is_the_full_day_up_to_the_cut(model, check):
-    run = MODELS[model]
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        full = []
-        run(cfg, rep, trace=full)
-        for h in horizons(full):
-            cut = []
-            run(replace(cfg, horizon=h), rep, trace=cut)
-            assert cut == [e for e in full if e[0] <= h], f"rep {rep}, horizon {h}"
+        check_cut_short(MODELS[model], cfg, rep, horizons)
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_thresholds_no_queue_reaches_turn_the_policy_off(model, check):
-    run = MODELS[model]
     for cfg in scenarios(CHECKS[check]):
-        unreachable = replace(cfg, proactive=replace(
-            cfg.proactive, threshold_entry=10**9, threshold_return=10**9,
-            threshold_help=10**9))
-        off = replace(cfg, proactive=replace(cfg.proactive, enabled=False))
         for rep in range(2):
-            t_on, t_off = [], []
-            assert run(unreachable, rep, trace=t_on) == run(off, rep, trace=t_off)
-            assert t_on == t_off, f"rep {rep}"
+            check_unreachable_thresholds(MODELS[model], cfg, rep)
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_a_speedup_of_nothing_is_the_policy_off(model, check):
-    run = MODELS[model]
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        t_on, t_off = [], []
-        on = run(replace(cfg, speedup_fraction=0.0), rep, trace=t_on)
-        off = run(replace(cfg, proactive=replace(cfg.proactive, enabled=False)),
-                  rep, trace=t_off)
-        assert on.service_time_changes > 0, f"rep {rep}: the policy never acted"
-        assert replace(on, service_time_changes=0) == off
-        assert [e for e in t_on if e[1] not in (L_SPEEDUP, L_REVERT)] == t_off, f"rep {rep}"
+        assert check_speedup_of_nothing(MODELS[model], cfg, rep) > 0, (
+            f"rep {rep}: the policy never acted")
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_cubicles_no_day_fills_change_nothing(model, check):
-    run = MODELS[model]
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        t_wide = []
-        wide = run(replace(cfg, cubicles=10_000), rep, trace=t_wide)
-        steps = [{L_ENTER: 1, L_LEAVE: -1}.get(label, 0) for _, label, _ in t_wide]
-        peak = max(accumulate(steps, initial=0))
-        for cubicles in (peak + 1, peak + 7):
-            t_narrow = []
-            narrow = run(replace(cfg, cubicles=cubicles), rep, trace=t_narrow)
-            assert replace(narrow, cubicle_util=wide.cubicle_util) == wide
-            assert t_narrow == t_wide, f"rep {rep}, {cubicles} cubicles"
+        check_unfilled_cubicles(MODELS[model], cfg, rep)
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
 @pytest.mark.parametrize("model", sorted(MODELS))
 def test_patience_that_never_runs_out_is_infinite_patience(model, check):
-    run = MODELS[model]
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        t_inf, t_long = [], []
-        infinite = run(replace(cfg, patience=None), rep, trace=t_inf)
-        long = run(replace(cfg, patience=DistributionSpec.deterministic(10**6)),
-                   rep, trace=t_long)
-        assert infinite == long
-        assert t_inf == t_long, f"rep {rep}"
+        check_endless_patience(MODELS[model], cfg, rep)
+
+
+# --- on generated days ------------------------------------------------------------
+
+generated = settings(max_examples=12, derandomize=True, database=None, deadline=None)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@generated
+@given(cfg=stochastic_scenarios(), at=st.floats(0.001, 1.0))
+def test_generated_days_cut_short_are_the_full_day_up_to_the_cut(model, cfg, at):
+    def cuts(full):
+        # a fixed fraction of the day, and the event that far into the trace
+        times = [t for t, _, _ in full if t > 0.0]
+        return [at * cfg.horizon] + times[int(at * (len(times) - 1)):][:1]
+
+    check_cut_short(MODELS[model], cfg, 0, cuts)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@generated
+@given(cfg=stochastic_scenarios())
+def test_generated_days_at_unreachable_thresholds_are_the_policy_off(model, cfg):
+    check_unreachable_thresholds(MODELS[model], cfg, 0)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@generated
+@given(cfg=stochastic_scenarios())
+def test_generated_days_at_a_speedup_of_nothing_are_the_policy_off(model, cfg):
+    assume(check_speedup_of_nothing(MODELS[model], cfg, 0) > 0)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@generated
+@given(cfg=stochastic_scenarios())
+def test_generated_days_with_unfilled_cubicles_change_nothing(model, cfg):
+    check_unfilled_cubicles(MODELS[model], cfg, 0)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@generated
+@given(cfg=stochastic_scenarios())
+def test_generated_days_with_endless_patience_have_infinite_patience(model, cfg):
+    check_endless_patience(MODELS[model], cfg, 0)

@@ -245,24 +245,24 @@ def test_speedup_and_revert_are_traced():
 
 def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
     ctl, cal, _, _ = make_controller(ProactivePolicy(enabled=False))
-    ctl.start()
     assert not ctl.event_driven
     assert len(cal._heap) == 0  # no poll either
 
     base = ScenarioConfig(replications=1, master_seed=7)
     cfg = replace(base, arrival=replace(base.arrival, scale=2.0),
                   proactive=ProactivePolicy(enabled=False))
-    run = DesRun(cfg, 0)
+    run = DesRun(cfg, ReplicationDraws(0))
     assert run.note is None  # no queue or cubicle change reaches the policy
     assert run.run().service_time_changes == 0
     assert (7, "revert", 0) not in opened_streams  # no revert delay was ever drawn
 
     # the same congested day under the enabled policy does draw one
-    assert run_des(replace(cfg, proactive=ProactivePolicy()), 0).service_time_changes > 0
+    assert run_des(replace(cfg, proactive=ProactivePolicy()),
+                   ReplicationDraws(0)).service_time_changes > 0
     assert (7, "revert", 0) in opened_streams
 
 
-def test_event_driven_note_change_matches_check_condition():
+def test_event_driven_note_change_reacts_to_congestion_only():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(2.0))
     ctl, cal, queues, _ = make_controller(policy)
     assert ctl.event_driven
@@ -280,7 +280,6 @@ def test_polling_policy_checks_only_at_poll_times():
     )
     ctl, cal, queues, _ = make_controller(policy)
     assert not ctl.event_driven
-    ctl.start()
     fill(queues.ret, 5)
 
     t, _, kind, target = pop_event(cal)
@@ -297,7 +296,7 @@ def test_polling_policy_checks_only_at_poll_times():
     cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
     for model in (DesRun, AbsRun):
         trace = []
-        run = model(cfg, 0, trace=trace)
+        run = model(cfg, ReplicationDraws(0), trace)
         assert run.note is None
         run.run()
         ups = [t for t, label, _ in trace if label == L_SPEEDUP]
@@ -308,7 +307,7 @@ def test_trace_speedup_count_matches_reported_changes():
     cfg = ScenarioConfig(replications=1, master_seed=11)
     cfg = replace(cfg, arrival=replace(cfg.arrival, scale=2.0))
     trace = []
-    metrics = run_des(cfg, 0, trace=trace)
+    metrics = run_des(cfg, ReplicationDraws(0), trace)
     ups = sum(1 for (_, label, _) in trace if label == L_SPEEDUP)
     downs = sum(1 for (_, label, _) in trace if label == L_REVERT)
     assert metrics.service_time_changes == ups

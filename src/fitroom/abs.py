@@ -19,10 +19,10 @@ from typing import Optional
 
 from .config import ScenarioConfig
 from .engine import ModelError, ReplicationDraws, bernoulli
-from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_PATIENCE,
-                      IN_SYSTEM, JOB1, JOB2, JOB3, L_END, L_ENTER, L_LEAVE,
-                      L_REQUEST_HELP, SERVED, Customer, QueueSet, Replication,
-                      select_service)
+from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE,
+                      EV_PATIENCE, IN_SYSTEM, JOB1, JOB2, JOB3, L_END, L_ENTER,
+                      L_LEAVE, L_REQUEST_HELP, SERVED, Customer, QueueSet,
+                      Replication, select_service)
 from .stats import RunMetrics
 
 # customer states
@@ -74,10 +74,6 @@ M_CUBICLE_GRANTED = "cubicle_granted"
 M_CUBICLE_RELEASED = "cubicle_released"
 M_RENEGE = "renege"
 
-# timer kinds, besides the shared ones
-EV_SVC_DONE = "svc_done"
-
-_WAIT_STATE_FOR_JOB = (None, WAITING_ENTRY, WAITING_HELP, WAITING_RETURN)
 _SERVICE_STATE_FOR_JOB = (None, IN_ENTRY_SERVICE, IN_HELP_SERVICE, IN_RETURN_SERVICE)
 
 
@@ -153,11 +149,7 @@ class CustomerAgent(Customer):
 
     def handle(self, kind: str, payload, now: float) -> None:
         if kind == M_SERVE:
-            if self.state != _WAIT_STATE_FOR_JOB[payload]:
-                raise ModelError(
-                    f"customer {self.id}: serve for job {payload} while "
-                    f"{STATE_NAMES[self.state]}"
-                )
+            # the chart lets only Waiting<X> move into In<X>Service
             self._transition(_SERVICE_STATE_FOR_JOB[payload])
         elif kind == M_CUBICLE_GRANTED:
             model = self.model
@@ -218,7 +210,7 @@ class StaffAgent:
             return
         job, line = pick
         model = self.model
-        c = model.start_job(job, line, now, EV_SVC_DONE)
+        c = model.start_job(job, line, now)
         self.current_job = job
         model.msgs.append((c, M_SERVE, job))
 
@@ -273,7 +265,7 @@ class AbsRun(Replication):
         return {
             EV_ARRIVAL: self.handle_arrival,
             EV_PATIENCE: C.patience_expired,
-            EV_SVC_DONE: C.svc_done,
+            **dict.fromkeys(EV_JOB_DONE[1:], C.svc_done),
             EV_HELP_DUE: C.help_due,
             EV_FIT_DONE: C.fit_done,
         }

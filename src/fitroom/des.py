@@ -19,15 +19,9 @@ from typing import Optional
 from .config import ScenarioConfig
 from .engine import ReplicationDraws, bernoulli
 from .runtime import (Customer as _Customer, EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE,
-                      EV_PATIENCE, JOB1, JOB2, JOB3, L_END, L_ENTER, L_LEAVE,
-                      L_REQUEST_HELP, SERVED, Replication, select_service)
+                      EV_JOB_DONE, EV_PATIENCE, JOB1, JOB2, JOB3, L_END, L_ENTER,
+                      L_LEAVE, L_REQUEST_HELP, SERVED, Replication, select_service)
 from .stats import RunMetrics
-
-EV_JOB1_DONE = "job1_done"
-EV_JOB2_DONE = "job2_done"
-EV_JOB3_DONE = "job3_done"
-
-_DONE_EVENT = (None, EV_JOB1_DONE, EV_JOB2_DONE, EV_JOB3_DONE)
 
 
 class Customer(_Customer):
@@ -44,9 +38,9 @@ class DesRun(Replication):
         return {
             EV_ARRIVAL: self.handle_arrival,
             EV_PATIENCE: self.renege,
-            EV_JOB1_DONE: self.complete_job1,
-            EV_JOB2_DONE: self.complete_job2,
-            EV_JOB3_DONE: self.complete_job3,
+            EV_JOB_DONE[JOB1]: self.complete_job1,
+            EV_JOB_DONE[JOB2]: self.complete_job2,
+            EV_JOB_DONE[JOB3]: self.complete_job3,
             EV_HELP_DUE: self.request_help,
             EV_FIT_DONE: self.leave_cubicle,
         }
@@ -68,7 +62,7 @@ class DesRun(Replication):
         if pick is None:
             return
         job, line = pick
-        c = self.start_job(job, line, now, _DONE_EVENT[job])
+        c = self.start_job(job, line, now)
         if job == JOB1:
             c.awaiting_entry = False
 

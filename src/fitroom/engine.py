@@ -167,20 +167,6 @@ class DistributionSpec:
             raise ValueError("uniform requires low <= high")
         if self.family == "triangular" and not (p[0] <= p[1] <= p[2]):
             raise ValueError("triangular requires low <= mode <= high")
-        # precompute inverse-CDF constants; sampling sits on the hot path
-        if self.family == "deterministic":
-            code, c = 0, (p[0], 0.0, 0.0)
-        elif self.family == "exponential":
-            code, c = 1, (1.0 / p[0], 0.0, 0.0)
-        elif self.family == "uniform":
-            code, c = 2, (p[0], p[1] - p[0], 0.0)
-        else:
-            lo, mode, hi = p
-            span = hi - lo
-            cut = (mode - lo) / span if span > 0 else 1.0
-            code, c = 3, (span * (mode - lo), span * (hi - mode), cut)
-        object.__setattr__(self, "_code", code)
-        object.__setattr__(self, "_c", c)
 
     @classmethod
     def deterministic(cls, value: float) -> "DistributionSpec":
@@ -212,23 +198,27 @@ class DistributionSpec:
         """This distribution's values for the uniforms ``us``, in order: the
         inverse CDF of each.  The models read whole blocks of these through
         ReplicationDraws; ``sample`` is the same formula on one draw."""
-        code = self._code
-        c0, c1, cut = self._c
-        if code == 0:
-            return [c0] * len(us)
-        if code == 1:
+        p = self.params
+        if self.family == "deterministic":
+            return [p[0]] * len(us)
+        if self.family == "exponential":
             log1p = math.log1p
-            return [-log1p(-u) * c0 for u in us]
-        if code == 2:
-            return [c0 + c1 * u for u in us]
+            scale = 1.0 / p[0]
+            return [-log1p(-u) * scale for u in us]
+        if self.family == "uniform":
+            low, width = p[0], p[1] - p[0]
+            return [low + width * u for u in us]
         sqrt = math.sqrt
-        lo, hi = self.params[0], self.params[2]
-        return [lo + sqrt(u * c0) if u < cut else hi - sqrt((1.0 - u) * c1)
+        low, mode, high = p
+        span = high - low
+        below, above = span * (mode - low), span * (high - mode)
+        cut = (mode - low) / span if span > 0 else 1.0
+        return [low + sqrt(u * below) if u < cut else high - sqrt((1.0 - u) * above)
                 for u in us]
 
     def sample(self, stream: RandomStream) -> float:
-        if self._code == 0:
-            return self._c[0]
+        if self.family == "deterministic":
+            return self.params[0]
         return self.values((stream.uniform(),))[0]
 
 
@@ -309,8 +299,8 @@ class ReplicationDraws:
                spec: DistributionSpec) -> Callable[[], float]:
         """The next value of ``spec`` on the stream, one per call.  A
         deterministic spec draws nothing, as in ``DistributionSpec.sample``."""
-        if spec._code == 0:
-            return repeat(spec._c[0]).__next__
+        if spec.family == "deterministic":
+            return repeat(spec.params[0]).__next__
         return chain.from_iterable(self._iter_blocks(seed, purpose, spec)).__next__
 
     def uniforms(self, seed: int, purpose: str) -> RandomStream:

@@ -21,7 +21,7 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import BinaryIO, Optional, Sequence
 from zlib import crc32
 
@@ -33,17 +33,10 @@ from .des import run_des
 from .engine import ReplicationDraws
 from .stats import HypothesisOutcome, RunMetrics, decide, mann_whitney_u, summarize
 
-MODEL_ORDER = ("des", "abs")
-MEASURE_ORDER = (
-    "mean_wait",
-    "staff_util",
-    "cubicle_util",
-    "served",
-    "not_served",
-    "service_time_changes",
-)
-
 _RUNNERS = {"des": run_des, "abs": run_abs}
+
+MODEL_ORDER = tuple(_RUNNERS)
+MEASURE_ORDER = tuple(f.name for f in fields(RunMetrics))
 
 # Spawn key for deriving experiment B's seed when the comparison is run
 # without common random numbers.
@@ -203,10 +196,11 @@ class SweepSpec:
     growth_factor: float = 1.3
 
     def __post_init__(self) -> None:
-        if not isinstance(self.levels, int) or self.levels < 1:
+        # a bool is an int to Python, but no count of levels
+        if type(self.levels) is not int or self.levels < 1:
             raise ValueError("levels must be an integer >= 1")
-        if not self.growth_factor > 0:
-            raise ValueError("growth_factor must be > 0")
+        if isinstance(self.growth_factor, bool) or not self.growth_factor > 0:
+            raise ValueError("growth_factor must be a number > 0")
 
     def scale_at(self, level: int) -> float:
         try:
@@ -341,8 +335,16 @@ def compare_experiments(
 
 # --- serialization ---------------------------------------------------------
 
-_ROW_HEADER = "model,level,arrival_scale,measure,mean,sd,median,n"
-_HYP_HEADER = "hypothesis,p_value,alpha,decision"
+# a column is headed by its field's name, except where named here
+_HEADINGS = {"label": "hypothesis"}
+
+
+def _columns(record: type) -> list[tuple[str, str, bool]]:
+    """(heading, field, is a float) for each field of a report record, in
+    declaration order.  A field is a float by its declared type, so a whole
+    number in a float field is still written as a float."""
+    return [(_HEADINGS.get(f.name, f.name), f.name, f.type == "float")
+            for f in fields(record)]
 
 
 def _g(x: float) -> str:
@@ -350,47 +352,26 @@ def _g(x: float) -> str:
 
 
 def emit_report(report: ExperimentReport, fmt: str = "csv") -> str:
-    """Render a report as CSV or JSON text.
-
-    Floats are written with six significant digits in both formats.
+    """Render a report as CSV or JSON text, one column per field of
+    SummaryRow and of HypothesisOutcome; CSV leaves out an empty hypothesis
+    table.  Floats are written with six significant digits in both formats.
     """
+    rows = ("rows", _columns(SummaryRow), report.rows)
+    hyps = ("hypotheses", _columns(HypothesisOutcome), report.hypotheses)
     if fmt == "csv":
-        lines = [_ROW_HEADER]
-        for r in report.rows:
-            lines.append(
-                f"{r.model},{r.level},{_g(r.arrival_scale)},{r.measure},"
-                f"{_g(r.mean)},{_g(r.sd)},{_g(r.median)},{r.n}"
-            )
-        if report.hypotheses:
-            lines.append(_HYP_HEADER)
-            for h in report.hypotheses:
-                lines.append(f"{h.label},{_g(h.p_value)},{_g(h.alpha)},{h.decision}")
+        lines = []
+        for _, cols, records in (rows, hyps) if report.hypotheses else (rows,):
+            lines.append(",".join(heading for heading, _, _ in cols))
+            for r in records:
+                lines.append(",".join(_g(getattr(r, name)) if is_float
+                                      else str(getattr(r, name))
+                                      for _, name, is_float in cols))
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {
-            "rows": [
-                {
-                    "model": r.model,
-                    "level": r.level,
-                    "arrival_scale": float(_g(r.arrival_scale)),
-                    "measure": r.measure,
-                    "mean": float(_g(r.mean)),
-                    "sd": float(_g(r.sd)),
-                    "median": float(_g(r.median)),
-                    "n": r.n,
-                }
-                for r in report.rows
-            ],
-            "hypotheses": [
-                {
-                    "hypothesis": h.label,
-                    "p_value": float(_g(h.p_value)),
-                    "alpha": float(_g(h.alpha)),
-                    "decision": h.decision,
-                }
-                for h in report.hypotheses
-            ],
-        }
+        doc = {key: [{heading: float(_g(getattr(r, name))) if is_float
+                      else getattr(r, name)
+                      for heading, name, is_float in cols}
+                     for r in records]
+               for key, cols, records in (rows, hyps)}
         return json.dumps(doc, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}; expected 'csv' or 'json'")
-

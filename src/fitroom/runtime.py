@@ -39,6 +39,8 @@ EV_ARRIVAL = "arrival"
 EV_PATIENCE = "patience"
 EV_HELP_DUE = "help_due"
 EV_FIT_DONE = "fit_done"
+# the staff's completion of each job
+EV_JOB_DONE = (None, "job1_done", "job2_done", "job3_done")
 
 # the entry of an empty slot: later than any event, and equal to itself
 # without comparing its kind
@@ -183,11 +185,11 @@ class Replication:
         if nxt is not None:
             self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
 
-    def start_job(self, job: int, line: deque, now: float, kind: str):
+    def start_job(self, job: int, line: deque, now: float):
         """Start the staff on ``job`` for the head of ``line``, who is
-        returned; the job's completion is an event of ``kind``."""
+        returned; the job's completion is an ``EV_JOB_DONE[job]`` event."""
         if self.pending_job is not NEVER:
-            raise ModelError(f"cannot stamp {kind!r}: the staff's "
+            raise ModelError(f"cannot stamp {EV_JOB_DONE[job]!r}: the staff's "
                              f"{self.pending_job[2]!r} is still pending")
         c = line.popleft()
         c.wait += now - c.joined_at
@@ -199,7 +201,7 @@ class Replication:
         if tr is not None:
             tr.append((now, L_START[job], c.id))
         tm.staff_since = now
-        self.pending_job = self.cal.stamp(now + dur, kind, c)
+        self.pending_job = self.cal.stamp(now + dur, EV_JOB_DONE[job], c)
         return c
 
     def start_fitting(self, c: Customer, now: float, helped: bool) -> None:

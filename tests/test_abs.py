@@ -195,15 +195,15 @@ def test_starting_a_staff_job(model):
     run.note = noted.append
     first, second = Customer(0, 1.0), Customer(1, 2.0)
     run.queues.entry.extend([first, second])
-    assert run.start_job(JOB1, run.queues.entry, 4.0, "job_kind") is first
+    assert run.start_job(JOB1, run.queues.entry, 4.0) is first
     assert first.wait == 3.0 and list(run.queues.entry) == [second]
     assert noted == [4.0]
     assert trace == [(4.0, "start_job1", 0)]
     assert run.tm.staff_since == 4.0
-    assert run.pending_job[0] == 4.5 and run.pending_job[2:] == ("job_kind", first)
+    assert run.pending_job[0] == 4.5 and run.pending_job[2:] == ("job1_done", first)
     # a second job while one is pending is a wiring bug; nobody is served
     with pytest.raises(ModelError, match="still pending"):
-        run.start_job(JOB1, run.queues.entry, 5.0, "job_kind")
+        run.start_job(JOB1, run.queues.entry, 5.0)
     assert list(run.queues.entry) == [second] and second.wait == 0.0 and noted == [4.0]
 
 
@@ -315,7 +315,7 @@ def test_serve_message_must_match_waiting_state():
     c = CustomerAgent(0, 0.0, model)
     c._transition(agents.WAITING_ENTRY)
     # serving job 3 to someone waiting for entry is a wiring bug
-    with pytest.raises(ModelError):
+    with pytest.raises(ModelError, match="illegal transition"):
         c.handle(agents.M_SERVE, agents.JOB3, 0.0)
     c.handle(agents.M_SERVE, agents.JOB1, 0.0)
     assert c.state == agents.IN_ENTRY_SERVICE

@@ -70,7 +70,7 @@ def test_calendar_carries_target_through():
     assert pop_event(cal)[3] is payload
 
 
-def test_calendar_len_tracks_pending_events():
+def test_calendar_heap_holds_each_pending_event():
     cal = EventCalendar()
     assert len(cal._heap) == 0
     cal.schedule(1.0, "a")
@@ -117,7 +117,7 @@ def test_streams_look_uncorrelated_across_purposes():
     assert abs(r) < 0.05
 
 
-def test_state_token_tracks_consumption():
+def test_copies_of_a_stream_deal_one_draw_when_in_step():
     # a stream's position is read off its next draw: two copies of one
     # stream deal the same next draw exactly when they are in step
     a, b = make_stream(), make_stream()

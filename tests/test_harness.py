@@ -20,7 +20,7 @@ import pytest
 from fitroom import harness
 from fitroom.abs import run_abs
 from fitroom.cli import main
-from fitroom.config import ScenarioConfig
+from fitroom.config import ScenarioConfig, build_config, parse_config_text
 from fitroom.des import run_des
 from fitroom.engine import DistributionSpec, ModelError, ReplicationDraws
 from fitroom.harness import (
@@ -479,6 +479,11 @@ def test_sweep_spec_validates():
         SweepSpec(levels=0)
     with pytest.raises(ValueError):
         SweepSpec(growth_factor=0.0)
+    # True would pass as a one-level sweep, or as a growth of the int 1
+    with pytest.raises(ValueError):
+        SweepSpec(levels=True)
+    with pytest.raises(ValueError):
+        SweepSpec(growth_factor=True)
 
 
 def test_sweep_scales_are_exact_powers():
@@ -614,6 +619,19 @@ def test_json_round_trip_is_stable():
 def test_report_formats_carry_the_same_numbers():
     report = compare_experiments(tiny_cfg(), model="des")
     assert parse_csv(emit_report(report, "csv")) == parse_json(emit_report(report, "json"))
+
+
+def test_a_whole_number_scale_is_written_as_a_float():
+    # a scale read from "arrival.scale = 2" is the int 2; its column is a
+    # float column, so JSON writes 2.0, and CSV writes 2 as it writes 2.0
+    cfg = build_config(parse_config_text("arrival.scale = 2\nreplications = 2"))
+    assert type(cfg.arrival.scale) is int
+    report = run_report(cfg, "des")
+    text = emit_report(report, "json")
+    assert [row["arrival_scale"] for row in json.loads(text)["rows"]] == [2.0] * 6
+    assert text.count('"arrival_scale": 2.0,') == 6
+    lines = emit_report(report, "csv").splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == ["2"] * 6
 
 
 def test_emit_rejects_unknown_format():

@@ -22,7 +22,8 @@ import sys
 from typing import Optional, Sequence
 
 from .config import ConfigError, ScenarioConfig, build_config, load_config
-from .harness import SweepSpec, compare_experiments, emit_report, run_report, sweep
+from .harness import (MODEL_ORDER, SweepSpec, compare_experiments, emit_report,
+                      run_report, sweep)
 
 
 def _positive_int(text: str) -> int:
@@ -47,7 +48,7 @@ def _positive_float(text: str) -> float:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--model", choices=("des", "abs", "both"), default="both",
+        "--model", choices=(*MODEL_ORDER, "both"), default="both",
         help="which model(s) to run (default: both)",
     )
     sub.add_argument("--config", metavar="PATH", help="scenario file to load")
@@ -83,12 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run the arrival-pressure ladder")
     _add_common(p_sweep)
     p_sweep.add_argument(
-        "--levels", type=_positive_int, default=5,
-        help="number of load levels (default: 5)",
+        "--levels", type=_positive_int, default=SweepSpec.levels,
+        help="number of load levels (default: %(default)s)",
     )
     p_sweep.add_argument(
-        "--factor", type=_positive_float, default=1.3,
-        help="multiplicative growth per level (default: 1.3)",
+        "--factor", type=_positive_float, default=SweepSpec.growth_factor,
+        help="multiplicative growth per level (default: %(default)s)",
     )
 
     p_cmp = sub.add_parser("compare", help="compare the policy off vs. on")

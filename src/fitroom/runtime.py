@@ -247,13 +247,11 @@ class QueueSet:
 
 
 def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, deque]]:
-    """Pick the staff's next job under global first-come-first-served.
-
-    The earliest-joined head across the three queues wins; the entry head
-    only competes while a cubicle is free (entry service ends with the
-    customer walking into one).  Ties break by customer id, i.e. arrival
-    order.  Returns (job number, queue holding the winner) or None.
-    """
+    """Pick the staff's next job, first come first served: each queue is
+    served in join order (equal join times in event order), and of the
+    three heads the earliest-joined wins, ties to the lower customer id.
+    The entry head competes only while a cubicle is free, since entry
+    service ends in one.  Returns (job number, winner's queue) or None."""
     best = None
     job = 0
     line = None

@@ -5,8 +5,9 @@ import heapq
 from hypothesis import strategies as st
 
 from fitroom.config import ScenarioConfig
-from fitroom.engine import ArrivalProfile, DistributionSpec
+from fitroom.engine import ArrivalProfile, DistributionSpec, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
+from oracles import check_metrics, check_trace
 
 
 def pop_event(cal):
@@ -18,6 +19,17 @@ def pop_event(cal):
     ev = heapq.heappop(cal._heap)
     cal.now = ev[0]
     return ev
+
+
+def traced(run, cfg, rep=0):
+    """Run replication ``rep`` of ``cfg`` through ``run`` (``run_des`` or
+    ``run_abs``) with a trace, assert that the trace keeps the store's rules
+    and folds to the run's metrics, and return (metrics, trace)."""
+    trace = []
+    metrics = run(cfg, ReplicationDraws(rep), trace)
+    check_trace(trace, cfg.cubicles)
+    check_metrics(trace, cfg, metrics)
+    return metrics, trace
 
 
 def durations(lo, hi):

@@ -1,6 +1,7 @@
 """Agent model: state chart enforcement, cubicle allocation, and above all
 equivalence with the discrete-event model."""
 
+import functools
 import hashlib
 import weakref
 from dataclasses import replace
@@ -14,11 +15,11 @@ from fitroom.abs import AbsRun, CustomerAgent, run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError, ReplicationDraws
+from fitroom.harness import _RUNNERS
 from fitroom.proactive import ProactivePolicy
 from fitroom.runtime import JOB1, Customer
 from fitroom.stats import RunMetrics
-from helpers import stochastic_scenarios
-from oracles import check_trace
+from helpers import stochastic_scenarios, traced
 
 
 def cfg_variants():
@@ -55,17 +56,22 @@ def cfg_variants():
     }
 
 
+@functools.cache
+def variant_days(name):
+    """Each model's (metrics, trace digest) on replications 0-2 of the
+    variant ``name``: every day is run, and checked by ``traced``, once."""
+    cfg = cfg_variants()[name]
+    return [[(metrics, trace_digest(trace))
+             for metrics, trace in (traced(run_des, cfg, rep), traced(run_abs, cfg, rep))]
+            for rep in range(3)]
+
+
 @pytest.mark.parametrize("name", sorted(cfg_variants()))
 def test_two_models_tell_the_same_story(name):
     # the strongest claim in the package: with shared streams the two
     # formulations are indistinguishable event for event
-    cfg = cfg_variants()[name]
-    for rep in range(3):
-        t_des, t_abs = [], []
-        m_des = run_des(cfg, ReplicationDraws(rep), t_des)
-        m_abs = run_abs(cfg, ReplicationDraws(rep), t_abs)
-        assert m_des == m_abs, f"{name} rep {rep}: metrics diverge"
-        assert t_des == t_abs, f"{name} rep {rep}: traces diverge"
+    for rep, (des_day, abs_day) in enumerate(variant_days(name)):
+        assert des_day == abs_day, f"{name} rep {rep}: the models diverge"
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -73,12 +79,7 @@ def test_two_models_tell_the_same_story(name):
 def test_two_models_tell_the_same_story_on_stochastic_days(cfg, rep):
     # C3 and the variants above hold durations fixed or hand-picked; here
     # every duration, threshold and policy setting is drawn at random
-    t_des, t_abs = [], []
-    m_des = run_des(cfg, ReplicationDraws(rep), t_des)
-    assert m_des == run_abs(cfg, ReplicationDraws(rep), t_abs)
-    assert t_des == t_abs
-    # and the one trace keeps the store's rules
-    check_trace(t_des, cfg.cubicles, m_des.service_time_changes)
+    assert traced(run_des, cfg, rep) == traced(run_abs, cfg, rep)
 
 
 # sha256 of repr(trace) per variant and replication 0-2, pinned: DES and ABS
@@ -144,13 +145,9 @@ def trace_digest(trace):
 
 @pytest.mark.parametrize("name", sorted(cfg_variants()))
 def test_traces_are_pinned(name):
-    cfg = cfg_variants()[name]
-    for rep, pinned in enumerate(_PINNED_TRACES[name]):
-        t_des, t_abs = [], []
-        run_des(cfg, ReplicationDraws(rep), t_des)
-        run_abs(cfg, ReplicationDraws(rep), t_abs)
-        assert trace_digest(t_des) == pinned, f"{name} rep {rep}: DES trace moved"
-        assert trace_digest(t_abs) == pinned, f"{name} rep {rep}: ABS trace moved"
+    for rep, days in enumerate(variant_days(name)):
+        for model, (_, digest) in zip(("DES", "ABS"), days):
+            assert digest == _PINNED_TRACES[name][rep], f"{name} rep {rep}: {model} trace moved"
 
 
 def served_by_the_clock():
@@ -207,34 +204,19 @@ def test_starting_a_staff_job(model):
     assert list(run.queues.entry) == [second] and second.wait == 0.0 and noted == [4.0]
 
 
-# the trace labels that start and end a spell in a queue
-_JOINS = {"arrival": "entry", "request_help": "help", "leave_cubicle": "ret"}
-_LEAVES = {"start_job1", "start_job2", "start_job3", "renege"}
-
-
-@pytest.mark.parametrize("model", [DesRun, AbsRun])
+@pytest.mark.parametrize("model", sorted(_RUNNERS))
 def test_waits_cut_off_at_closing_are_charged_in_every_queue(model):
     # a short, busy day on which everyone wants help ends with someone in
-    # each of the three queues; under the "all" estimator the mean wait is
-    # the one rebuilt from the trace alone, every unfinished spell charged
-    # up to the horizon
+    # each of the three queues; under the "all" estimator the helper checks
+    # the mean wait against the one folded from the trace, every unfinished
+    # spell charged up to the horizon
     base = ScenarioConfig(replications=1, master_seed=3, horizon=90.0,
                           wait_estimator="all", help_probability=1.0)
     cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
-    trace = []
-    metrics = model(cfg, ReplicationDraws(0), trace).run()
-    joined, waits = {}, {}
-    for t, label, cid in trace:
-        if label in _JOINS:
-            joined[cid] = (t, _JOINS[label])
-            waits.setdefault(cid, 0.0)
-        elif label in _LEAVES:
-            waits[cid] += t - joined.pop(cid)[0]
-    assert sorted({queue for _, queue in joined.values()}) == ["entry", "help", "ret"]
-    for cid, (t, _) in joined.items():
-        waits[cid] += cfg.horizon - t
-    assert len(waits) == metrics.served + metrics.not_served
-    assert metrics.mean_wait == pytest.approx(sum(waits.values()) / len(waits), rel=1e-12)
+    _, trace = traced(_RUNNERS[model], cfg)
+    # a customer whose last entry joins a queue is still in it at closing
+    last = {cid: label for _, label, cid in trace}
+    assert {"arrival", "request_help", "leave_cubicle"} <= set(last.values())
 
 
 @pytest.mark.parametrize("model", [DesRun, AbsRun])
@@ -250,21 +232,31 @@ def test_a_finished_run_is_freed_by_reference_counting(model, monkeypatch, gc_di
 
     monkeypatch.setattr(model, "__init__", init)
     cfg = cfg_variants()["hot"]
-    metrics = (run_des if model is DesRun else run_abs)(cfg, ReplicationDraws(0))
+    metrics = model(cfg, ReplicationDraws(0)).run()
     assert metrics.served > 0 and metrics.not_served > 0
     assert len(runs) == 1 and runs[0]() is None
 
-def test_zero_arrivals_empty_run():
+
+# --- properties of either model, on its own ------------------------------------
+
+
+@pytest.mark.parametrize("model", sorted(_RUNNERS))
+def test_zero_arrivals_produce_empty_metrics(model):
     cfg = ScenarioConfig(arrival=ArrivalProfile((0.0,) * 8), replications=1)
-    assert run_abs(cfg, ReplicationDraws(0)) == RunMetrics(0.0, 0.0, 0.0, 0, 0, 0)
+    assert traced(_RUNNERS[model], cfg) == (RunMetrics(0.0, 0.0, 0.0, 0, 0, 0), [])
 
 
-def test_same_replication_is_bit_identical():
+@pytest.mark.parametrize("model", sorted(_RUNNERS))
+def test_same_replication_is_bit_identical(model):
     cfg = ScenarioConfig(replications=1, master_seed=2)
-    t1, t2 = [], []
-    assert run_abs(cfg, ReplicationDraws(0), t1) == run_abs(cfg, ReplicationDraws(0), t2)
-    assert t1 == t2
-    assert run_abs(cfg, ReplicationDraws(0)) != run_abs(cfg, ReplicationDraws(1))
+    assert traced(_RUNNERS[model], cfg) == traced(_RUNNERS[model], cfg)
+
+
+@pytest.mark.parametrize("model", sorted(_RUNNERS))
+def test_different_replications_differ(model):
+    cfg = ScenarioConfig(replications=1, master_seed=2)
+    run = _RUNNERS[model]
+    assert run(cfg, ReplicationDraws(0)) != run(cfg, ReplicationDraws(1))
 
 
 # --- state chart ---------------------------------------------------------------

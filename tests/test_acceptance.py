@@ -22,7 +22,8 @@ from fitroom.harness import SweepSpec, sweep
 from fitroom.proactive import ProactivePolicy, ServiceTimeTable
 from fitroom.runtime import JOB2
 from fitroom.stats import decide, mann_whitney_u
-from oracles import check_trace, exact_mw_oracle
+from helpers import traced
+from oracles import check_metrics, check_trace, exact_mw_oracle
 
 D = DistributionSpec
 
@@ -87,9 +88,9 @@ def random_scenario(rng: random.Random) -> ScenarioConfig:
 @pytest.fixture(scope="module")
 def c1_days():
     """C1's 1000 randomized scenarios, run once for C1 and for the trace
-    checker, DES and ABS in turn: (seconds taken, scenarios that broke
-    conservation or a bound, the checker's findings).  The checker runs
-    outside the timed part."""
+    checks, DES and ABS in turn: (seconds taken, scenarios that broke
+    conservation or a bound, the checks' findings).  ``check_trace`` and
+    ``check_metrics`` run outside the timed part."""
     rng = random.Random(424242)
     started = time.perf_counter()
     checking = 0.0
@@ -111,7 +112,8 @@ def c1_days():
             failures.append(i)
         check_started = time.perf_counter()
         try:
-            check_trace(trace, cfg.cubicles, m.service_time_changes)
+            check_trace(trace, cfg.cubicles)
+            check_metrics(trace, cfg, m)
         except AssertionError as exc:
             broken.append(f"scenario {i}: {exc}")
         checking += time.perf_counter() - check_started
@@ -191,10 +193,7 @@ def test_c3_degenerate_scenarios_replay_identically():
             replications=1,
             master_seed=1000 + i,
         )
-        t_des, t_abs = [], []
-        m_des = run_des(cfg, ReplicationDraws(0), t_des)
-        m_abs = run_abs(cfg, ReplicationDraws(0), t_abs)
-        if m_des != m_abs or t_des != t_abs:
+        if traced(run_des, cfg) != traced(run_abs, cfg):
             diverged.append(i)
     verdict(
         "C3",

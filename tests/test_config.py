@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,14 @@ def test_minimal_file_keeps_defaults(tmp_path):
     cfg = load_config(write(tmp_path, "seed = 9\n"))
     assert cfg.master_seed == 9
     assert cfg == replace(ScenarioConfig(), master_seed=9)
+
+
+def test_the_readme_example_is_the_defaults_but_seed_and_scale():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    defaults = ScenarioConfig()
+    assert build_config(parse_config_text(example)) == replace(
+        defaults, master_seed=42, arrival=replace(defaults.arrival, scale=1.3))
 
 
 def test_full_file_round_trip(tmp_path):

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from fitroom import harness
-from fitroom.abs import run_abs
 from fitroom.cli import main
 from fitroom.config import ScenarioConfig, build_config, parse_config_text
 from fitroom.des import run_des
@@ -28,6 +27,7 @@ from fitroom.harness import (
     MODEL_ORDER,
     ExperimentReport,
     SweepSpec,
+    _RUNNERS,
     _execute,
     _g,
     compare_experiments,
@@ -92,12 +92,9 @@ def sharing_cells():
     return [(model, cfg) for cfg in cfgs for model in ("des", "abs")]
 
 
-RUN = {"des": run_des, "abs": run_abs}
-
-
 def test_cells_sharing_replications_match_cells_run_alone():
     cells = sharing_cells()
-    alone = [[RUN[m](cfg, ReplicationDraws(rep)) for rep in range(cfg.replications)]
+    alone = [[_RUNNERS[m](cfg, ReplicationDraws(rep)) for rep in range(cfg.replications)]
              for m, cfg in cells]
     assert _execute(cells) == alone
     # DES and ABS agree, and every config gives its own results
@@ -109,8 +106,8 @@ def test_shared_draws_give_the_traces_of_private_ones():
     for rep in range(2):
         shared = ReplicationDraws(rep)
         for m, cfg in cells:
-            t_shared, t_alone = [], []
-            assert RUN[m](cfg, shared, t_shared) == RUN[m](cfg, ReplicationDraws(rep), t_alone)
+            run, t_shared, t_alone = _RUNNERS[m], [], []
+            assert run(cfg, shared, t_shared) == run(cfg, ReplicationDraws(rep), t_alone)
             assert t_shared == t_alone
 
 

@@ -6,9 +6,9 @@ Three commands, all emitting the same report table (CSV by default):
     fitroom sweep    the multiplicative load ladder
     fitroom compare  policy off vs. on, with rank-sum hypothesis rows
 
-The replications run on every CPU in the process's affinity mask, so
-``taskset -c 0 fitroom ...`` runs them one at a time; the report is the
-same either way.
+The replications run on every CPU in the process's affinity mask, the
+library's default, so ``taskset -c 0 fitroom ...`` runs them one at a time;
+the report is the same either way.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for I/O failures
 (argparse also exits 2 on malformed arguments, as usual).
@@ -17,7 +17,6 @@ Exit codes: 0 on success, 1 for configuration problems, 2 for I/O failures
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional, Sequence
 
@@ -116,28 +115,17 @@ def _assemble_config(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on (its affinity mask), which share
-    the replications; 1 where the platform keeps no mask."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return 1
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _assemble_config(args)
-        jobs = _cpu_count()
         if args.command == "run":
-            report = run_report(cfg, args.model, jobs)
+            report = run_report(cfg, args.model)
         elif args.command == "sweep":
             spec = SweepSpec(levels=args.levels, growth_factor=args.factor)
-            report = sweep(cfg, spec, args.model, jobs)
+            report = sweep(cfg, spec, args.model)
         else:
-            report = compare_experiments(cfg, args.model, independent=args.independent,
-                                         jobs=jobs)
+            report = compare_experiments(cfg, args.model, independent=args.independent)
         text = emit_report(report, args.format)
         if args.out:
             with open(args.out, "w", newline="\n") as fh:

@@ -3,9 +3,9 @@ the paired policy comparison, plus report serialization.
 
 Each driver builds one experiment plan, a list of (model, level, config)
 entries, and ``_run_plan`` runs it on one runner, ``_execute``, and folds
-every entry's results into summary rows.  The runner can share the
-replications among forked processes; the library runs them in the calling
-process unless asked for more.
+every entry's results into summary rows.  The runner shares the
+replications among forked processes, by default one per CPU this process
+may run on; ``_processes`` is the one rule for how many.
 
 Reports are flat tables.  Every summary row is one (model, load level,
 measure) cell; a comparison report carries hypothesis rows after the summary
@@ -21,6 +21,7 @@ import os
 import pickle
 import signal
 import sys
+import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import BinaryIO, Optional, Sequence
 from zlib import crc32
@@ -87,9 +88,28 @@ def _run_chunk(cells: Sequence[Cell], reps: range) -> list[list[RunMetrics]]:
     return results
 
 
-def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
-    """Run every cell's replications on up to ``jobs`` processes; returns
-    each cell's results in replication order.
+def _processes(jobs: Optional[int]) -> int:
+    """How many processes share the replications, before the cap at their
+    count.  An explicit ``jobs`` is taken as given.  None means one per CPU
+    in this process's affinity mask, or one where the platform keeps no
+    mask, or where this process runs more than one thread: a fork of a
+    threaded process can deadlock, and is deprecated from Python 3.12 on.
+    Where the platform cannot fork, it is always one."""
+    if not hasattr(os, "fork"):
+        return 1
+    if jobs is not None:
+        return jobs
+    if threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _execute(cells: Sequence[Cell], jobs: Optional[int] = None) -> list[list[RunMetrics]]:
+    """Run every cell's replications on up to ``_processes(jobs)``
+    processes; returns each cell's results in replication order.
 
     Replications 0..n-1 are cut into contiguous blocks, one per process,
     each run by ``_run_chunk`` over all cells.  The calling process runs
@@ -106,7 +126,7 @@ def _execute(cells: Sequence[Cell], jobs: int = 1) -> list[list[RunMetrics]]:
     fails while children run, it kills them first.
     """
     n = max((cfg.replications for _, cfg in cells), default=0)
-    jobs = max(1, min(jobs, n))
+    jobs = max(1, min(_processes(jobs), n))
     cuts = [n * k // jobs for k in range(jobs + 1)]
     blocks = [range(cuts[k], cuts[k + 1]) for k in range(jobs)]
     children: list[tuple[int, BinaryIO]] = []
@@ -180,12 +200,13 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
 def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetrics]:
     """Run every replication of one model.
 
-    Result order is replication order, so element i is always the run seeded
-    for replication i regardless of when or where this is called.
+    They run in the calling process.  Result order is replication order, so
+    element i is always the run seeded for replication i regardless of when
+    or where this is called.
     """
     if model not in _RUNNERS:
         raise ValueError(f"unknown model {model!r}; expected 'des' or 'abs'")
-    return _execute([(model, config)])[0]
+    return _execute([(model, config)], jobs=1)[0]
 
 
 @dataclass(frozen=True)
@@ -234,10 +255,11 @@ Entry = tuple[str, int, ScenarioConfig]
 
 
 def _run_plan(plan: Sequence[Entry],
-              jobs: int) -> tuple[list[SummaryRow], list[list[RunMetrics]]]:
-    """Run every entry of ``plan`` on ``jobs`` processes; returns the
-    summary rows, entry by entry in plan order and measure by measure in
-    MEASURE_ORDER, and each entry's results in replication order."""
+              jobs: Optional[int]) -> tuple[list[SummaryRow], list[list[RunMetrics]]]:
+    """Run every entry of ``plan`` on ``_processes(jobs)`` processes;
+    returns the summary rows, entry by entry in plan order and measure by
+    measure in MEASURE_ORDER, and each entry's results in replication
+    order."""
     results = _execute([(m, cfg) for m, _, cfg in plan], jobs)
     rows = []
     for (m, level, cfg), metrics in zip(plan, results):
@@ -249,11 +271,12 @@ def _run_plan(plan: Sequence[Entry],
 
 
 def run_report(config: ScenarioConfig, model: str = "both",
-               jobs: int = 1) -> ExperimentReport:
+               jobs: Optional[int] = None) -> ExperimentReport:
     """Replications at the configured load only; reported as level 1.
 
-    ``jobs`` is the number of processes that share the replications; the
-    report is the same for any number.
+    ``jobs`` is the number of processes that share the replications, by
+    default one per CPU (see ``_processes``); the report is the same for
+    any number.
     """
     rows, _ = _run_plan([(m, 1, config) for m in _models_for(model)], jobs)
     return ExperimentReport(rows=tuple(rows))
@@ -263,10 +286,10 @@ def sweep(
     config: ScenarioConfig,
     spec: Optional[SweepSpec] = None,
     model: str = "both",
-    jobs: int = 1,
+    jobs: Optional[int] = None,
 ) -> ExperimentReport:
     """Run the full load ladder for the selected model(s) on ``jobs``
-    processes.
+    processes, by default one per CPU; the report is the same for any number.
 
     The sweep owns the arrival scale: level k runs at growth**(k-1) exactly,
     overriding whatever scale the base config carries.  Everything else in
@@ -304,10 +327,11 @@ def compare_experiments(
     config: ScenarioConfig,
     model: str = "both",
     independent: bool = False,
-    jobs: int = 1,
+    jobs: Optional[int] = None,
 ) -> ExperimentReport:
     """A/B comparison of the speed-up policy at the configured load, on
-    ``jobs`` processes.
+    ``jobs`` processes, by default one per CPU; the report is the same for
+    any number.
 
     Experiment A (reported as level 1) runs with the policy disabled,
     experiment B (level 2) with it enabled.  By default both experiments

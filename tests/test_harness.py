@@ -10,6 +10,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 import traceback
 from dataclasses import replace
@@ -111,8 +112,13 @@ def test_shared_draws_give_the_traces_of_private_ones():
             assert t_shared == t_alone
 
 
+# The three tests below watch the runner through fixtures of this process,
+# which see nothing of a forked child's streams and blocks: they run
+# serially.
+
+
 def test_sweep_opens_each_stream_once_per_replication(opened_streams):
-    sweep(tiny_cfg(replications=2), SweepSpec(), model="both")
+    sweep(tiny_cfg(replications=2), SweepSpec(), model="both", jobs=1)
     # 10 cells, each reading arrivals, job1-3, fitting, help, patience and
     # revert; nothing polls
     assert len(opened_streams) == 2 * 8
@@ -130,7 +136,7 @@ def test_a_degenerate_day_opens_only_the_arrival_stream(opened_streams):
         patience=None,
         proactive=ProactivePolicy(revert_delay=DistributionSpec.deterministic(5.0)),
     )
-    run_report(cfg, "both")
+    run_report(cfg, "both", jobs=1)
     assert opened_streams == [(31, "arrivals", 0), (31, "arrivals", 1)]
 
 
@@ -146,7 +152,7 @@ def test_each_replications_draws_are_let_go_before_the_next(
         real_init(self, replication)
 
     monkeypatch.setattr(ReplicationDraws, "__init__", init)
-    sweep(tiny_cfg(replications=3), SweepSpec(levels=2), model="both")
+    sweep(tiny_cfg(replications=3), SweepSpec(levels=2), model="both", jobs=1)
     assert seen_alive == [[], [], []]
     assert {rep for rep, _ in dealt_blocks} == {0, 1, 2}
 
@@ -213,22 +219,65 @@ def test_reports_are_the_same_on_any_number_of_processes(jobs, serial_reports):
             assert emit_report(report, fmt) == serial_reports[name][fmt], (name, fmt)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry for every os.fork() this process makes during the test."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """This process may run on three CPUs, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def test_a_default_call_forks_a_child_for_each_other_cpu(three_cpus, forks):
+    cfg = tiny_cfg(replications=5)
+    serial = emit_report(run_report(cfg, "both", jobs=1))
+    assert forks == []
+    assert emit_report(run_report(cfg, "both")) == serial
+    assert len(forks) == 2
+
+
+def test_a_default_call_from_a_threaded_process_forks_nothing(three_cpus, forks):
+    cfg = tiny_cfg(replications=5)
+    serial = emit_report(run_report(cfg, "both", jobs=1))
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        report = emit_report(run_report(cfg, "both"))
+    finally:
+        parked.set()
+        thread.join()
+    assert report == serial
+    assert forks == []
+
+
+def test_a_platform_without_fork_runs_every_block_in_the_caller(monkeypatch):
+    cells = [("des", tiny_cfg(replications=5)), ("abs", tiny_cfg(replications=3))]
+    serial = _execute(cells, jobs=1)
+    monkeypatch.delattr(os, "fork")
+    assert _execute(cells, jobs=2) == serial
+    assert _execute(cells) == serial
+
+
 def fake_runner(cfg, draws):
     """A run that costs nothing and says which replication it was."""
     rep = draws.replication
     return RunMetrics(float(rep), cfg.master_seed, 0.0, rep, 0, 0)
 
 
-def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch):
+def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch, forks):
     monkeypatch.setitem(harness._RUNNERS, "des", fake_runner)
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
     cells = [("des", tiny_cfg(replications=3000)), ("des", tiny_cfg(replications=2000))]
     results = _execute(cells, jobs=3)
     assert [[m.served for m in out] for out in results] == [list(range(3000)),
@@ -779,7 +828,7 @@ def fork():
     raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
 os.fork = fork
-cli._cpu_count = lambda: 3
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 raise SystemExit(cli.main(sys.argv[1:]))
 """
 
@@ -810,7 +859,7 @@ def run_chunk_or_die(cells, reps):
     return run_chunk(cells, reps)
 
 harness._run_chunk = run_chunk_or_die
-cli._cpu_count = lambda: 3
+os.sched_getaffinity = lambda pid: {0, 1, 2}
 raise SystemExit(cli.main(sys.argv[1:]))
 """
 

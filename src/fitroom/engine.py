@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import zlib
+import random
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, repeat
 from typing import Callable, Iterator, Optional
-
-import numpy as np
 
 OPENING_HOURS = 8
 MINUTES_PER_HOUR = 60.0
@@ -71,26 +68,25 @@ BLOCK = 512
 
 
 class RandomStream:
-    """Reader of uniform(0,1) draws, handed out one at a time as Python floats.
+    """Reader of uniform(0,1) draws, handed out one at a time as floats.
 
-    The draws come in blocks, arrays of uniforms, from ``next_block``.
-    ``RandomStreams.stream`` passes a PCG64 generator's, and the sequence is
-    identical to calling ``Generator.random()`` one value at a time, just
-    cheaper; ReplicationDraws passes its own to replay a stream it has
-    already drawn.
+    The draws come in blocks, lists of uniforms, from ``next_block``.
+    ``RandomStreams.stream`` passes a Mersenne Twister's, and the sequence is
+    identical to calling its ``random()`` one value at a time, just cheaper;
+    ReplicationDraws passes its own to replay a stream it has already drawn.
     """
 
     __slots__ = ("next_block", "_buf")
 
-    def __init__(self, next_block: Callable[[], np.ndarray]) -> None:
+    def __init__(self, next_block: Callable[[], list[float]]) -> None:
         self.next_block = next_block
         self._buf: list[float] = []
 
     def uniform(self) -> float:
         buf = self._buf
         if not buf:
-            # reversed so list.pop() hands the block out in generator order
-            buf = self.next_block()[::-1].tolist()
+            # a reversed copy, so list.pop() hands the block out in order
+            buf = self.next_block()[::-1]
             self._buf = buf
         return buf.pop()
 
@@ -98,10 +94,14 @@ class RandomStream:
 class RandomStreams:
     """Factory of reproducible substreams keyed by (purpose, replication).
 
-    Each substream is spawned from the master seed via a SeedSequence with a
-    distinct spawn key, so streams never overlap and any one purpose can be
-    resampled without disturbing the others.  Two experiments sharing a
-    master seed therefore share random numbers stream-for-stream.
+    Each substream is an MT19937 generator (``random.Random``) seeded with
+    the string ``"{master seed}/{replication}/{purpose}"``, which Python
+    hashes with SHA-512 into the generator's whole state.  Distinct keys
+    give unrelated streams, so any one purpose can be resampled without
+    disturbing the others, and two experiments sharing a master seed share
+    random numbers stream-for-stream.  Python guarantees that ``random()``
+    deals the same sequence for the same seed in every version, so the
+    draws depend on nothing but the key.
     """
 
     __slots__ = ("master_seed",)
@@ -112,10 +112,8 @@ class RandomStreams:
         self.master_seed = master_seed
 
     def stream(self, purpose: str, replication: int) -> RandomStream:
-        key = (replication, zlib.crc32(purpose.encode("ascii")))
-        gen = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(self.master_seed, spawn_key=key)))
-        return RandomStream(partial(gen.random, BLOCK))
+        draw = random.Random(f"{self.master_seed}/{replication}/{purpose}").random
+        return RandomStream(lambda: [draw() for _ in repeat(None, BLOCK)])
 
 
 def bernoulli(p: float, stream: RandomStream) -> bool:
@@ -342,6 +340,6 @@ class ReplicationDraws:
                         self._streams[(seed, purpose)] = stream
                     raw.append(stream.next_block())
                 if made is not raw:
-                    made.append(spec.values(raw[k].tolist()))
+                    made.append(spec.values(raw[k]))
             yield made[k]
             k += 1

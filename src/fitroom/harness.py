@@ -19,14 +19,12 @@ import gc
 import json
 import os
 import pickle
+import random
 import signal
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
 from typing import BinaryIO, Optional, Sequence
-from zlib import crc32
-
-import numpy as np
 
 from .abs import run_abs
 from .config import ConfigError, ScenarioConfig
@@ -38,10 +36,6 @@ _RUNNERS = {"des": run_des, "abs": run_abs}
 
 MODEL_ORDER = tuple(_RUNNERS)
 MEASURE_ORDER = tuple(f.name for f in fields(RunMetrics))
-
-# Spawn key for deriving experiment B's seed when the comparison is run
-# without common random numbers.
-_B_SEED_KEY = crc32(b"compare-b")
 
 
 def _models_for(model: str) -> tuple[str, ...]:
@@ -341,8 +335,9 @@ def compare_experiments(
     cfg_a = replace(config, proactive=replace(config.proactive, enabled=False))
     cfg_b = replace(config, proactive=replace(config.proactive, enabled=True))
     if independent:
-        seq = np.random.SeedSequence(config.master_seed, spawn_key=(_B_SEED_KEY,))
-        cfg_b = replace(cfg_b, master_seed=int(seq.generate_state(1)[0]))
+        # B's seed is drawn like a stream, from a key no stream uses
+        key = f"{config.master_seed}/compare-b"
+        cfg_b = replace(cfg_b, master_seed=random.Random(key).getrandbits(32))
 
     models = _models_for(model)
     plan = [(m, level, cfg) for m in models for level, cfg in ((1, cfg_a), (2, cfg_b))]

@@ -8,6 +8,11 @@ import pytest
 from fitroom.engine import RandomStreams
 
 
+class Block(list):
+    """A block of uniforms that a weak reference can point at."""
+    __slots__ = ("__weakref__",)
+
+
 @pytest.fixture
 def opened_streams(monkeypatch):
     """Every stream opened during the test, as (master seed, purpose,
@@ -38,7 +43,7 @@ def dealt_blocks(monkeypatch):
         draw = s.next_block
 
         def next_block():
-            block = draw()
+            block = Block(draw())
             dealt.append((replication, weakref.ref(block)))
             return block
 

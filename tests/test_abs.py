@@ -87,54 +87,54 @@ def test_two_models_tell_the_same_story_on_stochastic_days(cfg, rep):
 # or the time of a traced event shows.
 _PINNED_TRACES = {
     "all_deterministic": (
-        "e7996b51dc115b1ee40f97d3496021f10256911d1bb1694259828dc10315395c",
-        "16d80751d5f9fe7a5309387fe1cc24abead6f2feed2dce1de64a60f6027be83f",
-        "821e79356f3e3fd538bc439dfebde6bb1256bdaae13e451ce2ba052701c06128",
+        "ae71bc7b37fdeb3b5859419ed04d531df390f9b4f19c9e5c333c687de68b3589",
+        "3345655772f61af93a8f330c3b13dc1339ea76739a82c848145a684337770815",
+        "d58bb15e2277ce271258e8a29d8b18e34f6cbf1c10fc05e88679d1815eff108a",
     ),
     "always_help": (
-        "a3ec3f95dc74fb77397f5c98a943c6115cc7fd956a296555bb587bb6f44e0872",
-        "e3e007acf93432cc107e89802e5ef7ae1596eb7d4dda85f94f66fa9acc2ec33b",
-        "0c9420bde6f5f48efb5828484a0b90c3ff6ed1a5047c7880f96975125068959f",
+        "68101700c1d29fd1cf0a4a3cfd2c0858c3ffb3c53ad3fe37584bcd837b9ce050",
+        "c8313a7078beedaf0625f7ff69330b72890ed6d18543caa0d97482ed19f19748",
+        "d62a46bda49d17ae0f93b97c465ea6076880fc919129d7c9d40bba92d4c71b5e",
     ),
     "default": (
-        "28ad797da975700b5c7ce8d33b46b39986ed060ef6b17ecc909012f9d1b40f16",
-        "5a2489672dda03c60b57e9f221ab6a28c1d51d9c5ccac7b2983f56a16a9ba34d",
-        "23e90eec24ddf5234899cef01f6924eb8a9b121a05aac4345e2ae65f9f30b8ef",
+        "080afd20d289c4f08f005b1f874eea62eee1ad6fdc98dcbfca85d50bb1cce8d5",
+        "d487f41d491062318914b75cfb671921abb26ef7b7eb3a3387924c78ed7db254",
+        "c99b8f3d34ccd22bfa04e60f474fad0a230ed782c6cb3617a09d866ee1883acc",
     ),
     "hot": (
-        "193e39c425acd9ad134d83dfd314d2886795d18a0db0a5292298a763f8d9ebb4",
-        "83aa8b2322f377425b6a2dcf923d151aedb8f47ba13573a0ef5529bda7901148",
-        "e5b13eff812348841e37d088c3e83eb919b238c92dc7531ad91784fe1a436361",
+        "aa37bfb8ec2f430b8fd100ce546bdaa02371bdc0562e300c4c90bd03dc772d18",
+        "bf33b676e491783f29f1671e247c2f1bb17741032d70b6062c5ba8c1e59b5eda",
+        "ae8cc5651f2505826bab74464d25aa55b446e262556a47d2e33e90cb16699319",
     ),
     "infinite_patience": (
-        "d4b3c3160449fb220eb194b738149c2cf6580613443075706c6e80587760149b",
-        "a92c73d3d567941f02ef50045f47fae272da65aadae096a87a1568bc5f4273d3",
-        "250b32c886d0bb2afed7b66e3f6c2a98a6dd1680a6f2c97e766a9a5687fa3c52",
+        "f9db9b81f308ae66ddb731ad51515b2cf0ee4d709cb295f2e43bdcf43b72beb7",
+        "66b46f7137e5fcb0f31d76a184c5f72f22e287ef40c96a1ee6faffcfebd35535",
+        "fc752ff56bf79509049b191118af40b16fff8d056aa446748415f9270f636dad",
     ),
     "never_help": (
-        "fb9bae02acbdbf90b84c7807674f4f6402eb2381fa408107d824cb7f4c4d6245",
-        "46435fa3f589f9895ff0d178a0b9ced3e8696ef8e59bcf5a4ca90df7bbc594e7",
-        "de1f05149f56131ff488aea943dce78fea72aaaacc0d60e5edc70913560ae524",
+        "48118570cc6bae9bc8af59eb1527b487c5705bac108331ae9978a6c9aa2bb665",
+        "3967e2d5502205a19e8cdf53cc985242ac4210c491c4b7a7ade160121f083054",
+        "b3a625643e66b58af70278ce3d7185be0f6684a5e48b6b214b39e9f05bd6dc4a",
     ),
     "one_cubicle": (
-        "aed6ba61ef64b8f7c717f58ba461daf44ce7bcade83892e9cd8c247f21ef15d7",
-        "a2c30e978d62be59dcba2928476775b465579c5bd51854c0272203c1ec6e3f3c",
-        "8479314d49222c8267e152093063b6f121696101b27d01a3a126468fb75e412b",
+        "c77a93896683f56ce31f2e135b0291a64c8329527bb3cd83bba431c359edeb9b",
+        "257fc4f51b10c86ce61c8b40b725c4ec0990af1f5e2f1b291c886a64129e83db",
+        "ef10ac772cf94753ef1af39ef46b7370f54dc8b9b779ac77eb1c553757d459c3",
     ),
     "policy_off": (
-        "dc34c968e3fa49807e2fbe721fbc225d706d021a22710d5f6f9b867cfc6d955a",
-        "3110fcf295d7e4af9e6fb010ad96f337655334d810ff826a593e56eef1e96b91",
-        "27c317faf1e21196b2df5c303d39d86d66d6c87d0bdd2402310d7b7ecbf92e92",
+        "44b14a8e3bf9cf40d9a4c6fc80e8c2c436e5a4555f24079c79d768b902d455f6",
+        "3b3099eff9e35d8860d7bba69c6827bce4056c94397172be0e3ef097d0770a44",
+        "83535dd07b06a91011a11c93e5d506ce3156692027336033ba1699695f93db34",
     ),
     "polling": (
-        "6198fcd4ecd7f2bdc4011114a98e8d34d223dcba1e57ffe47fa45401e36f6aa5",
-        "d58ad5ff0d92bb14cc7592a58747b9f0d6e79f491f33a69675a92a66a86d3ad9",
-        "27c317faf1e21196b2df5c303d39d86d66d6c87d0bdd2402310d7b7ecbf92e92",
+        "51aac72e5904e6f37e8b8e4ff5572df1fbbe322d1f7822229d35b81c99cd32d5",
+        "fccee90a2903f8ccfefb32ddf152df42a24efc30e0a832ffe0b38a1143247466",
+        "0c621922f87bd74fe5879310d8f890368dd797a732c43ccd0e8396e3b0381214",
     ),
     "short_fuse": (
-        "a900de99c09067abbf3ca64423fc28a01d1e69a312622dd63aec7af211a872bf",
-        "b3361594cf308759ef72018435665f54d353ee16b98d9bdc3b2f4e70f49a0109",
-        "a33adfa5e1204023fd6463f76eef4e0a9c6001be91d2da7ec9d1504efb43d457",
+        "a605525d53ead70d27ccebb0f3b89ae4160d583a59d492fc6bee2fb5d010a644",
+        "4d444ecd11adfa29b3bc4f8ae50608ea0deec5da8a228c49a70bceac5ee160a3",
+        "64c3c6d4d266af891ec0520ce6382a0d8d2cc50e1a3950c6b664a8ced560d5ff",
     ),
 }
 
@@ -207,10 +207,11 @@ def test_starting_a_staff_job(model):
 @pytest.mark.parametrize("model", sorted(_RUNNERS))
 def test_waits_cut_off_at_closing_are_charged_in_every_queue(model):
     # a short, busy day on which everyone wants help ends with someone in
-    # each of the three queues; under the "all" estimator the helper checks
-    # the mean wait against the one folded from the trace, every unfinished
-    # spell charged up to the horizon
-    base = ScenarioConfig(replications=1, master_seed=3, horizon=90.0,
+    # each of the three queues (seed 4 is the lowest seed whose day does);
+    # under the "all" estimator the helper checks the mean wait against the
+    # one folded from the trace, every unfinished spell charged up to the
+    # horizon
+    base = ScenarioConfig(replications=1, master_seed=4, horizon=90.0,
                           wait_estimator="all", help_probability=1.0)
     cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
     _, trace = traced(_RUNNERS[model], cfg)

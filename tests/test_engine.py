@@ -2,9 +2,10 @@
 process."""
 
 import math
-from functools import partial
+import random
+import statistics
+from array import array
 
-import numpy as np
 import pytest
 
 from fitroom.engine import (
@@ -14,7 +15,6 @@ from fitroom.engine import (
     DistributionSpec,
     EventCalendar,
     ModelError,
-    RandomStream,
     RandomStreams,
     ReplicationDraws,
     bernoulli,
@@ -98,22 +98,19 @@ def test_streams_differ_across_purposes_and_replications():
 
 def test_stream_buffering_matches_raw_generator():
     # the block buffer must be invisible: draw-for-draw identical to the
-    # underlying bit generator, including across block boundaries
-    gen = np.random.Generator(np.random.PCG64(77))
-    s = RandomStream(partial(gen.random, BLOCK))
+    # Mersenne Twister seeded with the stream's key, across block boundaries
+    s = make_stream(77, "fitting", 5)
+    raw = random.Random("77/5/fitting")
     n = 2 * BLOCK + 100  # across two block boundaries
-    raw = np.random.Generator(np.random.PCG64(77)).random(n)
-    got = [s.uniform() for _ in range(n)]
-    assert got == raw.tolist()
+    assert [s.uniform() for _ in range(n)] == [raw.random() for _ in range(n)]
 
 
 def test_streams_look_uncorrelated_across_purposes():
     n = 10_000
     s1 = make_stream(42, "arrivals", 0)
     s2 = make_stream(42, "patience", 0)
-    x = np.array([s1.uniform() for _ in range(n)])
-    y = np.array([s2.uniform() for _ in range(n)])
-    r = np.corrcoef(x, y)[0, 1]
+    r = statistics.correlation([s1.uniform() for _ in range(n)],
+                               [s2.uniform() for _ in range(n)])
     assert abs(r) < 0.05
 
 
@@ -335,7 +332,7 @@ def scalar_formula(spec, u):
 
 
 def bits(xs):
-    return np.array(xs, dtype=np.float64).view(np.uint64)
+    return array("d", xs).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -350,11 +347,10 @@ def bits(xs):
     ids=lambda spec: f"{spec.family}{spec.params}",
 )
 def test_block_transform_matches_the_scalar_formula_bit_for_bit(spec):
-    us = np.random.default_rng(2024).random(1_000_000)
-    us[:3] = (0.0, np.nextafter(1.0, 0.0), 0.5)
-    us = us.tolist()
-    assert np.array_equal(bits(spec.values(us)),
-                          bits([scalar_formula(spec, u) for u in us]))
+    rng = random.Random(2024)
+    us = [rng.random() for _ in range(1_000_000)]
+    us[:3] = (0.0, math.nextafter(1.0, 0.0), 0.5)
+    assert bits(spec.values(us)) == bits([scalar_formula(spec, u) for u in us])
 
 
 def test_deterministic_block_is_its_value():

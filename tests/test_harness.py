@@ -22,7 +22,7 @@ from fitroom import harness
 from fitroom.cli import main
 from fitroom.config import ScenarioConfig, build_config, parse_config_text
 from fitroom.des import run_des
-from fitroom.engine import DistributionSpec, ModelError, ReplicationDraws
+from fitroom.engine import DistributionSpec, ModelError, RandomStreams, ReplicationDraws
 from fitroom.harness import (
     MEASURE_ORDER,
     MODEL_ORDER,
@@ -160,13 +160,13 @@ def test_each_replications_draws_are_let_go_before_the_next(
 # Reports of a seed-42 sweep and independent comparison, pinned: a change
 # to any drawn number, or to the order in which a cell reads them, shows.
 _PINNED = {
-    "sweep": "b15b142f639bc8a33f7956ad3b23597c8832297a4a6dbdedb046c0899467d778",
-    "compare": "dec8af4b4020b2def4617d55bf6b031e87d257a59e5b82c14961181749db352a",
-    "run_hot": "6ea044dc386299cfa285bc3e56ed935d9bab68bc469b4cea38a62b5b9a430af5",
-    "compare_des_csv": "b9a31b6161f2758f58cfae0403efa71fdb6c0f6a7ee29c17eb059d9bb807d7bb",
-    "compare_des_json": "4155cc508274db6dd2dd4b41b8463ad21ea4f41902eae333595f99b27dcf68d7",
-    "compare_abs_csv": "d7a55b78b5bb947dd91097d442b65e4c26cc3b140b368134a154dee0c65fa2d2",
-    "compare_abs_json": "8661e551327e258236fb4fb4625df75a8fc8394a2cae16212994793aa6820223",
+    "sweep": "8bd6fc93d32aea0ff1e0770c2240d59f2892df173ca333f0c5d494289815c7d1",
+    "compare": "e78d9bcafda6238486983be91e636812db8402000043ca2f8b11a505d5f3f8d6",
+    "run_hot": "745044a2720004d805b965c92532f27295dd3267213565093c88acd01a0ef209",
+    "compare_des_csv": "5006ba04ec0d9d952660765e5bee231dba213decbc67cbb364adb232e953c143",
+    "compare_des_json": "f2a8d4de0797ebcc1f45099d597aafc9cbfb27b45b57623c5f40f1fbb1ca4a7c",
+    "compare_abs_csv": "761f0f76bc4da6941c687acf1fe95a8455a073733419e8b966432ec2b971bbe5",
+    "compare_abs_json": "bd8943b0f5cea9fc12b0bb2475d27c9302e98fbab9c787e8da5f24d0ac0ff188",
 }
 
 
@@ -617,6 +617,18 @@ def test_independent_seeding_changes_b_but_not_a():
     assert b_rows(paired) != b_rows(indep)
 
 
+def test_the_seeding_scheme_is_pinned(opened_streams):
+    # a change to how a stream or B's seed is keyed fails here by name,
+    # not only through the report digests
+    s = RandomStreams(1).stream("arrivals", 0)
+    assert [s.uniform() for _ in range(3)] == [
+        0.3169197796993223, 0.29497624448811977, 0.6497606298178913]
+    opened_streams.clear()
+    compare_experiments(tiny_cfg(master_seed=1, replications=1), "des",
+                        independent=True, jobs=1)
+    assert sorted({seed for seed, _, _ in opened_streams}) == [1, 3127664494]
+
+
 # --- serialization -----------------------------------------------------------------
 
 
@@ -886,11 +898,37 @@ def test_importing_the_cli_starts_no_thread():
     # the runner forks from the CLI's process; a fork of a process with
     # more than one thread is unsafe, and deprecated from Python 3.12 on
     root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run(
         [sys.executable, "-c",
          "import os, fitroom.cli; print(len(os.listdir('/proc/self/task')))"],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1\n"
+
+
+_NO_NUMPY_CLI = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from fitroom.cli import main
+raise SystemExit(main(["sweep", "--levels", "2", "--replications", "2"]))
+"""
+
+
+def test_the_cli_needs_no_numpy():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_CLI], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    expected = sweep(replace(ScenarioConfig(), replications=2), SweepSpec(levels=2))
+    assert done.stdout == emit_report(expected)
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fitroom.cli; print(sorted(m for m in sys.modules"
+         " if m.partition('.')[0] == 'numpy'))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout == "[]\n"

@@ -6,8 +6,8 @@ Three commands, all emitting the same report table (CSV by default):
     fitroom sweep    the multiplicative load ladder
     fitroom compare  policy off vs. on, with rank-sum hypothesis rows
 
-The replications run on every CPU in the process's affinity mask, the
-library's default, so ``taskset -c 0 fitroom ...`` runs them one at a time;
+The replications run on every CPU in the process's affinity mask, as every
+library call's do, so ``taskset -c 0 fitroom ...`` runs them one at a time;
 the report is the same either way.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for I/O failures

@@ -107,8 +107,6 @@ class RandomStreams:
     __slots__ = ("master_seed",)
 
     def __init__(self, master_seed: int) -> None:
-        if master_seed < 0:
-            raise ValueError("master seed must be a non-negative integer")
         self.master_seed = master_seed
 
     def stream(self, purpose: str, replication: int) -> RandomStream:
@@ -275,22 +273,21 @@ class ReplicationDraws:
     """Every random number one replication deals, drawn once and shared by
     all the cells (model, load level, policy) that replay the replication.
 
-    A stream opens through ``RandomStreams.stream`` when a cell first draws
-    from it, keyed by (master seed, purpose).  Its uniforms are drawn in
-    blocks and turned into each distribution's values once per block, and a
-    day's arrival times are worked out once per arrival profile.  Every
-    reader starts at its stream's first draw, so a cell reads exactly the
-    numbers a private stream would deal it.  Everything drawn is kept
-    while the object or any of its readers lives, so the object should
-    serve one replication only.
+    A stream opens through ``RandomStreams.stream`` when a cell first reads
+    it, once per (master seed, purpose, distribution); raw uniforms count
+    as a distribution.  Its uniforms are drawn in blocks and turned into the
+    distribution's values once per block, and a day's arrival times are
+    worked out once per arrival profile.  Every reader starts at its
+    stream's first draw, so a cell reads exactly the numbers a private
+    stream would deal it.  Everything drawn is kept while the object or any
+    of its readers lives, so the object should serve one replication only.
     """
 
-    __slots__ = ("replication", "_streams", "_blocks", "_days")
+    __slots__ = ("replication", "_blocks", "_days")
 
     def __init__(self, replication: int) -> None:
         self.replication = replication
-        self._streams: dict = {}   # (seed, purpose) -> its opened RandomStream
-        self._blocks: dict = {}    # (seed, purpose, spec or None) -> blocks so far
+        self._blocks: dict = {}    # (seed, purpose, spec or None) -> (blocks, maker)
         self._days: dict = {}      # (seed, profile) -> arrival times, then None
 
     def values(self, seed: int, purpose: str,
@@ -328,18 +325,14 @@ class ReplicationDraws:
                      spec: Optional[DistributionSpec]) -> Iterator:
         """Blocks of ``spec``'s values on the stream (its raw uniforms for
         None), from the first, each made once for every reader."""
-        raw = self._blocks.setdefault((seed, purpose, None), [])
-        made = raw if spec is None else self._blocks.setdefault((seed, purpose, spec), [])
+        key = (seed, purpose, spec)
+        if key not in self._blocks:
+            draw = RandomStreams(seed).stream(purpose, self.replication).next_block
+            self._blocks[key] = ([], draw if spec is None else lambda: spec.values(draw()))
+        blocks, make = self._blocks[key]
         k = 0
         while True:
-            if k == len(made):
-                if k == len(raw):
-                    stream = self._streams.get((seed, purpose))
-                    if stream is None:
-                        stream = RandomStreams(seed).stream(purpose, self.replication)
-                        self._streams[(seed, purpose)] = stream
-                    raw.append(stream.next_block())
-                if made is not raw:
-                    made.append(spec.values(raw[k]))
-            yield made[k]
+            if k == len(blocks):
+                blocks.append(make())
+            yield blocks[k]
             k += 1

@@ -4,8 +4,8 @@ the paired policy comparison, plus report serialization.
 Each driver builds one experiment plan, a list of (model, level, config)
 entries, and ``_run_plan`` runs it on one runner, ``_execute``, and folds
 every entry's results into summary rows.  The runner shares the
-replications among forked processes, by default one per CPU this process
-may run on; ``_processes`` is the one rule for how many.
+replications among forked processes, one per CPU this process may run on;
+``_processes`` is the one rule for how many, and no caller picks another.
 
 Reports are flat tables.  Every summary row is one (model, load level,
 measure) cell; a comparison report carries hypothesis rows after the summary
@@ -82,18 +82,13 @@ def _run_chunk(cells: Sequence[Cell], reps: range) -> list[list[RunMetrics]]:
     return results
 
 
-def _processes(jobs: Optional[int]) -> int:
+def _processes() -> int:
     """How many processes share the replications, before the cap at their
-    count.  An explicit ``jobs`` is taken as given.  None means one per CPU
-    in this process's affinity mask, or one where the platform keeps no
-    mask, or where this process runs more than one thread: a fork of a
-    threaded process can deadlock, and is deprecated from Python 3.12 on.
-    Where the platform cannot fork, it is always one."""
-    if not hasattr(os, "fork"):
-        return 1
-    if jobs is not None:
-        return jobs
-    if threading.active_count() > 1:
+    count: one per CPU in this process's affinity mask.  It is one where
+    the platform cannot fork or keeps no mask, and where this process runs
+    more than one thread: a fork of a threaded process can deadlock, and is
+    deprecated from Python 3.12 on."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -101,16 +96,16 @@ def _processes(jobs: Optional[int]) -> int:
         return 1
 
 
-def _execute(cells: Sequence[Cell], jobs: Optional[int] = None) -> list[list[RunMetrics]]:
-    """Run every cell's replications on up to ``_processes(jobs)``
-    processes; returns each cell's results in replication order.
+def _execute(cells: Sequence[Cell]) -> list[list[RunMetrics]]:
+    """Run every cell's replications on up to ``_processes()`` processes;
+    returns each cell's results in replication order.
 
     Replications 0..n-1 are cut into contiguous blocks, one per process,
     each run by ``_run_chunk`` over all cells.  The calling process runs
     the first block itself and a forked child runs each other one.  Every
     replication seeds itself from (master seed, replication, purpose), and
     the blocks are joined in replication order, so the results are the
-    same for any ``jobs``, and any process can run any block.
+    same for any number of processes, and any process can run any block.
 
     So a block that does not come back is run here: one whose fork failed
     (then no later fork is tried, and stderr says so once), and one whose
@@ -120,9 +115,9 @@ def _execute(cells: Sequence[Cell], jobs: Optional[int] = None) -> list[list[Run
     fails while children run, it kills them first.
     """
     n = max((cfg.replications for _, cfg in cells), default=0)
-    jobs = max(1, min(_processes(jobs), n))
-    cuts = [n * k // jobs for k in range(jobs + 1)]
-    blocks = [range(cuts[k], cuts[k + 1]) for k in range(jobs)]
+    count = max(1, min(_processes(), n))
+    cuts = [n * k // count for k in range(count + 1)]
+    blocks = [range(cuts[k], cuts[k + 1]) for k in range(count)]
     children: list[tuple[int, BinaryIO]] = []
     codes: list[int] = []
     try:
@@ -192,15 +187,13 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
 
 
 def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetrics]:
-    """Run every replication of one model.
-
-    They run in the calling process.  Result order is replication order, so
-    element i is always the run seeded for replication i regardless of when
-    or where this is called.
+    """Run every replication of one model, on the processes every driver
+    uses.  Result order is replication order, so element i is always the
+    run seeded for replication i regardless of when or where this is called.
     """
     if model not in _RUNNERS:
         raise ValueError(f"unknown model {model!r}; expected 'des' or 'abs'")
-    return _execute([(model, config)], jobs=1)[0]
+    return _execute([(model, config)])[0]
 
 
 @dataclass(frozen=True)
@@ -248,13 +241,11 @@ class ExperimentReport:
 Entry = tuple[str, int, ScenarioConfig]
 
 
-def _run_plan(plan: Sequence[Entry],
-              jobs: Optional[int]) -> tuple[list[SummaryRow], list[list[RunMetrics]]]:
-    """Run every entry of ``plan`` on ``_processes(jobs)`` processes;
-    returns the summary rows, entry by entry in plan order and measure by
-    measure in MEASURE_ORDER, and each entry's results in replication
-    order."""
-    results = _execute([(m, cfg) for m, _, cfg in plan], jobs)
+def _run_plan(plan: Sequence[Entry]) -> tuple[list[SummaryRow], list[list[RunMetrics]]]:
+    """Run every entry of ``plan``; returns the summary rows, entry by entry
+    in plan order and measure by measure in MEASURE_ORDER, and each entry's
+    results in replication order."""
+    results = _execute([(m, cfg) for m, _, cfg in plan])
     rows = []
     for (m, level, cfg), metrics in zip(plan, results):
         for measure in MEASURE_ORDER:
@@ -264,15 +255,9 @@ def _run_plan(plan: Sequence[Entry],
     return rows, results
 
 
-def run_report(config: ScenarioConfig, model: str = "both",
-               jobs: Optional[int] = None) -> ExperimentReport:
-    """Replications at the configured load only; reported as level 1.
-
-    ``jobs`` is the number of processes that share the replications, by
-    default one per CPU (see ``_processes``); the report is the same for
-    any number.
-    """
-    rows, _ = _run_plan([(m, 1, config) for m in _models_for(model)], jobs)
+def run_report(config: ScenarioConfig, model: str = "both") -> ExperimentReport:
+    """Replications at the configured load only; reported as level 1."""
+    rows, _ = _run_plan([(m, 1, config) for m in _models_for(model)])
     return ExperimentReport(rows=tuple(rows))
 
 
@@ -280,10 +265,8 @@ def sweep(
     config: ScenarioConfig,
     spec: Optional[SweepSpec] = None,
     model: str = "both",
-    jobs: Optional[int] = None,
 ) -> ExperimentReport:
-    """Run the full load ladder for the selected model(s) on ``jobs``
-    processes, by default one per CPU; the report is the same for any number.
+    """Run the full load ladder for the selected model(s).
 
     The sweep owns the arrival scale: level k runs at growth**(k-1) exactly,
     overriding whatever scale the base config carries.  Everything else in
@@ -292,7 +275,7 @@ def sweep(
     spec = spec or SweepSpec()
     plan = [(m, level, _level_config(config, spec, level))
             for m in _models_for(model) for level in range(1, spec.levels + 1)]
-    rows, _ = _run_plan(plan, jobs)
+    rows, _ = _run_plan(plan)
     return ExperimentReport(rows=tuple(rows))
 
 
@@ -321,11 +304,8 @@ def compare_experiments(
     config: ScenarioConfig,
     model: str = "both",
     independent: bool = False,
-    jobs: Optional[int] = None,
 ) -> ExperimentReport:
-    """A/B comparison of the speed-up policy at the configured load, on
-    ``jobs`` processes, by default one per CPU; the report is the same for
-    any number.
+    """A/B comparison of the speed-up policy at the configured load.
 
     Experiment A (reported as level 1) runs with the policy disabled,
     experiment B (level 2) with it enabled.  By default both experiments
@@ -341,7 +321,7 @@ def compare_experiments(
 
     models = _models_for(model)
     plan = [(m, level, cfg) for m in models for level, cfg in ((1, cfg_a), (2, cfg_b))]
-    rows, results = _run_plan(plan, jobs)
+    rows, results = _run_plan(plan)
     runs = {(m, level): metrics for (m, level, _), metrics in zip(plan, results)}
     hyps = []
     for label, m, measure in _HYPOTHESES:

@@ -65,8 +65,6 @@ class ServiceTimeTable:
 
     def __init__(self, job1: Callable[[], float], job2: Callable[[], float],
                  job3: Callable[[], float], speedup_fraction: float) -> None:
-        if not 0.0 <= speedup_fraction < 1.0:
-            raise ValueError("speedup fraction must lie in [0, 1)")
         self.jobs = (None, job1, job2, job3)
         self.speedup_fraction = speedup_fraction
         self.fast = False

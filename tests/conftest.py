@@ -1,6 +1,7 @@
 """Fixtures shared by the test modules."""
 
 import gc
+import os
 import weakref
 
 import pytest
@@ -11,6 +12,18 @@ from fitroom.engine import RandomStreams
 class Block(list):
     """A block of uniforms that a weak reference can point at."""
     __slots__ = ("__weakref__",)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` lets this process run on n CPUs, whatever the machine
+    has, by setting os.sched_getaffinity, which ``harness._processes``
+    reads: the runner then shares the replications among up to n
+    processes."""
+    def set_count(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+    return set_count
 
 
 @pytest.fixture

@@ -418,7 +418,8 @@ def test_specs_sharing_a_purpose_share_its_uniforms(opened_streams):
     draws = ReplicationDraws(0)
     t, u = draws.values(8, "job1", tri), draws.values(8, "job1", uni)
     assert ([t() for _ in range(900)], [u() for _ in range(900)]) == want
-    assert opened_streams == [(8, "job1", 0)]
+    # each distribution opens its own generator on the purpose's key
+    assert opened_streams == [(8, "job1", 0), (8, "job1", 0)]
 
 
 def test_master_seeds_keep_their_own_streams(opened_streams):

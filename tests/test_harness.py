@@ -113,19 +113,21 @@ def test_shared_draws_give_the_traces_of_private_ones():
 
 
 # The three tests below watch the runner through fixtures of this process,
-# which see nothing of a forked child's streams and blocks: they run
-# serially.
+# which see nothing of a forked child's streams and blocks: they run on one
+# CPU.
 
 
-def test_sweep_opens_each_stream_once_per_replication(opened_streams):
-    sweep(tiny_cfg(replications=2), SweepSpec(), model="both", jobs=1)
+def test_sweep_opens_each_stream_once_per_replication(cpus, opened_streams):
+    cpus(1)
+    sweep(tiny_cfg(replications=2), SweepSpec(), model="both")
     # 10 cells, each reading arrivals, job1-3, fitting, help, patience and
     # revert; nothing polls
     assert len(opened_streams) == 2 * 8
     assert len(set(opened_streams)) == len(opened_streams)
 
 
-def test_a_degenerate_day_opens_only_the_arrival_stream(opened_streams):
+def test_a_degenerate_day_opens_only_the_arrival_stream(cpus, opened_streams):
+    cpus(1)
     cfg = tiny_cfg(
         replications=2,
         job1=DistributionSpec.deterministic(0.4),
@@ -136,14 +138,15 @@ def test_a_degenerate_day_opens_only_the_arrival_stream(opened_streams):
         patience=None,
         proactive=ProactivePolicy(revert_delay=DistributionSpec.deterministic(5.0)),
     )
-    run_report(cfg, "both", jobs=1)
+    run_report(cfg, "both")
     assert opened_streams == [(31, "arrivals", 0), (31, "arrivals", 1)]
 
 
 def test_each_replications_draws_are_let_go_before_the_next(
-        monkeypatch, dealt_blocks, gc_disabled):
+        monkeypatch, cpus, dealt_blocks, gc_disabled):
     # with the cycle collector off, reference counting alone must free a
     # replication's draws once the runner drops it and its finished runs
+    cpus(1)
     seen_alive = []
     real_init = ReplicationDraws.__init__
 
@@ -152,7 +155,7 @@ def test_each_replications_draws_are_let_go_before_the_next(
         real_init(self, replication)
 
     monkeypatch.setattr(ReplicationDraws, "__init__", init)
-    sweep(tiny_cfg(replications=3), SweepSpec(levels=2), model="both", jobs=1)
+    sweep(tiny_cfg(replications=3), SweepSpec(levels=2), model="both")
     assert seen_alive == [[], [], []]
     assert {rep for rep, _ in dealt_blocks} == {0, 1, 2}
 
@@ -170,53 +173,51 @@ _PINNED = {
 }
 
 
-def test_reports_are_pinned():
+def test_reports_are_pinned(cpus):
     cfg = ScenarioConfig(master_seed=42)
     hot = replace(cfg, replications=4, arrival=replace(cfg.arrival, scale=1.7))
-    for jobs in (1, 2):
+    for n in (1, 2):
+        cpus(n)
         texts = {
             "sweep": emit_report(sweep(replace(cfg, replications=3), SweepSpec(levels=2),
-                                       "both", jobs=jobs)),
+                                       "both")),
             "compare": emit_report(compare_experiments(replace(cfg, replications=6), "both",
-                                                       independent=True, jobs=jobs)),
-            "run_hot": emit_report(run_report(hot, "both", jobs=jobs)),
+                                                       independent=True)),
+            "run_hot": emit_report(run_report(hot, "both")),
         }
         # one model alone: its own hypothesis pair, in label order
         for m in ("des", "abs"):
-            report = compare_experiments(replace(cfg, replications=6), m, jobs=jobs)
+            report = compare_experiments(replace(cfg, replications=6), m)
             for fmt in ("csv", "json"):
                 texts[f"compare_{m}_{fmt}"] = emit_report(report, fmt)
         digests = {name: hashlib.sha256(t.encode()).hexdigest()
                    for name, t in texts.items()}
-        assert digests == _PINNED, jobs
+        assert digests == _PINNED, n
 
 
 # --- processes ----------------------------------------------------------------------
 
 
-def experiments(jobs):
-    """Every driver's report on 5 replications, run on ``jobs`` processes."""
+def experiments():
+    """Every driver's report on 5 replications, as text in each format."""
     cfg = tiny_cfg(replications=5)
-    return {
-        "run": run_report(cfg, "both", jobs),
-        "sweep": sweep(cfg, SweepSpec(levels=2), "both", jobs),
-        "compare": compare_experiments(cfg, "both", jobs=jobs),
-        "independent": compare_experiments(cfg, "both", independent=True, jobs=jobs),
+    reports = {
+        "run": run_report(cfg, "both"),
+        "sweep": sweep(cfg, SweepSpec(levels=2), "both"),
+        "compare": compare_experiments(cfg, "both"),
+        "independent": compare_experiments(cfg, "both", independent=True),
     }
+    return {(name, fmt): emit_report(r, fmt)
+            for name, r in reports.items() for fmt in ("csv", "json")}
 
 
-@pytest.fixture(scope="module")
-def serial_reports():
-    return {name: {fmt: emit_report(r, fmt) for fmt in ("csv", "json")}
-            for name, r in experiments(1).items()}
-
-
-# 7 is more processes than the 5 replications
-@pytest.mark.parametrize("jobs", [2, 3, 7])
-def test_reports_are_the_same_on_any_number_of_processes(jobs, serial_reports):
-    for name, report in experiments(jobs).items():
-        for fmt in ("csv", "json"):
-            assert emit_report(report, fmt) == serial_reports[name][fmt], (name, fmt)
+# 7 CPUs are more than the 5 replications
+@pytest.mark.parametrize("n", [2, 3, 7])
+def test_reports_are_the_same_on_any_number_of_processes(n, cpus):
+    cpus(1)
+    serial = experiments()
+    cpus(n)
+    assert experiments() == serial
 
 
 @pytest.fixture
@@ -233,23 +234,31 @@ def forks(monkeypatch):
     return made
 
 
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """This process may run on three CPUs, whatever the machine has."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-
-
-def test_a_default_call_forks_a_child_for_each_other_cpu(three_cpus, forks):
+def test_a_default_call_forks_a_child_for_each_other_cpu(cpus, forks):
     cfg = tiny_cfg(replications=5)
-    serial = emit_report(run_report(cfg, "both", jobs=1))
+    cpus(1)
+    serial = emit_report(run_report(cfg, "both"))
     assert forks == []
+    cpus(3)
     assert emit_report(run_report(cfg, "both")) == serial
     assert len(forks) == 2
 
 
-def test_a_default_call_from_a_threaded_process_forks_nothing(three_cpus, forks):
+def test_run_replications_forks_like_every_driver(cpus, forks):
     cfg = tiny_cfg(replications=5)
-    serial = emit_report(run_report(cfg, "both", jobs=1))
+    cpus(1)
+    serial = run_replications(cfg, "des")
+    assert forks == []
+    cpus(3)
+    assert run_replications(cfg, "des") == serial
+    assert len(forks) == 2
+
+
+def test_a_default_call_from_a_threaded_process_forks_nothing(cpus, forks):
+    cfg = tiny_cfg(replications=5)
+    cpus(1)
+    serial = emit_report(run_report(cfg, "both"))
+    cpus(3)
     parked = threading.Event()
     thread = threading.Thread(target=parked.wait)
     thread.start()
@@ -262,11 +271,12 @@ def test_a_default_call_from_a_threaded_process_forks_nothing(three_cpus, forks)
     assert forks == []
 
 
-def test_a_platform_without_fork_runs_every_block_in_the_caller(monkeypatch):
+def test_a_platform_without_fork_runs_every_block_in_the_caller(monkeypatch, cpus):
     cells = [("des", tiny_cfg(replications=5)), ("abs", tiny_cfg(replications=3))]
-    serial = _execute(cells, jobs=1)
+    cpus(1)
+    serial = _execute(cells)
+    cpus(2)
     monkeypatch.delattr(os, "fork")
-    assert _execute(cells, jobs=2) == serial
     assert _execute(cells) == serial
 
 
@@ -276,10 +286,11 @@ def fake_runner(cfg, draws):
     return RunMetrics(float(rep), cfg.master_seed, 0.0, rep, 0, 0)
 
 
-def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch, forks):
+def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch, cpus, forks):
     monkeypatch.setitem(harness._RUNNERS, "des", fake_runner)
     cells = [("des", tiny_cfg(replications=3000)), ("des", tiny_cfg(replications=2000))]
-    results = _execute(cells, jobs=3)
+    cpus(3)
+    results = _execute(cells)
     assert [[m.served for m in out] for out in results] == [list(range(3000)),
                                                             list(range(2000))]
     assert len(forks) == 2
@@ -289,13 +300,14 @@ def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch, fork
 
     forks.clear()
     cfg = tiny_cfg(replications=2)
-    assert _execute([("des", cfg)], jobs=8) == [[fake_runner(cfg, ReplicationDraws(0)),
+    cpus(8)
+    assert _execute([("des", cfg)]) == [[fake_runner(cfg, ReplicationDraws(0)),
                                                  fake_runner(cfg, ReplicationDraws(1))]]
     assert len(forks) == 1  # capped at the replication count
 
 
 @pytest.mark.parametrize("failing", [1, 2])
-def test_a_failed_fork_runs_the_rest_in_the_caller(monkeypatch, capsys, failing):
+def test_a_failed_fork_runs_the_rest_in_the_caller(monkeypatch, capsys, cpus, failing):
     # the process limit is hit at the ``failing``-th fork: the caller runs
     # that block and every later one itself, and the results do not change
     forks = []
@@ -308,9 +320,11 @@ def test_a_failed_fork_runs_the_rest_in_the_caller(monkeypatch, capsys, failing)
         return real_fork()
 
     cells = [("des", tiny_cfg(replications=5)), ("abs", tiny_cfg(replications=3))]
-    serial = _execute(cells, jobs=1)
+    cpus(1)
+    serial = _execute(cells)
+    cpus(3)
     monkeypatch.setattr(os, "fork", fork)
-    assert _execute(cells, jobs=3) == serial
+    assert _execute(cells) == serial
     assert len(forks) == failing
     assert capsys.readouterr().err.count("could not fork") == 1
 
@@ -320,7 +334,7 @@ def assert_no_child_is_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_childs_error_is_raised_in_the_caller(monkeypatch, capsys):
+def test_a_childs_error_is_raised_in_the_caller(monkeypatch, capsys, cpus):
     # the child's block fails there, so the caller runs it again, and the
     # same replication fails again here
     def fail_last(cfg, draws):
@@ -330,23 +344,25 @@ def test_a_childs_error_is_raised_in_the_caller(monkeypatch, capsys):
         return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", fail_last)
+    cpus(2)
     with pytest.raises(ModelError, match=rf"^replication 3 broke in process {os.getpid()}$"):
-        _execute([("des", tiny_cfg())], jobs=2)
+        _execute([("des", tiny_cfg())])
     err = capsys.readouterr().err
     assert err.count("fitroom: replication worker") == 1
     assert "(replications 2-3) exited with code 1" in err
     assert_no_child_is_left()
 
 
-def test_a_childs_error_chains_the_childs_traceback(monkeypatch):
+def test_a_childs_error_chains_the_childs_traceback(monkeypatch, cpus):
     def broken_replication(cfg, draws):
         if draws.replication == cfg.replications - 1:
             raise ModelError("replication broke")
         return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", broken_replication)
+    cpus(2)
     with pytest.raises(ModelError, match="^replication broke$") as err:
-        _execute([("des", tiny_cfg())], jobs=2)
+        _execute([("des", tiny_cfg())])
     assert "in broken_replication" in "".join(traceback.format_exception(
         type(err.value), err.value, err.value.__traceback__))
 
@@ -369,7 +385,7 @@ class HoldsALambda(Exception):
 @pytest.mark.parametrize("make", [lambda: RebuiltWrong("broke", "rep 3"),
                                   lambda: HoldsALambda("broke")],
                          ids=["rebuilt_wrong", "holds_a_lambda"])
-def test_an_unpicklable_error_is_raised_as_itself(monkeypatch, make):
+def test_an_unpicklable_error_is_raised_as_itself(monkeypatch, cpus, make):
     # nothing crosses the pipe but results, so an exception that cannot be
     # pickled keeps its type: the caller's own run raises it
     def unsendable_replication(cfg, draws):
@@ -378,8 +394,9 @@ def test_an_unpicklable_error_is_raised_as_itself(monkeypatch, make):
         return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", unsendable_replication)
+    cpus(2)
     with pytest.raises((RebuiltWrong, HoldsALambda), match="broke") as err:
-        _execute([("des", tiny_cfg())], jobs=2)
+        _execute([("des", tiny_cfg())])
     assert type(err.value) is type(make())
     assert_no_child_is_left()
 
@@ -400,7 +417,7 @@ def raise_an_error():
                                       (kill_myself, f"was killed by signal {signal.SIGKILL:d}"),
                                       (raise_an_error, "exited with code 1")],
                          ids=["exit_9", "sigkill", "raises"])
-def test_a_block_whose_child_dies_is_run_in_the_caller(monkeypatch, capsys, die, how):
+def test_a_block_whose_child_dies_is_run_in_the_caller(monkeypatch, capsys, cpus, die, how):
     # a child killed, out of memory or failing costs time, not the results:
     # the caller runs each lost block itself and names it on stderr
     caller = os.getpid()
@@ -414,10 +431,12 @@ def test_a_block_whose_child_dies_is_run_in_the_caller(monkeypatch, capsys, die,
         return runner
 
     cells = [("des", tiny_cfg(replications=5)), ("abs", tiny_cfg(replications=3))]
-    serial = _execute(cells, jobs=1)
+    cpus(1)
+    serial = _execute(cells)
     for model in runners:
         monkeypatch.setitem(harness._RUNNERS, model, dies_in_a_child(model))
-    assert _execute(cells, jobs=3) == serial
+    cpus(3)
+    assert _execute(cells) == serial
     notes = capsys.readouterr().err.splitlines()
     assert len(notes) == 2
     for note, reps in zip(notes, ("1-2", "3-4")):
@@ -462,7 +481,7 @@ def test_a_sweep_leaves_nothing_for_the_cycle_collector(gc_disabled):
     assert gc.collect() == 0
 
 
-def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch):
+def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch, cpus):
     caller = os.getpid()
 
     def fail_in_caller(cfg, draws):
@@ -472,9 +491,10 @@ def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch):
         return run_des(cfg, draws)
 
     monkeypatch.setitem(harness._RUNNERS, "des", fail_in_caller)
+    cpus(3)
     start = time.monotonic()
     with pytest.raises(ModelError, match="the caller's block broke"):
-        _execute([("des", tiny_cfg())], jobs=3)
+        _execute([("des", tiny_cfg())])
     assert time.monotonic() - start < 30  # the children were killed, not waited out
     assert_no_child_is_left()
 
@@ -617,15 +637,15 @@ def test_independent_seeding_changes_b_but_not_a():
     assert b_rows(paired) != b_rows(indep)
 
 
-def test_the_seeding_scheme_is_pinned(opened_streams):
+def test_the_seeding_scheme_is_pinned(cpus, opened_streams):
     # a change to how a stream or B's seed is keyed fails here by name,
     # not only through the report digests
     s = RandomStreams(1).stream("arrivals", 0)
     assert [s.uniform() for _ in range(3)] == [
         0.3169197796993223, 0.29497624448811977, 0.6497606298178913]
     opened_streams.clear()
-    compare_experiments(tiny_cfg(master_seed=1, replications=1), "des",
-                        independent=True, jobs=1)
+    cpus(1)
+    compare_experiments(tiny_cfg(master_seed=1, replications=1), "des", independent=True)
     assert sorted({seed for seed, _, _ in opened_streams}) == [1, 3127664494]
 
 

@@ -161,13 +161,6 @@ def test_zero_fraction_is_a_legal_no_op_speedup():
     assert table.fast and table.factor == 1.0
 
 
-def test_fraction_bounds():
-    with pytest.raises(ValueError):
-        make_table(1.0)
-    with pytest.raises(ValueError):
-        make_table(-0.1)
-
-
 def test_sample_covers_all_three_jobs():
     table = make_table()
     assert table.duration(JOB1) == 1.0

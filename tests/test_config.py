@@ -50,10 +50,10 @@ def test_defaults_are_a_valid_scenario():
         ("help_probability", -0.1, "help.probability"),
         ("wait_estimator", "median", "wait.estimator"),
         ("speedup_fraction", 1.0, "proactive.speedup"),
-        ("speedup_fraction", -0.1, "proactive.speedup"),
         ("job2", DistributionSpec.uniform(-1.0, 2.0), "service.job2"),
         ("patience", DistributionSpec.deterministic(-3.0), "patience"),
         ("help_fraction", DistributionSpec.uniform(0.5, 1.2), "help.fraction"),
+        ("speedup_fraction", -0.1, "proactive.speedup"),
     ],
 )
 def test_each_bad_field_is_named(field, value, fragment):

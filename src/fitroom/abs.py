@@ -133,6 +133,8 @@ class CustomerAgent(Customer):
     def fit_done(self, now: float) -> None:
         model = self.model
         post = self.post
+        # the room does not tell the policy of the freed cubicle: the staff
+        # does, on the return request handled right after it
         post((model.room, M_CUBICLE_RELEASED, self))
         self._transition(WAITING_RETURN)
         post((model.staff, M_REQUEST_RETURN, self))
@@ -164,11 +166,12 @@ class CustomerAgent(Customer):
 class StaffAgent:
     """The single staff member: three queues, one pair of hands."""
 
-    __slots__ = ("model", "tm", "queues", "current_job")
+    __slots__ = ("model", "tm", "ctl", "queues", "current_job")
 
     def __init__(self, model: "AbsRun", queues: QueueSet) -> None:
         self.model = model
         self.tm = model.tm
+        self.ctl = model.ctl
         self.queues = queues
         self.current_job = 0
 
@@ -178,9 +181,9 @@ class StaffAgent:
             self.tm.staff_done(now)
             job = self.current_job
             self.current_job = 0
-            # job 1 ended with a cubicle filling up, which is a state change
-            # the speed-up policy watches
-            if job == JOB1 and note is not None:
+            # job 1 ended with a cubicle filling up, which can only end
+            # congestion, so the policy is told only while there was some
+            if job == JOB1 and note is not None and self.ctl.congested:
                 note(now)
             self.scan(now)
             return
@@ -195,6 +198,9 @@ class StaffAgent:
             self.queues.help.append(payload)
         elif kind == M_RENEGE:
             self.queues.entry.remove(payload)
+            # a shorter entry queue can only end congestion
+            if not self.ctl.congested:
+                note = None
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
         if note is not None:

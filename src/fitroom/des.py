@@ -78,7 +78,8 @@ class DesRun(Replication):
         self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
                                              self.help_draws))
         self.tm.staff_done(now)
-        if self.note is not None:
+        # a filled cubicle can only end congestion
+        if self.note is not None and self.ctl.congested:
             self.note(now)
         self.dispatch_staff(now)
 
@@ -127,7 +128,8 @@ class DesRun(Replication):
         self.record_renege(c, now)
         c.awaiting_entry = False
         self.queues.entry.remove(c)
-        if self.note is not None:
+        # a shorter entry queue can only end congestion
+        if self.note is not None and self.ctl.congested:
             self.note(now)
         if self.tm.staff_since is None:
             self.dispatch_staff(now)

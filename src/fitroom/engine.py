@@ -9,16 +9,22 @@ from a named, independently seeded stream.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
+from heapq import heappush
 from itertools import chain, repeat
 from typing import Callable, Iterator, Optional
 
 OPENING_HOURS = 8
 MINUTES_PER_HOUR = 60.0
 HORIZON = OPENING_HOURS * MINUTES_PER_HOUR  # one trading day, in minutes
+
+# ceiling on a day's expected arrivals, the sum of the hourly rates times
+# the scale; the base day expects 316.  The models simulate every arrival,
+# and far enough past it (about 1e13 times the base day) the gap between
+# arrivals no longer moves the clock, so the day would never end
+MAX_DAY_ARRIVALS = 1_000_000
 
 
 class ModelError(Exception):
@@ -51,16 +57,25 @@ class EventCalendar:
         among the heap's events by (time, seq).
         """
         if time < self.now:
-            raise ModelError(
-                f"cannot schedule {kind!r} at t={time}: clock already at {self.now}"
-            )
+            raise self._in_the_past(time, kind)
         ev = (time, self._seq, kind, target)
         self._seq += 1
         return ev
 
     def schedule(self, time: float, kind: str, target: object = None) -> None:
-        """Add an event to the heap, keyed as ``stamp`` keys it."""
-        heapq.heappush(self._heap, self.stamp(time, kind, target))
+        """Add an event to the heap, keyed as ``stamp`` keys it.  Stamped in
+        place rather than through ``stamp``, since every push would
+        otherwise pay a second call."""
+        if time < self.now:
+            raise self._in_the_past(time, kind)
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self._heap, (time, seq, kind, target))
+
+    def _in_the_past(self, time: float, kind: str) -> ModelError:
+        return ModelError(
+            f"cannot schedule {kind!r} at t={time}: clock already at {self.now}"
+        )
 
 
 # how many uniforms a stream draws from its generator at once
@@ -220,7 +235,8 @@ class DistributionSpec:
 
 @dataclass(frozen=True)
 class ArrivalProfile:
-    """Piecewise-constant arrival rates, one per opening hour, times a scale.
+    """Piecewise-constant arrival rates, one per opening hour, times a scale;
+    the day may expect at most ``MAX_DAY_ARRIVALS`` arrivals.
 
     Arrivals form a Poisson process whose rate steps at each hour boundary.
     Sampling spends a single Exp(1) "budget" per arrival: whatever fraction
@@ -244,6 +260,11 @@ class ArrivalProfile:
             if not math.isfinite(r * self.scale):
                 raise ValueError(f"hour {hour}: rate {r:g} times scale "
                                  f"{self.scale:g} is not finite")
+        expected = sum(rates) * self.scale
+        if expected > MAX_DAY_ARRIVALS:
+            raise ValueError(f"the day's {expected:g} expected arrivals (the "
+                             f"rates' sum times the scale) exceed "
+                             f"{MAX_DAY_ARRIVALS:,}")
 
     def next_arrival(self, now: float, stream: RandomStream) -> Optional[float]:
         """Time of the next arrival after ``now``, or None if past closing."""

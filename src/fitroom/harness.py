@@ -87,8 +87,11 @@ def _processes() -> int:
     count: one per CPU in this process's affinity mask.  It is one where
     the platform cannot fork or keeps no mask, and where this process runs
     more than one thread: a fork of a threaded process can deadlock, and is
-    deprecated from Python 3.12 on."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    deprecated from Python 3.12 on.  It is also one where this process
+    ignores SIGCHLD: the kernel then reaps each child as it exits, and the
+    wait for its exit status fails."""
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN):
         return 1
     try:
         return len(os.sched_getaffinity(0))

@@ -34,9 +34,11 @@ def is_threshold(v) -> bool:
 class ProactivePolicy:
     """Trigger thresholds and re-check discipline for the speed-up.
 
-    check_interval None means event-driven: the condition is re-evaluated on
-    every queue-length or cubicle-state change.  A DistributionSpec instead
-    means stochastic polling at sampled intervals.
+    check_interval None means event-driven: the condition is re-evaluated
+    whenever a queue or cubicle change could have made it true, which
+    decides the same as re-evaluating it on every change (see
+    ``SpeedupController.note_change``).  A DistributionSpec instead means
+    stochastic polling at sampled intervals.
     """
 
     enabled: bool = True
@@ -88,10 +90,14 @@ class SpeedupController:
     """Runs one replication's policy: evaluates triggers, flips the pace,
     and schedules/handles reverts and (optionally) polls.
 
-    ``note_change`` holds the trigger rule.  Models call it after every
-    queue or cubicle mutation when the policy is event-driven
-    (``event_driven``), and ``handle_poll`` calls it at every poll when the
-    policy polls; a polling controller schedules its first poll when it is
+    ``note_change`` holds the trigger rule and stores its verdict in
+    ``congested``.  When the policy is event-driven (``event_driven``),
+    models call it after every change that can make the store congested (a
+    queue grows, a cubicle frees), and after one that cannot (a queue
+    shrinks, a cubicle fills) only while ``congested`` is true; its
+    docstring shows why the skipped calls are exactly those that would
+    find no congestion.  When the policy polls, ``handle_poll`` calls it at
+    every poll, and the controller schedules its first poll when it is
     made.  It reads cubicle occupancy from the run's ``telemetry``.
     ``next_revert`` and ``next_poll`` return the next revert delay and
     polling interval, one per call (``next_poll`` may be None when the
@@ -106,7 +112,7 @@ class SpeedupController:
 
     __slots__ = ("table", "calendar", "telemetry",
                  "next_revert", "next_poll", "change_count", "revert_at",
-                 "chain_head", "trace", "event_driven",
+                 "chain_head", "trace", "event_driven", "congested",
                  "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
 
     def __init__(self, policy: ProactivePolicy, table: ServiceTimeTable,
@@ -124,8 +130,10 @@ class SpeedupController:
         self.chain_head: Optional[float] = None
         self.trace = telemetry.trace
         self.event_driven = policy.enabled and policy.check_interval is None
-        # note_change runs on every queue/cubicle mutation, so it reads
-        # these cached references
+        # the store starts empty, and every threshold is at least 1
+        self.congested = False
+        # note_change runs on every queue growth and freed cubicle, so it
+        # reads these cached references
         self._entry_q = queues.entry
         self._ret_q = queues.ret
         self._help_q = queues.help
@@ -138,12 +146,36 @@ class SpeedupController:
     def note_change(self, now: float) -> None:
         """Hurry if the store is congested: a cubicle is free while the
         entry queue has reached its threshold, or the return or help queue
-        has reached its own threshold whatever the cubicles hold."""
+        has reached its own threshold whatever the cubicles hold.  The
+        verdict is kept in ``congested``.
+
+        An event-driven model may skip the call after a queue shrinks or a
+        cubicle fills while ``congested`` is false, because such a call
+        would find no congestion either:
+
+        - the rule is monotone: a longer queue or a freer cubicle bank can
+          only make it true, and a shorter queue or a fuller bank only
+          false;
+        - every change that can make it true (a queue grows, a cubicle
+          frees) is followed by a call before its event's cascade ends; in
+          the agent model a freed cubicle's message is followed, in the
+          same cascade, by the customer's request to return, and nothing
+          is handled in between;
+        - the store starts empty and every threshold is at least 1, so
+          ``congested`` starts false, and true to the store.
+
+        So ``congested`` is the rule applied to the store as it stands at
+        the start of every event, and a skipped call would have found no
+        congestion and done nothing.
+        """
         tm = self.telemetry
         if ((tm.occupied < tm.capacity and len(self._entry_q) >= self._te)
                 or len(self._ret_q) >= self._tr
                 or len(self._help_q) >= self._th):
+            self.congested = True
             self.apply_speedup(now)
+        else:
+            self.congested = False
 
     def apply_speedup(self, now: float) -> None:
         """Trigger (or re-trigger) the fast pace; the revert clock restarts."""

@@ -116,8 +116,11 @@ class Replication:
             policy, self.table, self.cal, self.queues,
             values(seed, "revert", policy.revert_delay),
             None if poll is None else values(seed, "poll", poll), self.tm)
-        # the models notify the policy of every queue or cubicle change only
-        # while it is event-driven; bound once, None otherwise
+        # the models notify the policy of queue and cubicle changes only
+        # while it is event-driven; bound once, None otherwise.  A change
+        # that can only end congestion (a queue shrinks, a cubicle fills)
+        # is noted only while ctl.congested, since otherwise the rule is
+        # sure to find none (SpeedupController.note_change)
         self.note = self.ctl.note_change if self.ctl.event_driven else None
 
     def handlers(self) -> dict:
@@ -187,13 +190,14 @@ class Replication:
 
     def start_job(self, job: int, line: deque, now: float):
         """Start the staff on ``job`` for the head of ``line``, who is
-        returned; the job's completion is an ``EV_JOB_DONE[job]`` event."""
+        returned; the job's completion is an ``EV_JOB_DONE[job]`` event.
+        The shorter line is noted only while the store was congested."""
         if self.pending_job is not NEVER:
             raise ModelError(f"cannot stamp {EV_JOB_DONE[job]!r}: the staff's "
                              f"{self.pending_job[2]!r} is still pending")
         c = line.popleft()
         c.wait += now - c.joined_at
-        if self.note is not None:
+        if self.note is not None and self.ctl.congested:
             self.note(now)
         dur = self.table.duration(job)
         tm = self.tm

@@ -184,24 +184,29 @@ def test_simultaneous_events_run_in_stamp_order(model, arrivals, at_three):
 @pytest.mark.parametrize("model", [DesRun, AbsRun])
 def test_starting_a_staff_job(model):
     # the shared step: the head of the line is charged its wait, the policy
-    # is told, the start is traced and the completion fills the staff's slot
-    trace, noted = [], []
+    # is told only if the store was congested (a shorter line cannot make
+    # it so), the start is traced and the completion fills the staff's slot
     cfg = replace(ScenarioConfig(replications=1),
                   job1=DistributionSpec.deterministic(0.5))
-    run = model(cfg, ReplicationDraws(0), trace)
-    run.note = noted.append
-    first, second = Customer(0, 1.0), Customer(1, 2.0)
-    run.queues.entry.extend([first, second])
-    assert run.start_job(JOB1, run.queues.entry, 4.0) is first
-    assert first.wait == 3.0 and list(run.queues.entry) == [second]
-    assert noted == [4.0]
-    assert trace == [(4.0, "start_job1", 0)]
-    assert run.tm.staff_since == 4.0
-    assert run.pending_job[0] == 4.5 and run.pending_job[2:] == ("job1_done", first)
-    # a second job while one is pending is a wiring bug; nobody is served
-    with pytest.raises(ModelError, match="still pending"):
-        run.start_job(JOB1, run.queues.entry, 5.0)
-    assert list(run.queues.entry) == [second] and second.wait == 0.0 and noted == [4.0]
+    for congested in (False, True):
+        told = [4.0] if congested else []
+        trace, noted = [], []
+        run = model(cfg, ReplicationDraws(0), trace)
+        run.note = noted.append
+        run.ctl.congested = congested
+        first, second = Customer(0, 1.0), Customer(1, 2.0)
+        run.queues.entry.extend([first, second])
+        assert run.start_job(JOB1, run.queues.entry, 4.0) is first
+        assert first.wait == 3.0 and list(run.queues.entry) == [second]
+        assert noted == told
+        assert trace == [(4.0, "start_job1", 0)]
+        assert run.tm.staff_since == 4.0
+        assert run.pending_job[0] == 4.5 and run.pending_job[2:] == ("job1_done", first)
+        # a second job while one is pending is a wiring bug; nobody is served
+        with pytest.raises(ModelError, match="still pending"):
+            run.start_job(JOB1, run.queues.entry, 5.0)
+        assert list(run.queues.entry) == [second] and second.wait == 0.0
+        assert noted == told
 
 
 @pytest.mark.parametrize("model", sorted(_RUNNERS))

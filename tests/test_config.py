@@ -17,7 +17,7 @@ from fitroom.config import (
     load_config,
     parse_config_text,
 )
-from fitroom.engine import ArrivalProfile, DistributionSpec
+from fitroom.engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -265,6 +265,27 @@ def test_an_arrival_rate_that_overflows_is_named_not_run(tmp_path, capsys):
     path = write(tmp_path, f"arrival.rates = {rates}\narrival.scale = 10\n")
     assert main(["run", "--model", "des", "--config", path]) == 1
     assert capsys.readouterr().err.startswith("fitroom: arrival: hour 1: ")
+
+def test_a_day_at_the_arrival_ceiling_loads():
+    cfg = build_config({"arrival.rates": [MAX_DAY_ARRIVALS / 8] * 8})
+    assert sum(cfg.arrival.hourly_rates) == MAX_DAY_ARRIVALS
+
+
+@pytest.mark.parametrize("scale", ["3165", "1e200"])
+def test_a_day_past_the_arrival_ceiling_is_named_not_run(scale, tmp_path, capsys):
+    # every hour's rate is finite, but past about 1e13 times the base day an
+    # arrival's gap no longer moves the clock, and the day would never end
+    from fitroom.cli import main
+
+    path = write(tmp_path, f"arrival.scale = {scale}\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(err.value).startswith("arrival: the day's ")
+    assert str(err.value).endswith(f"expected arrivals (the rates' sum times the "
+                                   f"scale) exceed {MAX_DAY_ARRIVALS:,}")
+    assert main(["run", "--model", "des", "--config", path]) == 1
+    assert capsys.readouterr().err.startswith("fitroom: arrival: the day's ")
+
 
 @pytest.mark.parametrize("horizon", [480, 480.0, 240, 0.5])
 def test_a_horizon_within_the_arrival_profile_loads(horizon):

@@ -22,7 +22,8 @@ from fitroom import harness
 from fitroom.cli import main
 from fitroom.config import ScenarioConfig, build_config, parse_config_text
 from fitroom.des import run_des
-from fitroom.engine import DistributionSpec, ModelError, RandomStreams, ReplicationDraws
+from fitroom.engine import (MAX_DAY_ARRIVALS, DistributionSpec, ModelError, RandomStreams,
+                            ReplicationDraws)
 from fitroom.harness import (
     MEASURE_ORDER,
     MODEL_ORDER,
@@ -267,6 +268,22 @@ def test_a_default_call_from_a_threaded_process_forks_nothing(cpus, forks):
     finally:
         parked.set()
         thread.join()
+    assert report == serial
+    assert forks == []
+
+
+def test_a_process_that_ignores_sigchld_forks_nothing(cpus, forks):
+    # its children would be reaped by the kernel as they exit, so waiting
+    # for one would fail with ECHILD
+    cfg = tiny_cfg(replications=5)
+    cpus(1)
+    serial = emit_report(run_report(cfg, "both"))
+    cpus(2)
+    old = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        report = emit_report(run_report(cfg, "both"))
+    finally:
+        signal.signal(signal.SIGCHLD, old)
     assert report == serial
     assert forks == []
 
@@ -781,20 +798,31 @@ def test_cli_bad_config_content_exits_1(tmp_path, capsys):
 
 
 
-def test_cli_sweep_whose_ladder_overflows_exits_1(capsys):
-    # 1e200 squared is past the largest float
-    assert main(["sweep", "--levels", "3", "--factor", "1e200"]) == 1
-    assert capsys.readouterr().err.startswith("fitroom: sweep level 3: ")
+def test_cli_sweep_whose_ladder_overflows_exits_1(tmp_path, capsys):
+    # 1e200 squared is past the largest float; the day is light enough that
+    # level 2 expects few arrivals, so the overflow is the first fault
+    cfg = tmp_path / "light.cfg"
+    cfg.write_text("arrival.rates = [0, 0, 0, 0, 0, 0, 0, 1e-250]\n")
+    assert main(["sweep", "--levels", "3", "--factor", "1e200",
+                 "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("fitroom: sweep level 3: arrival scale ")
 
 
 def test_cli_sweep_level_that_overflows_a_scenario_rate_exits_1(tmp_path, capsys):
     # each level's scale is finite; the scenario's rates times level 2's are not
     cfg = tmp_path / "busy.cfg"
-    cfg.write_text("arrival.rates = [1e200, 1e200, 1e200, 1e200, "
-                   "1e200, 1e200, 1e200, 1e200]\n")
-    assert main(["sweep", "--levels", "2", "--factor", "1e200",
+    cfg.write_text("arrival.rates = [1e4, 1e4, 1e4, 1e4, 1e4, 1e4, 1e4, 1e4]\n")
+    assert main(["sweep", "--levels", "2", "--factor", "1e305",
                  "--config", str(cfg)]) == 1
     assert capsys.readouterr().err.startswith("fitroom: sweep level 2: hour 1: ")
+
+
+def test_cli_sweep_level_past_the_arrival_ceiling_exits_1(capsys):
+    # level 3 of the base day at growth 100 expects 3.16 million arrivals
+    assert main(["sweep", "--levels", "3", "--factor", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fitroom: sweep level 3: the day's 3.16e+06 expected arrivals")
+    assert err.rstrip().endswith(f"exceed {MAX_DAY_ARRIVALS:,}")
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "ghost.cfg")]) == 2

@@ -3,8 +3,9 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
 
-from fitroom.abs import AbsRun
+from fitroom.abs import AbsRun, run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
 from fitroom.engine import DistributionSpec, EventCalendar, ReplicationDraws
@@ -18,7 +19,7 @@ from fitroom.proactive import (
     SpeedupController,
 )
 from fitroom.runtime import JOB1, JOB2, JOB3, QueueSet, Telemetry
-from helpers import pop_event
+from helpers import pop_event, stochastic_scenarios, traced
 
 
 class Walkin:
@@ -306,3 +307,74 @@ def test_trace_speedup_count_matches_reported_changes():
     assert metrics.service_time_changes == ups
     assert ups > 0
     assert downs in (ups, ups - 1)  # last episode may still be live at close
+
+
+# --- the stored verdict -------------------------------------------------------
+
+# how each traced step moves (entry queue, help queue, return queue, cubicles
+# taken)
+_MOVES = {
+    "arrival": (1, 0, 0, 0), "start_job1": (-1, 0, 0, 0), "renege": (-1, 0, 0, 0),
+    "enter_cubicle": (0, 0, 0, 1), "request_help": (0, 1, 0, 0),
+    "start_job2": (0, -1, 0, 0), "leave_cubicle": (0, 0, 1, -1),
+    "start_job3": (0, 0, -1, 0),
+}
+
+
+class VerdictWatch:
+    """Checks, at the start of every event, that the controller's stored
+    verdict is the trigger rule applied to the store as the trace so far
+    leaves it: queue lengths and cubicles taken are counted from the
+    trace, not read from the run."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.state = [0, 0, 0, 0]
+        self.seen = 0
+        self.events = 0
+
+    def check(self, ctl):
+        for _, label, _ in ctl.trace[self.seen:]:
+            for i, d in enumerate(_MOVES.get(label, (0, 0, 0, 0))):
+                self.state[i] += d
+        self.seen = len(ctl.trace)
+        entry, help_, ret, taken = self.state
+        p = self.cfg.proactive
+        rule = ((taken < self.cfg.cubicles and entry >= p.threshold_entry)
+                or ret >= p.threshold_return or help_ >= p.threshold_help)
+        assert ctl.congested == rule, (self.events, self.state)
+        self.events += 1
+
+    def watching(self, handlers, ctl_of):
+        """``handlers`` (a class's handlers method) with each event's handler
+        checking the verdict first."""
+        def build(owner):
+            ctl = ctl_of(owner)
+
+            def checked(handler):
+                def handle(target, t):
+                    self.check(ctl)
+                    handler(target, t)
+                return handle
+            return {kind: checked(h) for kind, h in handlers(owner).items()}
+        return build
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(cfg=stochastic_scenarios())
+def test_the_stored_verdict_is_the_rule_at_every_event(cfg):
+    # the models skip the check after a change that can only end congestion
+    # while the last verdict was calm; that is exact only if the stored
+    # verdict always equals the rule on the store as it stands
+    cfg = replace(cfg, proactive=replace(cfg.proactive, enabled=True,
+                                         check_interval=None))
+    for model, run in ((DesRun, run_des), (AbsRun, run_abs)):
+        watch = VerdictWatch(cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "handlers",
+                       watch.watching(model.handlers, lambda r: r.ctl))
+            mp.setattr(SpeedupController, "handlers",
+                       watch.watching(SpeedupController.handlers, lambda c: c))
+            _, trace = traced(run, cfg)
+        # each arrival is an event of its own
+        assert watch.events >= sum(label == "arrival" for _, label, _ in trace)

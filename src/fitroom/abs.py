@@ -11,6 +11,10 @@ Given the same scenario and replication draws, this model reads the same
 numbers as the event-scheduling one and takes the same shared steps in
 runtime.py, so on any scenario, stochastic or degenerate, the two traces
 match byte for byte.
+
+A customer whose patience runs out takes the shared renege step and sends
+no message: they stay in the staff's entry queue, and the staff learns of
+the renege when that customer reaches its head.
 """
 
 from __future__ import annotations
@@ -72,7 +76,6 @@ M_SERVICE_DONE = "service_done"
 M_REQUEST_CUBICLE = "request_cubicle"
 M_CUBICLE_GRANTED = "cubicle_granted"
 M_CUBICLE_RELEASED = "cubicle_released"
-M_RENEGE = "renege"
 
 _SERVICE_STATE_FOR_JOB = (None, IN_ENTRY_SERVICE, IN_HELP_SERVICE, IN_RETURN_SERVICE)
 
@@ -142,10 +145,8 @@ class CustomerAgent(Customer):
     def patience_expired(self, now: float) -> None:
         if self.state != WAITING_ENTRY:
             return  # being (or already been) served; the timer is stale
-        model = self.model
-        model.record_renege(self, now)
+        self.model.record_renege(self, now)
         self._transition(NOT_SERVED)
-        self.post((model.staff, M_RENEGE, self))
 
     # -- messages --------------------------------------------------------
 
@@ -196,11 +197,6 @@ class StaffAgent:
         elif kind == M_REQUEST_HELP:
             payload.joined_at = now
             self.queues.help.append(payload)
-        elif kind == M_RENEGE:
-            self.queues.entry.remove(payload)
-            # a shorter entry queue can only end congestion
-            if not self.ctl.congested:
-                note = None
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
         if note is not None:

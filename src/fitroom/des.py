@@ -3,8 +3,10 @@
 One staff member runs three jobs (entry service, in-cubicle help, return
 handling) under global first-come-first-served; customers hold a cubicle
 from the end of entry service until their fitting finishes, and may renege
-from the entry queue when their patience runs out.  Customers who want help
-pause their fitting partway through and resume it once helped.
+from the entry queue when their patience runs out; a reneged customer stays
+in that queue until they reach its head, where the staff's next look drops
+them.  Customers who want help pause their fitting partway through and
+resume it once helped.
 
 The agent-based model in abs.py describes the same system.  Both read one
 replication's draws and take the shared steps in runtime.py, so on any
@@ -25,7 +27,8 @@ from .stats import RunMetrics
 
 
 class Customer(_Customer):
-    # set on arrival; true while the customer waits for entry service
+    # set on arrival; false once entry service starts, so a patience timer
+    # that pops afterwards is stale
     __slots__ = ("awaiting_entry",)
 
 
@@ -126,13 +129,6 @@ class DesRun(Replication):
         if not c.awaiting_entry:
             return  # already being served; the timer is stale
         self.record_renege(c, now)
-        c.awaiting_entry = False
-        self.queues.entry.remove(c)
-        # a shorter entry queue can only end congestion
-        if self.note is not None and self.ctl.congested:
-            self.note(now)
-        if self.tm.staff_since is None:
-            self.dispatch_staff(now)
 
 
 def run_des(cfg: ScenarioConfig, draws: ReplicationDraws,

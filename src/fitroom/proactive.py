@@ -49,6 +49,8 @@ class ProactivePolicy:
     check_interval: Optional[DistributionSpec] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.enabled, bool):
+            raise ValueError("enabled must be True or False")
         for name in ("threshold_entry", "threshold_return", "threshold_help"):
             if not is_threshold(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1")
@@ -113,7 +115,7 @@ class SpeedupController:
     __slots__ = ("table", "calendar", "telemetry",
                  "next_revert", "next_poll", "change_count", "revert_at",
                  "chain_head", "trace", "event_driven", "congested",
-                 "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
+                 "_queues", "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
 
     def __init__(self, policy: ProactivePolicy, table: ServiceTimeTable,
                  calendar: EventCalendar, queues: QueueSet,
@@ -134,6 +136,7 @@ class SpeedupController:
         self.congested = False
         # note_change runs on every queue growth and freed cubicle, so it
         # reads these cached references
+        self._queues = queues
         self._entry_q = queues.entry
         self._ret_q = queues.ret
         self._help_q = queues.help
@@ -147,7 +150,8 @@ class SpeedupController:
         """Hurry if the store is congested: a cubicle is free while the
         entry queue has reached its threshold, or the return or help queue
         has reached its own threshold whatever the cubicles hold.  The
-        verdict is kept in ``congested``.
+        entry queue's length counts only its live customers, not those
+        reneged (``QueueSet.gone``).  The verdict is kept in ``congested``.
 
         An event-driven model may skip the call after a queue shrinks or a
         cubicle fills while ``congested`` is false, because such a call
@@ -155,7 +159,7 @@ class SpeedupController:
 
         - the rule is monotone: a longer queue or a freer cubicle bank can
           only make it true, and a shorter queue or a fuller bank only
-          false;
+          false; a renege shortens the live entry queue;
         - every change that can make it true (a queue grows, a cubicle
           frees) is followed by a call before its event's cascade ends; in
           the agent model a freed cubicle's message is followed, in the
@@ -169,7 +173,8 @@ class SpeedupController:
         congestion and done nothing.
         """
         tm = self.telemetry
-        if ((tm.occupied < tm.capacity and len(self._entry_q) >= self._te)
+        if ((tm.occupied < tm.capacity
+             and len(self._entry_q) - self._queues.gone >= self._te)
                 or len(self._ret_q) >= self._tr
                 or len(self._help_q) >= self._th):
             self.congested = True

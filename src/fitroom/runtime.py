@@ -1,6 +1,7 @@
 """Pieces both store models share verbatim: the customer record, the event
 loop, each run's draw readers, the steps both models take, the three queues
-(plain deques of customers), the staff's service-order rule,
+(plain deques of customers; a reneged customer stays in the entry deque
+until they reach its head), the staff's service-order rule,
 occupancy/busy-time accounting, and run metrics.
 
 Keeping these identical (not merely similar) is what lets any scenario
@@ -220,34 +221,56 @@ class Replication:
             self.cal.schedule(now + fit, EV_FIT_DONE, c)
 
     def record_renege(self, c: Customer, now: float) -> None:
-        """Mark ``c`` reneged; the model takes them out of the entry queue."""
+        """``c``, waiting for entry service, reneges: charge their wait and
+        count them in ``queues.gone``.  They stay in the entry deque, which
+        ``select_service`` pops them from once they reach its head, so a
+        renege costs the same whatever the queue's length.
+
+        The shorter live queue is noted only while the store was congested
+        (see ``SpeedupController.note_change``).  The staff is not sent to
+        look for a job, because that look would find none:
+
+        - a busy staff member looks when their job ends;
+        - an idle one found no job at their last look, and every change
+          since that could make a job eligible (a queue grows or a cubicle
+          frees) made them look again;
+        - a renege frees no cubicle and adds nobody to a queue.
+        """
         tr = self.tm.trace
         if tr is not None:
             tr.append((now, L_RENEGE, c.id))
         c.disposition = RENEGED
         c.wait += now - c.joined_at
+        self.queues.gone += 1
+        if self.note is not None and self.ctl.congested:
+            self.note(now)
 
     def finalize(self, horizon: float) -> RunMetrics:
         """Close the day: stop the clocks, charge customers still queued for
-        their unfinished wait, and fold the run into its metrics."""
+        their unfinished wait (a reneged one was charged at the renege), and
+        fold the run into its metrics."""
         self.tm.flush(horizon)
         q = self.queues
         for line in (q.entry, q.help, q.ret):
             for c in line:
-                c.wait += horizon - c.joined_at
+                if c.disposition == IN_SYSTEM:
+                    c.wait += horizon - c.joined_at
         return build_metrics(self.customers, self.tm, self.ctl.change_count,
                              horizon, self.cfg.wait_estimator)
 
 
 class QueueSet:
-    """The three staff-facing queues: entry, in-fitting help, and return."""
+    """The three staff-facing queues: entry, in-fitting help, and return.
+    ``gone`` counts the reneged customers still in ``entry``, so the entry
+    queue's live length is ``len(entry) - gone``."""
 
-    __slots__ = ("entry", "help", "ret")
+    __slots__ = ("entry", "help", "ret", "gone")
 
     def __init__(self) -> None:
         self.entry: deque = deque()
         self.help: deque = deque()
         self.ret: deque = deque()
+        self.gone = 0
 
 
 def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, deque]]:
@@ -255,11 +278,16 @@ def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, 
     served in join order (equal join times in event order), and of the
     three heads the earliest-joined wins, ties to the lower customer id.
     The entry head competes only while a cubicle is free, since entry
-    service ends in one.  Returns (job number, winner's queue) or None."""
+    service ends in one; reneged customers at its head are popped first.
+    Returns (job number, winner's queue) or None."""
     best = None
     job = 0
     line = None
     q = queues.entry
+    # gone counts customers in q, so while it is positive q has a head
+    while queues.gone and q[0].disposition == RENEGED:
+        q.popleft()
+        queues.gone -= 1
     if cubicle_free and q:
         best, job, line = q[0], JOB1, q
     q = queues.help

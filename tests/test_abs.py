@@ -11,13 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fitroom import abs as agents
+from fitroom import des
 from fitroom.abs import AbsRun, CustomerAgent, run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError, ReplicationDraws
 from fitroom.harness import _RUNNERS
 from fitroom.proactive import ProactivePolicy
-from fitroom.runtime import JOB1, Customer
+from fitroom.runtime import (IN_SYSTEM, JOB1, RENEGED, Customer, QueueSet, Replication,
+                             select_service)
 from fitroom.stats import RunMetrics
 from helpers import stochastic_scenarios, traced
 
@@ -241,6 +243,78 @@ def test_a_finished_run_is_freed_by_reference_counting(model, monkeypatch, gc_di
     metrics = model(cfg, ReplicationDraws(0)).run()
     assert metrics.served > 0 and metrics.not_served > 0
     assert len(runs) == 1 and runs[0]() is None
+
+
+# --- renege ----------------------------------------------------------------------
+
+
+class RenegeWatch:
+    """Checks the entry queue, which keeps reneged customers until they reach
+    its head, at every renege and every look for a job: ``queues.gone``
+    counts exactly the reneged customers in ``entry``, job 1 never goes to
+    one of them, and a renege while the staff is idle leaves no job to
+    start, which is why the renege step sends the staff nowhere."""
+
+    @staticmethod
+    def check_gone(queues):
+        assert queues.gone == sum(c.disposition == RENEGED for c in queues.entry)
+
+    def record_renege(self, real):
+        def record(run, c, now):
+            real(run, c, now)
+            q = run.queues
+            self.check_gone(q)
+            tm = run.tm
+            if tm.staff_since is None:
+                # the look is made on a copy, so the run goes on untouched
+                probe = QueueSet()
+                probe.entry.extend(q.entry)
+                probe.help.extend(q.help)
+                probe.ret.extend(q.ret)
+                probe.gone = q.gone
+                assert select_service(probe, tm.occupied < tm.capacity) is None
+        return record
+
+    def select_service(self, queues, cubicle_free):
+        self.check_gone(queues)
+        pick = select_service(queues, cubicle_free)
+        self.check_gone(queues)
+        if pick is not None and pick[0] == JOB1:
+            assert pick[1][0].disposition == IN_SYSTEM
+        return pick
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(cfg=stochastic_scenarios())
+def test_reneged_customers_stay_in_the_entry_queue_until_its_head(cfg):
+    for module, run in ((des, run_des), (agents, run_abs)):
+        watch = RenegeWatch()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Replication, "record_renege",
+                       watch.record_renege(Replication.record_renege))
+            mp.setattr(module, "select_service", watch.select_service)
+            traced(run, cfg)
+
+
+def test_a_heavy_day_keeps_the_rules_while_reneged_customers_pile_up(monkeypatch):
+    # at 160 times the default arrivals (about 50k a day) nearly everyone
+    # reneges, and the entry queue holds the reneged until the staff gets
+    # to them; both models must still keep every rule and tell one story
+    left = []
+    real = Replication.finalize
+
+    def finalize(run, horizon):
+        left.append(run.queues.gone)
+        return real(run, horizon)
+
+    monkeypatch.setattr(Replication, "finalize", finalize)
+    base = ScenarioConfig(replications=1, master_seed=5)
+    cfg = replace(base, arrival=replace(base.arrival, scale=160.0))
+    day = traced(run_des, cfg)
+    assert traced(run_abs, cfg) == day
+    metrics, _ = day
+    assert metrics.not_served > 100 * metrics.served
+    assert min(left) > 1000, left
 
 
 # --- properties of either model, on its own ------------------------------------

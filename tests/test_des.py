@@ -1,5 +1,7 @@
 """Discrete-event model: service discipline, conservation, timing edges."""
 
+import math
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -52,6 +54,23 @@ def test_reneges_fire_exactly_at_patience_expiry():
 def test_infinite_patience_means_no_reneges():
     _, trace = traced(run_des, scaled(small_cfg(patience=None), 2.0))
     assert not any(label == "renege" for _, label, _ in trace)
+
+
+def test_a_heavy_day_costs_what_a_light_one_does_per_customer(gc_disabled):
+    # a renege costs the same whatever the entry queue holds, so a day at
+    # 32 times the arrivals of another costs about as much per customer;
+    # a renege that scans the queue makes the heavy day's customers cost
+    # several times as much.  Each day is timed at its fastest of three runs
+    def seconds_per_customer(scale):
+        cfg = scaled(small_cfg(), scale)
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            m = run_des(cfg, ReplicationDraws(0))
+            best = min(best, time.perf_counter() - start)
+        return best / (m.served + m.not_served)
+
+    assert seconds_per_customer(320.0) < 3 * seconds_per_customer(10.0)
 
 
 def test_help_probability_zero_skips_the_help_flow():

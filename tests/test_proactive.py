@@ -129,6 +129,13 @@ def test_thresholds_must_be_positive_integers():
         ProactivePolicy(threshold_help=2.5)
 
 
+def test_enabled_must_be_a_bool():
+    # "no" is truthy, so it would turn the policy on
+    for value in ("no", 0, None):
+        with pytest.raises(ValueError, match="enabled"):
+            ProactivePolicy(enabled=value)
+
+
 # --- pace table ----------------------------------------------------------------
 
 

@@ -12,6 +12,9 @@ numbers as the event-scheduling one and takes the same shared steps in
 runtime.py, so on any scenario, stochastic or degenerate, the two traces
 match byte for byte.
 
+The staff's queues and the fitting room's cubicles are fields of the run's
+one ``Store`` (runtime.py), which the service rule and the policy read too.
+
 A customer whose patience runs out takes the shared renege step and sends
 no message: they stay in the staff's entry queue, and the staff learns of
 the renege when that customer reaches its head.
@@ -25,8 +28,8 @@ from .config import ScenarioConfig
 from .engine import ModelError, ReplicationDraws, bernoulli
 from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE,
                       EV_PATIENCE, IN_SYSTEM, JOB1, JOB2, JOB3, L_END, L_ENTER,
-                      L_LEAVE, L_REQUEST_HELP, SERVED, Customer, QueueSet,
-                      Replication, select_service)
+                      L_LEAVE, L_REQUEST_HELP, SERVED, Customer, Replication,
+                      select_service)
 from .stats import RunMetrics
 
 # customer states
@@ -103,7 +106,7 @@ class CustomerAgent(Customer):
         """The staff finished whatever job this customer was receiving."""
         model = self.model
         st = self.state
-        tr = model.tm.trace
+        tr = model.store.trace
         if st == IN_ENTRY_SERVICE:
             if tr is not None:
                 tr.append((now, L_END[JOB1], self.id))
@@ -127,7 +130,7 @@ class CustomerAgent(Customer):
 
     def help_due(self, now: float) -> None:
         model = self.model
-        tr = model.tm.trace
+        tr = model.store.trace
         if tr is not None:
             tr.append((now, L_REQUEST_HELP, self.id))
         self._transition(WAITING_HELP)
@@ -167,19 +170,18 @@ class CustomerAgent(Customer):
 class StaffAgent:
     """The single staff member: three queues, one pair of hands."""
 
-    __slots__ = ("model", "tm", "ctl", "queues", "current_job")
+    __slots__ = ("model", "store", "ctl", "current_job")
 
-    def __init__(self, model: "AbsRun", queues: QueueSet) -> None:
+    def __init__(self, model: "AbsRun") -> None:
         self.model = model
-        self.tm = model.tm
+        self.store = model.store
         self.ctl = model.ctl
-        self.queues = queues
         self.current_job = 0
 
     def handle(self, kind: str, payload, now: float) -> None:
         note = self.model.note
         if kind == M_SERVICE_DONE:
-            self.tm.staff_done(now)
+            self.store.staff_done(now)
             job = self.current_job
             self.current_job = 0
             # job 1 ended with a cubicle filling up, which can only end
@@ -190,24 +192,23 @@ class StaffAgent:
             return
         if kind == M_REQUEST_ENTRY:
             # joined_at was set at arrival, which is now
-            self.queues.entry.append(payload)
+            self.store.entry.append(payload)
         elif kind == M_REQUEST_RETURN:
             payload.joined_at = now
-            self.queues.ret.append(payload)
+            self.store.ret.append(payload)
         elif kind == M_REQUEST_HELP:
             payload.joined_at = now
-            self.queues.help.append(payload)
+            self.store.help.append(payload)
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
         if note is not None:
             note(now)
-        if self.tm.staff_since is None:
+        if self.store.staff_since is None:
             self.scan(now)
 
     def scan(self, now: float) -> None:
         """Look for the next job under the shared service-order rule."""
-        tm = self.tm
-        pick = select_service(self.queues, tm.occupied < tm.capacity)
+        pick = select_service(self.store)
         if pick is None:
             return
         job, line = pick
@@ -219,30 +220,30 @@ class StaffAgent:
 
 class FittingRoomAgent:
     """The bank of cubicles: grants one while any is free.  The run's one
-    count of those taken is ``tm.occupied``."""
+    count of those taken is ``store.occupied``."""
 
-    __slots__ = ("post", "tm")
+    __slots__ = ("post", "store")
 
     def __init__(self, model: "AbsRun") -> None:
         self.post = model.msgs.append
-        self.tm = model.tm
+        self.store = model.store
 
     def handle(self, kind: str, payload, now: float) -> None:
         if kind == M_REQUEST_CUBICLE:
-            tm = self.tm
-            if tm.occupied >= tm.capacity:
+            st = self.store
+            if st.occupied >= st.capacity:
                 # entry service only starts while a cubicle is free, and the
                 # single staff member cannot start another entry in between
                 raise ModelError("cubicle requested with none free")
-            tm.cubicle_change(now, 1)
-            tr = tm.trace
+            st.cubicle_change(now, 1)
+            tr = st.trace
             if tr is not None:
                 tr.append((now, L_ENTER, payload.id))
             self.post((payload, M_CUBICLE_GRANTED, None))
         elif kind == M_CUBICLE_RELEASED:
-            tm = self.tm
-            tm.cubicle_change(now, -1)
-            tr = tm.trace
+            st = self.store
+            st.cubicle_change(now, -1)
+            tr = st.trace
             if tr is not None:
                 tr.append((now, L_LEAVE, payload.id))
         else:
@@ -257,7 +258,7 @@ class AbsRun(Replication):
     def __init__(self, cfg: ScenarioConfig, draws: ReplicationDraws,
                  trace: Optional[list] = None) -> None:
         super().__init__(cfg, draws, trace)
-        self.staff = StaffAgent(self, self.queues)
+        self.staff = StaffAgent(self)
         self.room = FittingRoomAgent(self)
 
     def handlers(self) -> dict:

@@ -57,10 +57,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="override the replication count",
     )
     sub.add_argument(
-        "--proactive", choices=("on", "off"),
-        help="force the speed-up policy on or off",
-    )
-    sub.add_argument(
         "--out", metavar="PATH", help="write the report here instead of stdout"
     )
     sub.add_argument(
@@ -82,6 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run the arrival-pressure ladder")
     _add_common(p_sweep)
+    # compare always runs the policy off, then on
+    for p in (p_run, p_sweep):
+        p.add_argument(
+            "--proactive", choices=("on", "off"),
+            help="force the speed-up policy on or off",
+        )
     p_sweep.add_argument(
         "--levels", type=_positive_int, default=SweepSpec.levels,
         help="number of load levels (default: %(default)s)",
@@ -108,7 +110,7 @@ def _assemble_config(args: argparse.Namespace) -> ScenarioConfig:
         overrides["seed"] = args.seed
     if args.replications is not None:
         overrides["replications"] = args.replications
-    if args.proactive is not None:
+    if getattr(args, "proactive", None) is not None:
         overrides["proactive.enabled"] = args.proactive == "on"
     if overrides:
         cfg = build_config(overrides, base=cfg)

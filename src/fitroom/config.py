@@ -264,11 +264,12 @@ def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> Scenari
 def load_config(path: str) -> ScenarioConfig:
     """Read a config file over the defaults.  Raises ConfigError for bad
     content, a file that is not UTF-8 text included; I/O errors (missing
-    file, unreadable path) propagate as OSError."""
+    file, unreadable path) propagate as OSError.  A leading byte-order mark
+    is dropped after decoding, so bad bytes are still named by file offset."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: "
                               f"{exc.reason})") from None
-    return build_config(parse_config_text(text))
+    return build_config(parse_config_text(text.removeprefix("\ufeff")))

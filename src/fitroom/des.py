@@ -51,17 +51,16 @@ class DesRun(Replication):
     def handle_arrival(self, _target, now: float) -> None:
         c = Customer(len(self.customers), now)
         self.arrive(c, now)
-        self.queues.entry.append(c)
+        self.store.entry.append(c)
         c.awaiting_entry = True
         if self.note is not None:
             self.note(now)
-        if self.tm.staff_since is None:
+        if self.store.staff_since is None:
             self.dispatch_staff(now)
 
     def dispatch_staff(self, now: float) -> None:
         """Start the staff on the next job, if any is eligible."""
-        tm = self.tm
-        pick = select_service(self.queues, tm.occupied < tm.capacity)
+        pick = select_service(self.store)
         if pick is None:
             return
         job, line = pick
@@ -70,59 +69,59 @@ class DesRun(Replication):
             c.awaiting_entry = False
 
     def complete_job1(self, c: Customer, now: float) -> None:
-        tr = self.tm.trace
+        tr = self.store.trace
         if tr is not None:
             tr.append((now, L_END[JOB1], c.id))
         # entry service ends with the customer stepping into a cubicle,
         # reserved for them when the job was dispatched
-        self.tm.cubicle_change(now, 1)
+        self.store.cubicle_change(now, 1)
         if tr is not None:
             tr.append((now, L_ENTER, c.id))
         self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
                                              self.help_draws))
-        self.tm.staff_done(now)
+        self.store.staff_done(now)
         # a filled cubicle can only end congestion
         if self.note is not None and self.ctl.congested:
             self.note(now)
         self.dispatch_staff(now)
 
     def request_help(self, c: Customer, now: float) -> None:
-        tr = self.tm.trace
+        tr = self.store.trace
         if tr is not None:
             tr.append((now, L_REQUEST_HELP, c.id))
         c.joined_at = now
-        self.queues.help.append(c)
+        self.store.help.append(c)
         if self.note is not None:
             self.note(now)
-        if self.tm.staff_since is None:
+        if self.store.staff_since is None:
             self.dispatch_staff(now)
 
     def complete_job2(self, c: Customer, now: float) -> None:
-        tr = self.tm.trace
+        tr = self.store.trace
         if tr is not None:
             tr.append((now, L_END[JOB2], c.id))
         self.cal.schedule(now + c.fit_remaining, EV_FIT_DONE, c)
-        self.tm.staff_done(now)
+        self.store.staff_done(now)
         self.dispatch_staff(now)
 
     def leave_cubicle(self, c: Customer, now: float) -> None:
-        self.tm.cubicle_change(now, -1)
-        tr = self.tm.trace
+        self.store.cubicle_change(now, -1)
+        tr = self.store.trace
         if tr is not None:
             tr.append((now, L_LEAVE, c.id))
         c.joined_at = now
-        self.queues.ret.append(c)
+        self.store.ret.append(c)
         if self.note is not None:
             self.note(now)
-        if self.tm.staff_since is None:
+        if self.store.staff_since is None:
             self.dispatch_staff(now)
 
     def complete_job3(self, c: Customer, now: float) -> None:
-        tr = self.tm.trace
+        tr = self.store.trace
         if tr is not None:
             tr.append((now, L_END[JOB3], c.id))
         c.disposition = SERVED
-        self.tm.staff_done(now)
+        self.store.staff_done(now)
         self.dispatch_staff(now)
 
     def renege(self, c: Customer, now: float) -> None:

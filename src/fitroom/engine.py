@@ -161,7 +161,10 @@ class DistributionSpec:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown distribution family {self.family!r}")
         try:
-            p = tuple(float(x) for x in self.params)
+            p = tuple(self.params)
+            if any(isinstance(x, bool) for x in p):  # float() would take one
+                raise TypeError
+            p = tuple(float(x) for x in p)
         except (TypeError, OverflowError):
             raise ValueError(f"{self.family} parameters must be finite numbers: "
                              f"{self.params!r}") from None
@@ -248,7 +251,10 @@ class ArrivalProfile:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        rates = tuple(float(r) for r in self.hourly_rates)
+        rates = tuple(self.hourly_rates)
+        if isinstance(self.scale, bool) or any(isinstance(r, bool) for r in rates):
+            raise ValueError("hourly rates and the scale must be numbers, not booleans")
+        rates = tuple(float(r) for r in rates)
         object.__setattr__(self, "hourly_rates", rates)
         if len(rates) != OPENING_HOURS:
             raise ValueError(f"need exactly {OPENING_HOURS} hourly rates, got {len(rates)}")

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .engine import DistributionSpec, EventCalendar
 
 if TYPE_CHECKING:
-    from .runtime import QueueSet, Telemetry
+    from .runtime import Store
 
 EV_REVERT = "revert"
 EV_POLL = "poll"
@@ -100,7 +100,8 @@ class SpeedupController:
     docstring shows why the skipped calls are exactly those that would
     find no congestion.  When the policy polls, ``handle_poll`` calls it at
     every poll, and the controller schedules its first poll when it is
-    made.  It reads cubicle occupancy from the run's ``telemetry``.
+    made.  It reads the queues and cubicles from the run's ``store``, and
+    traces its pace changes there.
     ``next_revert`` and ``next_poll`` return the next revert delay and
     polling interval, one per call (``next_poll`` may be None when the
     policy does not poll).
@@ -112,34 +113,27 @@ class SpeedupController:
     when it fires, so a congestion storm does not flood the calendar.
     """
 
-    __slots__ = ("table", "calendar", "telemetry",
+    __slots__ = ("table", "calendar", "store",
                  "next_revert", "next_poll", "change_count", "revert_at",
-                 "chain_head", "trace", "event_driven", "congested",
-                 "_queues", "_entry_q", "_ret_q", "_help_q", "_te", "_tr", "_th")
+                 "chain_head", "event_driven", "congested", "_te", "_tr", "_th")
 
     def __init__(self, policy: ProactivePolicy, table: ServiceTimeTable,
-                 calendar: EventCalendar, queues: QueueSet,
+                 calendar: EventCalendar, store: Store,
                  next_revert: Callable[[], float],
-                 next_poll: Optional[Callable[[], float]],
-                 telemetry: Telemetry) -> None:
+                 next_poll: Optional[Callable[[], float]]) -> None:
         self.table = table
         self.calendar = calendar
-        self.telemetry = telemetry
+        self.store = store
         self.next_revert = next_revert
         self.next_poll = next_poll
         self.change_count = 0
         self.revert_at = 0.0
         self.chain_head: Optional[float] = None
-        self.trace = telemetry.trace
         self.event_driven = policy.enabled and policy.check_interval is None
         # the store starts empty, and every threshold is at least 1
         self.congested = False
         # note_change runs on every queue growth and freed cubicle, so it
-        # reads these cached references
-        self._queues = queues
-        self._entry_q = queues.entry
-        self._ret_q = queues.ret
-        self._help_q = queues.help
+        # reads these cached thresholds
         self._te = policy.threshold_entry
         self._tr = policy.threshold_return
         self._th = policy.threshold_help
@@ -151,7 +145,7 @@ class SpeedupController:
         entry queue has reached its threshold, or the return or help queue
         has reached its own threshold whatever the cubicles hold.  The
         entry queue's length counts only its live customers, not those
-        reneged (``QueueSet.gone``).  The verdict is kept in ``congested``.
+        reneged (``Store.gone``).  The verdict is kept in ``congested``.
 
         An event-driven model may skip the call after a queue shrinks or a
         cubicle fills while ``congested`` is false, because such a call
@@ -172,11 +166,9 @@ class SpeedupController:
         the start of every event, and a skipped call would have found no
         congestion and done nothing.
         """
-        tm = self.telemetry
-        if ((tm.occupied < tm.capacity
-             and len(self._entry_q) - self._queues.gone >= self._te)
-                or len(self._ret_q) >= self._tr
-                or len(self._help_q) >= self._th):
+        st = self.store
+        if ((st.occupied < st.capacity and len(st.entry) - st.gone >= self._te)
+                or len(st.ret) >= self._tr or len(st.help) >= self._th):
             self.congested = True
             self.apply_speedup(now)
         else:
@@ -193,8 +185,8 @@ class SpeedupController:
         if not self.table.fast:
             self.table.set_fast()
             self.change_count += 1
-            if self.trace is not None:
-                self.trace.append((now, L_SPEEDUP, -1))
+            if self.store.trace is not None:
+                self.store.trace.append((now, L_SPEEDUP, -1))
         # else: already fast, the re-trigger just restarted the revert clock
 
     def handlers(self) -> dict:
@@ -207,8 +199,8 @@ class SpeedupController:
         if t == self.revert_at:
             self.table.set_normal()
             self.chain_head = None
-            if self.trace is not None:
-                self.trace.append((t, L_REVERT, -1))
+            if self.store.trace is not None:
+                self.store.trace.append((t, L_REVERT, -1))
         elif t == self.chain_head:
             # a re-trigger moved the revert later; walk the chain forward
             self.calendar.schedule(self.revert_at, EV_REVERT)

@@ -1,8 +1,8 @@
 """Pieces both store models share verbatim: the customer record, the event
-loop, each run's draw readers, the steps both models take, the three queues
-(plain deques of customers; a reneged customer stays in the entry deque
-until they reach its head), the staff's service-order rule,
-occupancy/busy-time accounting, and run metrics.
+loop, each run's draw readers, the steps both models take, the store's
+state (``Store``: queues, cubicles, busy clock and trace in one record,
+which both models, the policy and the service rule read), the staff's
+service-order rule, and run metrics.
 
 Keeping these identical (not merely similar) is what lets any scenario
 produce byte-for-byte the same trace from either model.
@@ -71,7 +71,7 @@ class Replication:
     handler makes the customer and lets ``arrive`` record it first.  The
     agent model also queues messages in ``msgs``, which the loop delivers
     after every event, so each cascade settles before the clock moves.
-    Cubicle occupancy is counted once, in ``tm``.
+    The queues, cubicles, busy clock and trace are one record, ``store``.
 
     Two kinds of event are never more than one at a time pending, so they
     wait in slots beside the heap rather than in it: the next arrival
@@ -88,7 +88,7 @@ class Replication:
     """
 
     __slots__ = ("cfg", "arrivals", "patience", "fitting", "help_draws", "cal",
-                 "queues", "tm", "customers", "msgs", "table", "ctl", "note",
+                 "store", "customers", "msgs", "table", "ctl", "note",
                  "next_arrival", "pending_job", "__weakref__")
 
     def __init__(self, cfg, draws: ReplicationDraws,
@@ -102,8 +102,7 @@ class Replication:
         self.help_draws = draws.uniforms(seed, "help")
         self.cfg = cfg
         self.cal = EventCalendar()
-        self.queues = QueueSet()
-        self.tm = Telemetry(cfg.cubicles, trace)
+        self.store = Store(cfg.cubicles, trace)
         self.customers: list = []
         self.msgs: deque = deque()
         self.next_arrival = NEVER
@@ -114,9 +113,9 @@ class Replication:
         policy = cfg.proactive
         poll = policy.check_interval
         self.ctl = SpeedupController(
-            policy, self.table, self.cal, self.queues,
+            policy, self.table, self.cal, self.store,
             values(seed, "revert", policy.revert_delay),
-            None if poll is None else values(seed, "poll", poll), self.tm)
+            None if poll is None else values(seed, "poll", poll))
         # the models notify the policy of queue and cubicle changes only
         # while it is event-driven; bound once, None otherwise.  A change
         # that can only end congestion (a queue shrinks, a cubicle fills)
@@ -180,7 +179,7 @@ class Replication:
         stays on the heap after its customer's entry service begins and
         does nothing when it pops."""
         self.customers.append(c)
-        tr = self.tm.trace
+        tr = self.store.trace
         if tr is not None:
             tr.append((now, L_ARRIVAL, c.id))
         if self.patience is not None:
@@ -201,11 +200,11 @@ class Replication:
         if self.note is not None and self.ctl.congested:
             self.note(now)
         dur = self.table.duration(job)
-        tm = self.tm
-        tr = tm.trace
+        st = self.store
+        tr = st.trace
         if tr is not None:
             tr.append((now, L_START[job], c.id))
-        tm.staff_since = now
+        st.staff_since = now
         self.pending_job = self.cal.stamp(now + dur, EV_JOB_DONE[job], c)
         return c
 
@@ -222,7 +221,7 @@ class Replication:
 
     def record_renege(self, c: Customer, now: float) -> None:
         """``c``, waiting for entry service, reneges: charge their wait and
-        count them in ``queues.gone``.  They stay in the entry deque, which
+        count them in ``store.gone``.  They stay in the entry deque, which
         ``select_service`` pops them from once they reach its head, so a
         renege costs the same whatever the queue's length.
 
@@ -236,12 +235,12 @@ class Replication:
           frees) made them look again;
         - a renege frees no cubicle and adds nobody to a queue.
         """
-        tr = self.tm.trace
+        tr = self.store.trace
         if tr is not None:
             tr.append((now, L_RENEGE, c.id))
         c.disposition = RENEGED
         c.wait += now - c.joined_at
-        self.queues.gone += 1
+        self.store.gone += 1
         if self.note is not None and self.ctl.congested:
             self.note(now)
 
@@ -249,84 +248,44 @@ class Replication:
         """Close the day: stop the clocks, charge customers still queued for
         their unfinished wait (a reneged one was charged at the renege), and
         fold the run into its metrics."""
-        self.tm.flush(horizon)
-        q = self.queues
-        for line in (q.entry, q.help, q.ret):
+        st = self.store
+        st.flush(horizon)
+        for line in (st.entry, st.help, st.ret):
             for c in line:
                 if c.disposition == IN_SYSTEM:
                     c.wait += horizon - c.joined_at
-        return build_metrics(self.customers, self.tm, self.ctl.change_count,
+        return build_metrics(self.customers, st, self.ctl.change_count,
                              horizon, self.cfg.wait_estimator)
 
 
-class QueueSet:
-    """The three staff-facing queues: entry, in-fitting help, and return.
-    ``gone`` counts the reneged customers still in ``entry``, so the entry
-    queue's live length is ``len(entry) - gone``."""
+class Store:
+    """The store as both models, the policy and the service rule read it.
 
-    __slots__ = ("entry", "help", "ret", "gone")
+    The three staff-facing queues are ``entry``, ``help`` (in-fitting help)
+    and ``ret`` (return); ``gone`` counts the reneged customers still in
+    ``entry``, so the entry queue's live length is ``len(entry) - gone``.
+    ``occupied`` is the run's one count of cubicles in use, out of
+    ``capacity``; ``cubicle_change`` moves it and keeps the occupancy clock.
+    The staff's busy clock runs while ``staff_since``, the time the current
+    job began, is set; it is None while the staff is idle.  A model sets it
+    when a job starts and calls ``staff_done`` when it ends.  ``trace`` is
+    the optional event trace.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("entry", "help", "ret", "gone", "capacity", "occupied",
+                 "occ_minutes", "_occ_since", "staff_busy", "staff_since", "trace")
+
+    def __init__(self, capacity: int, trace: Optional[list] = None) -> None:
         self.entry: deque = deque()
         self.help: deque = deque()
         self.ret: deque = deque()
         self.gone = 0
-
-
-def select_service(queues: QueueSet, cubicle_free: bool) -> Optional[tuple[int, deque]]:
-    """Pick the staff's next job, first come first served: each queue is
-    served in join order (equal join times in event order), and of the
-    three heads the earliest-joined wins, ties to the lower customer id.
-    The entry head competes only while a cubicle is free, since entry
-    service ends in one; reneged customers at its head are popped first.
-    Returns (job number, winner's queue) or None."""
-    best = None
-    job = 0
-    line = None
-    q = queues.entry
-    # gone counts customers in q, so while it is positive q has a head
-    while queues.gone and q[0].disposition == RENEGED:
-        q.popleft()
-        queues.gone -= 1
-    if cubicle_free and q:
-        best, job, line = q[0], JOB1, q
-    q = queues.help
-    if q:
-        c = q[0]
-        if (best is None or c.joined_at < best.joined_at
-                or (c.joined_at == best.joined_at and c.id < best.id)):
-            best, job, line = c, JOB2, q
-    q = queues.ret
-    if q:
-        c = q[0]
-        if (best is None or c.joined_at < best.joined_at
-                or (c.joined_at == best.joined_at and c.id < best.id)):
-            best, job, line = c, JOB3, q
-    if best is None:
-        return None
-    return job, line
-
-
-class Telemetry:
-    """Time-integrated accounting plus the optional event trace.
-
-    The staff's busy clock runs while ``staff_since``, the time the
-    current job began, is set; it is None while the staff is idle.  A
-    model sets it when a job starts and calls ``staff_done`` when it ends.
-    ``occupied`` is the run's one count of cubicles in use, out of
-    ``capacity``; dispatch and the speed-up policy read it too.
-    """
-
-    __slots__ = ("staff_busy", "staff_since", "capacity", "occupied",
-                 "occ_minutes", "_occ_since", "trace")
-
-    def __init__(self, capacity: int, trace: Optional[list] = None) -> None:
-        self.staff_busy = 0.0
-        self.staff_since = None
         self.capacity = capacity
         self.occupied = 0
         self.occ_minutes = 0.0
         self._occ_since = 0.0
+        self.staff_busy = 0.0
+        self.staff_since = None
         self.trace = trace
 
     def cubicle_change(self, now: float, delta: int) -> None:
@@ -346,7 +305,41 @@ class Telemetry:
             self.staff_done(horizon)
 
 
-def build_metrics(customers, telemetry: Telemetry, change_count: int,
+def select_service(store: Store) -> Optional[tuple[int, deque]]:
+    """Pick the staff's next job, first come first served: each queue is
+    served in join order (equal join times in event order), and of the
+    three heads the earliest-joined wins, ties to the lower customer id.
+    The entry head competes only while a cubicle is free, since entry
+    service ends in one; reneged customers at its head are popped first.
+    Returns (job number, winner's queue) or None."""
+    best = None
+    job = 0
+    line = None
+    q = store.entry
+    # gone counts customers in q, so while it is positive q has a head
+    while store.gone and q[0].disposition == RENEGED:
+        q.popleft()
+        store.gone -= 1
+    if q and store.occupied < store.capacity:
+        best, job, line = q[0], JOB1, q
+    q = store.help
+    if q:
+        c = q[0]
+        if (best is None or c.joined_at < best.joined_at
+                or (c.joined_at == best.joined_at and c.id < best.id)):
+            best, job, line = c, JOB2, q
+    q = store.ret
+    if q:
+        c = q[0]
+        if (best is None or c.joined_at < best.joined_at
+                or (c.joined_at == best.joined_at and c.id < best.id)):
+            best, job, line = c, JOB3, q
+    if best is None:
+        return None
+    return job, line
+
+
+def build_metrics(customers, store: Store, change_count: int,
                   horizon: float, wait_estimator: str) -> RunMetrics:
     """Fold one finished run into its RunMetrics.
 
@@ -372,8 +365,8 @@ def build_metrics(customers, telemetry: Telemetry, change_count: int,
         mean_wait = wait_all / len(customers) if customers else 0.0
     return RunMetrics(
         mean_wait=mean_wait,
-        staff_util=telemetry.staff_busy / horizon,
-        cubicle_util=telemetry.occ_minutes / (telemetry.capacity * horizon),
+        staff_util=store.staff_busy / horizon,
+        cubicle_util=store.occ_minutes / (store.capacity * horizon),
         served=served,
         not_served=not_served,
         service_time_changes=change_count,

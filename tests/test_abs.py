@@ -18,7 +18,7 @@ from fitroom.des import DesRun, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError, ReplicationDraws
 from fitroom.harness import _RUNNERS
 from fitroom.proactive import ProactivePolicy
-from fitroom.runtime import (IN_SYSTEM, JOB1, RENEGED, Customer, QueueSet, Replication,
+from fitroom.runtime import (IN_SYSTEM, JOB1, RENEGED, Customer, Replication, Store,
                              select_service)
 from fitroom.stats import RunMetrics
 from helpers import stochastic_scenarios, traced
@@ -197,17 +197,17 @@ def test_starting_a_staff_job(model):
         run.note = noted.append
         run.ctl.congested = congested
         first, second = Customer(0, 1.0), Customer(1, 2.0)
-        run.queues.entry.extend([first, second])
-        assert run.start_job(JOB1, run.queues.entry, 4.0) is first
-        assert first.wait == 3.0 and list(run.queues.entry) == [second]
+        run.store.entry.extend([first, second])
+        assert run.start_job(JOB1, run.store.entry, 4.0) is first
+        assert first.wait == 3.0 and list(run.store.entry) == [second]
         assert noted == told
         assert trace == [(4.0, "start_job1", 0)]
-        assert run.tm.staff_since == 4.0
+        assert run.store.staff_since == 4.0
         assert run.pending_job[0] == 4.5 and run.pending_job[2:] == ("job1_done", first)
         # a second job while one is pending is a wiring bug; nobody is served
         with pytest.raises(ModelError, match="still pending"):
-            run.start_job(JOB1, run.queues.entry, 5.0)
-        assert list(run.queues.entry) == [second] and second.wait == 0.0
+            run.start_job(JOB1, run.store.entry, 5.0)
+        assert list(run.store.entry) == [second] and second.wait == 0.0
         assert noted == told
 
 
@@ -250,35 +250,35 @@ def test_a_finished_run_is_freed_by_reference_counting(model, monkeypatch, gc_di
 
 class RenegeWatch:
     """Checks the entry queue, which keeps reneged customers until they reach
-    its head, at every renege and every look for a job: ``queues.gone``
+    its head, at every renege and every look for a job: ``store.gone``
     counts exactly the reneged customers in ``entry``, job 1 never goes to
     one of them, and a renege while the staff is idle leaves no job to
     start, which is why the renege step sends the staff nowhere."""
 
     @staticmethod
-    def check_gone(queues):
-        assert queues.gone == sum(c.disposition == RENEGED for c in queues.entry)
+    def check_gone(store):
+        assert store.gone == sum(c.disposition == RENEGED for c in store.entry)
 
     def record_renege(self, real):
         def record(run, c, now):
             real(run, c, now)
-            q = run.queues
-            self.check_gone(q)
-            tm = run.tm
-            if tm.staff_since is None:
+            st = run.store
+            self.check_gone(st)
+            if st.staff_since is None:
                 # the look is made on a copy, so the run goes on untouched
-                probe = QueueSet()
-                probe.entry.extend(q.entry)
-                probe.help.extend(q.help)
-                probe.ret.extend(q.ret)
-                probe.gone = q.gone
-                assert select_service(probe, tm.occupied < tm.capacity) is None
+                probe = Store(st.capacity)
+                probe.entry.extend(st.entry)
+                probe.help.extend(st.help)
+                probe.ret.extend(st.ret)
+                probe.gone = st.gone
+                probe.occupied = st.occupied
+                assert select_service(probe) is None
         return record
 
-    def select_service(self, queues, cubicle_free):
-        self.check_gone(queues)
-        pick = select_service(queues, cubicle_free)
-        self.check_gone(queues)
+    def select_service(self, store):
+        self.check_gone(store)
+        pick = select_service(store)
+        self.check_gone(store)
         if pick is not None and pick[0] == JOB1:
             assert pick[1][0].disposition == IN_SYSTEM
         return pick
@@ -304,7 +304,7 @@ def test_a_heavy_day_keeps_the_rules_while_reneged_customers_pile_up(monkeypatch
     real = Replication.finalize
 
     def finalize(run, horizon):
-        left.append(run.queues.gone)
+        left.append(run.store.gone)
         return real(run, horizon)
 
     monkeypatch.setattr(Replication, "finalize", finalize)
@@ -423,7 +423,7 @@ def test_cubicles_are_granted_by_message_while_one_is_free():
 
     room.handle(agents.M_REQUEST_CUBICLE, cs[0], 0.0)
     room.handle(agents.M_REQUEST_CUBICLE, cs[1], 0.0)
-    assert model.tm.occupied == 2
+    assert model.store.occupied == 2
     # grants travel by message; drain them
     deliveries = []
     while model.msgs:
@@ -435,11 +435,11 @@ def test_cubicles_are_granted_by_message_while_one_is_free():
 
     # a release frees a cubicle, and the next request gets it
     room.handle(agents.M_CUBICLE_RELEASED, cs[0], 1.0)
-    assert model.tm.occupied == 1 and not model.msgs
+    assert model.store.occupied == 1 and not model.msgs
     room.handle(agents.M_REQUEST_CUBICLE, cs[2], 1.0)
     receiver, kind, _ = model.msgs.popleft()
     assert (receiver.id, kind) == (2, agents.M_CUBICLE_GRANTED)
-    assert model.tm.occupied == 2
+    assert model.store.occupied == 2
 
 
 def test_grant_with_no_free_cubicle_is_a_model_error():

@@ -338,6 +338,25 @@ def test_a_file_that_is_not_utf8_is_named_not_a_crash(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"fitroom: {path}: not UTF-8")
 
 
+def test_a_byte_order_mark_and_crlf_endings_load_as_the_plain_file(tmp_path, capsys):
+    # Windows Notepad writes both by default
+    from fitroom.cli import main
+
+    plain = write(tmp_path, "seed = 3\nreplications = 2\n", "plain.cfg")
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbfseed = 3\r\nreplications = 2\r\n")
+    assert load_config(str(marked)) == load_config(plain)
+    reports = []
+    for path in (plain, str(marked)):
+        assert main(["run", "--model", "des", "--config", path]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # a bad byte is still named by its offset in the file, mark included
+    marked.write_bytes(b"\xef\xbb\xbf# caf\xe9\n")
+    with pytest.raises(ConfigError, match="byte 8:"):
+        load_config(str(marked))
+
+
 @pytest.mark.parametrize("value", [
     "[" * 100_000,
     '["uniform", ' + "[" * 990,

@@ -11,8 +11,8 @@ from fitroom.config import ScenarioConfig
 from fitroom.des import Customer, run_des
 from fitroom.engine import DistributionSpec, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
-from fitroom.runtime import (JOB1, JOB2, JOB3, RENEGED, SERVED, QueueSet, Telemetry,
-                             build_metrics, select_service)
+from fitroom.runtime import (JOB1, JOB2, JOB3, RENEGED, SERVED, Store, build_metrics,
+                             select_service)
 from helpers import traced
 
 
@@ -114,13 +114,14 @@ def test_wait_accrues_until_renege():
 
 
 def queued(heads):
-    """Queues whose heads are ``heads``: (job, customer id, join time) for
-    each non-empty queue; each head has one later customer behind it."""
-    queues = QueueSet()
-    lines = {JOB1: queues.entry, JOB2: queues.help, JOB3: queues.ret}
+    """A store whose queue heads are ``heads``: (job, customer id, join
+    time) for each non-empty queue; each head has one later customer behind
+    it.  Its 8 cubicles are free."""
+    store = Store(8)
+    lines = {JOB1: store.entry, JOB2: store.help, JOB3: store.ret}
     for job, cid, t in heads:
         lines[job].extend([Customer(cid, t), Customer(100 + cid, t + 50.0)])
-    return queues, lines
+    return store, lines
 
 
 @pytest.mark.parametrize("first", [JOB1, JOB2, JOB3])
@@ -128,25 +129,27 @@ def test_the_earliest_joined_head_wins_across_the_queues(first):
     # join times run against ids, so only the times can pick the winner
     later = [job for job in (JOB1, JOB2, JOB3) if job != first]
     heads = [(first, 9, 1.0), (later[0], 1, 2.0), (later[1], 0, 3.0)]
-    queues, lines = queued(heads)
-    assert select_service(queues, True) == (first, lines[first])
+    store, lines = queued(heads)
+    assert select_service(store) == (first, lines[first])
 
 
 @pytest.mark.parametrize("first", [JOB1, JOB2, JOB3])
 def test_equal_join_times_break_by_the_lower_customer_id(first):
     later = [job for job in (JOB1, JOB2, JOB3) if job != first]
     heads = [(later[0], 5, 4.0), (first, 3, 4.0), (later[1], 7, 4.0)]
-    queues, lines = queued(heads)
-    assert select_service(queues, True) == (first, lines[first])
+    store, lines = queued(heads)
+    assert select_service(store) == (first, lines[first])
 
 
 def test_the_entry_head_waits_while_no_cubicle_is_free():
-    queues, lines = queued([(JOB1, 0, 1.0), (JOB2, 1, 2.0), (JOB3, 2, 3.0)])
-    assert select_service(queues, True) == (JOB1, lines[JOB1])
-    assert select_service(queues, False) == (JOB2, lines[JOB2])
-    queues, lines = queued([(JOB1, 0, 1.0)])
-    assert select_service(queues, False) is None
-    assert select_service(QueueSet(), True) is None
+    store, lines = queued([(JOB1, 0, 1.0), (JOB2, 1, 2.0), (JOB3, 2, 3.0)])
+    assert select_service(store) == (JOB1, lines[JOB1])
+    store.occupied = store.capacity
+    assert select_service(store) == (JOB2, lines[JOB2])
+    store, lines = queued([(JOB1, 0, 1.0)])
+    store.occupied = store.capacity
+    assert select_service(store) is None
+    assert select_service(Store(8)) is None
 
 
 # --- metric folding (unit level) ---------------------------------------------
@@ -160,32 +163,32 @@ def served_customer(cid, wait):
 
 
 def test_mean_wait_over_served_customers():
-    tm = Telemetry(8)
+    store = Store(8)
     a, b = served_customer(0, 2.0), served_customer(1, 4.0)
     lost = Customer(2, 0.0)
     lost.wait = 10.0
     lost.disposition = RENEGED
-    m = build_metrics([a, b, lost], tm, 0, 480.0, "served")
+    m = build_metrics([a, b, lost], store, 0, 480.0, "served")
     assert m.mean_wait == 3.0
     assert m.served == 2 and m.not_served == 1
 
 
 def test_mean_wait_over_all_customers():
-    tm = Telemetry(8)
+    store = Store(8)
     a, b = served_customer(0, 2.0), served_customer(1, 4.0)
     lost = Customer(2, 0.0)
     lost.wait = 12.0
     lost.disposition = RENEGED
-    m = build_metrics([a, b, lost], tm, 0, 480.0, "all")
+    m = build_metrics([a, b, lost], store, 0, 480.0, "all")
     assert m.mean_wait == 6.0
 
 
 def test_utilization_ratios_from_telemetry():
-    tm = Telemetry(8)
-    tm.staff_busy = 240.0
-    tm.cubicle_change(100.0, 1)   # one cubicle occupied from t=100
-    tm.flush(480.0)               # ... through closing
-    m = build_metrics([], tm, 5, 480.0, "served")
+    store = Store(8)
+    store.staff_busy = 240.0
+    store.cubicle_change(100.0, 1)   # one cubicle occupied from t=100
+    store.flush(480.0)               # ... through closing
+    m = build_metrics([], store, 5, 480.0, "served")
     assert m.staff_util == 0.5
     assert m.cubicle_util == pytest.approx(380.0 / (8 * 480.0))
     assert m.service_time_changes == 5

@@ -216,6 +216,8 @@ def test_triangular_mode_is_densest_region():
         ("triangular", (1.0, 3.0, 2.0)),
         ("uniform", (1.0,)),
         ("gaussian", (0.0, 1.0)),
+        ("exponential", (True,)),
+        ("triangular", (0.0, True, 2.0)),
     ],
 )
 def test_invalid_distribution_parameters_raise(family, params):
@@ -305,6 +307,9 @@ def test_scale_multiplies_volume():
         lambda: ArrivalProfile((1.0,) * 8, scale=0.0),
         lambda: ArrivalProfile((1.0,) * 8, scale=-2.0),
         lambda: ArrivalProfile((1.0, -1.0) + (1.0,) * 6),
+        lambda: ArrivalProfile((1.0,) * 8, scale=True),
+        lambda: ArrivalProfile((True,) * 8),
+        lambda: ArrivalProfile((1.0,) * 7 + (False,)),
     ],
 )
 def test_invalid_arrival_profiles_raise(make):

@@ -779,6 +779,14 @@ def test_cli_compare_emits_hypotheses(tmp_path):
     assert len(hyps) == 2
 
 
+def test_cli_compare_refuses_the_proactive_flag(capsys):
+    # compare always runs the policy off, then on, so the flag would be ignored
+    with pytest.raises(SystemExit) as exit_:
+        main(["compare", "--proactive", "off"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --proactive off" in capsys.readouterr().err
+
+
 def test_cli_json_output_parses(capsys):
     code = main([
         "run", "--model", "abs", "--replications", "2", "--seed", "5",

@@ -18,7 +18,7 @@ from fitroom.proactive import (
     ServiceTimeTable,
     SpeedupController,
 )
-from fitroom.runtime import JOB1, JOB2, JOB3, QueueSet, Telemetry
+from fitroom.runtime import JOB1, JOB2, JOB3, Store
 from helpers import pop_event, stochastic_scenarios, traced
 
 
@@ -57,15 +57,13 @@ def policy_draws(policy, seed=7):
 
 
 def make_controller(policy, table=None, capacity=8):
-    """A controller on a fresh calendar and queues; returns it with them and
-    the telemetry whose ``occupied`` count it reads."""
+    """A controller on a fresh calendar and store; returns it with them."""
     cal = EventCalendar()
-    queues = QueueSet()
-    tm = Telemetry(capacity, trace=[])
+    store = Store(capacity, trace=[])
     ctl = SpeedupController(
-        policy, table or make_table(), cal, queues, *policy_draws(policy), tm,
+        policy, table or make_table(), cal, store, *policy_draws(policy),
     )
-    return ctl, cal, queues, tm
+    return ctl, cal, store
 
 
 # --- trigger condition --------------------------------------------------------
@@ -73,49 +71,49 @@ def make_controller(policy, table=None, capacity=8):
 
 def test_condition_entry_queue_needs_a_free_cubicle():
     policy = ProactivePolicy(threshold_entry=3, threshold_return=3, threshold_help=3)
-    ctl, _, queues, _ = make_controller(policy)
-    fill(queues.entry, 3)
+    ctl, _, store = make_controller(policy)
+    fill(store.entry, 3)
     ctl.note_change(0.0)
     assert ctl.table.fast
-    ctl, _, queues, tm = make_controller(policy)
-    fill(queues.entry, 3)
-    tm.occupied = 8  # store full: a long entry queue alone is expected
+    ctl, _, store = make_controller(policy)
+    fill(store.entry, 3)
+    store.occupied = 8  # store full: a long entry queue alone is expected
     ctl.note_change(0.0)
     assert not ctl.table.fast
 
 
 def test_condition_return_queue_ignores_cubicles():
-    ctl, _, queues, tm = make_controller(ProactivePolicy())
-    tm.occupied = 8
-    fill(queues.ret, 3)
+    ctl, _, store = make_controller(ProactivePolicy())
+    store.occupied = 8
+    fill(store.ret, 3)
     ctl.note_change(0.0)
     assert ctl.table.fast
 
 
 def test_condition_help_queue_ignores_cubicles():
-    ctl, _, queues, tm = make_controller(ProactivePolicy())
-    tm.occupied = 8
-    fill(queues.help, 3)
+    ctl, _, store = make_controller(ProactivePolicy())
+    store.occupied = 8
+    fill(store.help, 3)
     ctl.note_change(0.0)
     assert ctl.table.fast
 
 
 def test_condition_below_all_thresholds_is_calm():
-    ctl, _, queues, _ = make_controller(ProactivePolicy())
-    fill(queues.entry, 2)
-    fill(queues.ret, 2)
-    fill(queues.help, 2)
+    ctl, _, store = make_controller(ProactivePolicy())
+    fill(store.entry, 2)
+    fill(store.ret, 2)
+    fill(store.help, 2)
     ctl.note_change(0.0)
     assert not ctl.table.fast
 
 
 def test_condition_respects_individual_thresholds():
     policy = ProactivePolicy(threshold_entry=5, threshold_return=2, threshold_help=9)
-    ctl, _, queues, _ = make_controller(policy)
-    fill(queues.entry, 4)
+    ctl, _, store = make_controller(policy)
+    fill(store.entry, 4)
     ctl.note_change(0.0)
     assert not ctl.table.fast
-    fill(queues.ret, 2)
+    fill(store.ret, 2)
     ctl.note_change(0.0)
     assert ctl.table.fast
 
@@ -193,7 +191,7 @@ def drain_reverts(ctl, cal):
 
 def test_change_count_increments_only_on_pace_transitions():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(5.0))
-    ctl, cal, _, _ = make_controller(policy)
+    ctl, cal, _ = make_controller(policy)
     ctl.apply_speedup(0.0)
     ctl.apply_speedup(1.0)  # re-trigger while already fast
     ctl.apply_speedup(2.0)
@@ -209,7 +207,7 @@ def test_change_count_increments_only_on_pace_transitions():
 
 def test_retrigger_extends_the_fast_episode():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(5.0))
-    ctl, cal, _, _ = make_controller(policy)
+    ctl, cal, _ = make_controller(policy)
     ctl.apply_speedup(0.0)   # would revert at 5
     cal.now = 2.0
     ctl.apply_speedup(2.0)   # pushes the revert to 7
@@ -221,7 +219,7 @@ def test_retrigger_extends_the_fast_episode():
 
 def test_stale_revert_after_natural_end_is_ignored():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(3.0))
-    ctl, cal, _, _ = make_controller(policy)
+    ctl, cal, _ = make_controller(policy)
     ctl.apply_speedup(0.0)
     drain_reverts(ctl, cal)
     assert not ctl.table.fast
@@ -233,7 +231,7 @@ def test_stale_revert_after_natural_end_is_ignored():
 
 def test_speedup_and_revert_are_traced():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(4.0))
-    ctl, cal, _, tm = make_controller(policy)
+    ctl, cal, store = make_controller(policy)
     ctl.apply_speedup(1.0)
     for _ in range(4):
         ev = pop_event(cal)
@@ -241,11 +239,11 @@ def test_speedup_and_revert_are_traced():
             break
         t, _, _, target = ev
         ctl.handle_revert(target, t)
-    assert tm.trace == [(1.0, L_SPEEDUP, -1), (5.0, L_REVERT, -1)]
+    assert store.trace == [(1.0, L_SPEEDUP, -1), (5.0, L_REVERT, -1)]
 
 
 def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
-    ctl, cal, _, _ = make_controller(ProactivePolicy(enabled=False))
+    ctl, cal, _ = make_controller(ProactivePolicy(enabled=False))
     assert not ctl.event_driven
     assert len(cal._heap) == 0  # no poll either
 
@@ -265,11 +263,11 @@ def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
 
 def test_event_driven_note_change_reacts_to_congestion_only():
     policy = ProactivePolicy(revert_delay=DistributionSpec.deterministic(2.0))
-    ctl, cal, queues, _ = make_controller(policy)
+    ctl, cal, store = make_controller(policy)
     assert ctl.event_driven
     ctl.note_change(0.0)
     assert not ctl.table.fast  # queues empty, nothing to react to
-    fill(queues.ret, 3)
+    fill(store.ret, 3)
     ctl.note_change(1.0)
     assert ctl.table.fast and ctl.change_count == 1
 
@@ -279,9 +277,9 @@ def test_polling_policy_checks_only_at_poll_times():
         revert_delay=DistributionSpec.deterministic(50.0),
         check_interval=DistributionSpec.deterministic(10.0),
     )
-    ctl, cal, queues, _ = make_controller(policy)
+    ctl, cal, store = make_controller(policy)
     assert not ctl.event_driven
-    fill(queues.ret, 5)
+    fill(store.ret, 5)
 
     t, _, kind, target = pop_event(cal)
     assert kind == EV_POLL and t == 10.0
@@ -341,10 +339,10 @@ class VerdictWatch:
         self.events = 0
 
     def check(self, ctl):
-        for _, label, _ in ctl.trace[self.seen:]:
+        for _, label, _ in ctl.store.trace[self.seen:]:
             for i, d in enumerate(_MOVES.get(label, (0, 0, 0, 0))):
                 self.state[i] += d
-        self.seen = len(ctl.trace)
+        self.seen = len(ctl.store.trace)
         entry, help_, ret, taken = self.state
         p = self.cfg.proactive
         rule = ((taken < self.cfg.cubicles and entry >= p.threshold_entry)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .engine import ArrivalProfile, DistributionSpec, HORIZON
+from .engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, HORIZON
 from .proactive import ProactivePolicy, is_threshold
 
 
@@ -32,6 +32,10 @@ DEFAULT_HOURLY_RATES = (20.0, 34.0, 48.0, 56.0, 56.0, 48.0, 34.0, 20.0)
 
 # far above any day's peak occupancy
 MAX_CUBICLES = 10_000
+
+# ceiling on a day's expected polls, the one MAX_DAY_ARRIVALS puts on
+# arrivals: each poll is an event, and far past it a day never ends
+MAX_DAY_POLLS = MAX_DAY_ARRIVALS
 
 _D = DistributionSpec
 
@@ -102,9 +106,19 @@ class ScenarioConfig:
                  "patience: waiting tolerance must be non-negative")
         need(self.proactive.revert_delay.support()[0] >= 0.0,
              "proactive.revert: delay must be non-negative")
-        if self.proactive.check_interval is not None:
-            need(self.proactive.check_interval.support()[1] > 0.0,
-                 "proactive.check: polling interval must be able to advance time")
+        check = self.proactive.check_interval
+        if check is not None:
+            lo, hi = check.support()
+            if lo < 0.0:
+                errors.append("proactive.check: polling interval must be non-negative")
+            elif hi <= 0.0:
+                errors.append("proactive.check: polling interval must be able to "
+                              "advance time")
+            # a day expects horizon / mean polls; multiplied out, so a mean
+            # that underflows to 0 is refused rather than divided by
+            elif _is_number(self.horizon) and self.horizon > MAX_DAY_POLLS * check.mean():
+                errors.append(f"proactive.check: the day would expect more than "
+                              f"{MAX_DAY_POLLS:,} polls (horizon over mean interval)")
 
         if errors:
             raise ConfigError("\n".join(errors))

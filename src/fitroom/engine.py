@@ -142,6 +142,18 @@ def bernoulli(p: float, stream: RandomStream) -> bool:
     return stream.uniform() < p
 
 
+def _floats(values, what: str) -> tuple[float, ...]:
+    """``values`` as floats.  Each must be an int or a float: not a bool,
+    which Python calls an int, and not a str, which ``float`` would parse."""
+    try:
+        values = tuple(values)
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in values):
+            raise TypeError
+        return tuple(float(x) for x in values)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be finite numbers: {values!r}") from None
+
+
 _FAMILIES = {"deterministic": 1, "exponential": 1, "uniform": 2, "triangular": 3}
 
 
@@ -160,14 +172,7 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown distribution family {self.family!r}")
-        try:
-            p = tuple(self.params)
-            if any(isinstance(x, bool) for x in p):  # float() would take one
-                raise TypeError
-            p = tuple(float(x) for x in p)
-        except (TypeError, OverflowError):
-            raise ValueError(f"{self.family} parameters must be finite numbers: "
-                             f"{self.params!r}") from None
+        p = _floats(self.params, f"{self.family} parameters")
         object.__setattr__(self, "params", p)
         if len(p) != _FAMILIES[self.family]:
             raise ValueError(
@@ -207,6 +212,12 @@ class DistributionSpec:
         if self.family == "uniform":
             return (p[0], p[1])
         return (p[0], p[2])
+
+    def mean(self) -> float:
+        p = self.params
+        if self.family == "exponential":
+            return 1.0 / p[0]
+        return sum(p) / len(p)
 
     def values(self, us) -> list[float]:
         """This distribution's values for the uniforms ``us``, in order: the
@@ -251,11 +262,9 @@ class ArrivalProfile:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        rates = tuple(self.hourly_rates)
-        if isinstance(self.scale, bool) or any(isinstance(r, bool) for r in rates):
-            raise ValueError("hourly rates and the scale must be numbers, not booleans")
-        rates = tuple(float(r) for r in rates)
+        rates = _floats(self.hourly_rates, "hourly rates")
         object.__setattr__(self, "hourly_rates", rates)
+        _floats((self.scale,), "arrival scale")  # a check: an int scale stays one
         if len(rates) != OPENING_HOURS:
             raise ValueError(f"need exactly {OPENING_HOURS} hourly rates, got {len(rates)}")
         if any(not math.isfinite(r) or r < 0 for r in rates):

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import gc
 import json
+import marshal
 import os
-import pickle
 import random
 import signal
 import sys
 import threading
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from typing import BinaryIO, Optional, Sequence
 
 from .abs import run_abs
@@ -147,7 +148,7 @@ def _execute(cells: Sequence[Cell]) -> list[list[RunMetrics]]:
             codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
     for k, reps in enumerate(blocks[1:]):
         if k < len(children) and codes[k] == 0:
-            block = pickle.loads(sent[k])  # written by our own child
+            block = _decode(sent[k])
         else:
             if k < len(children):
                 code = codes[k]
@@ -163,9 +164,10 @@ def _execute(cells: Sequence[Cell]) -> list[list[RunMetrics]]:
 
 
 def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
-    """Fork a child that runs ``reps`` of every cell, writes the pickled
-    results to a pipe and exits 0; on any exception it exits 1 having
-    written nothing.  Returns the child's pid and the pipe's read end."""
+    """Fork a child that runs ``reps`` of every cell, writes the results to
+    a pipe as ``_encode`` writes them and exits 0; on any exception it exits
+    1 having written nothing.  Returns the child's pid and the pipe's read
+    end."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -179,7 +181,7 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
         code = 1
         try:
             os.close(r)
-            data = pickle.dumps(_run_chunk(cells, reps), pickle.HIGHEST_PROTOCOL)
+            data = _encode(_run_chunk(cells, reps))
             with os.fdopen(w, "wb") as pipe:
                 pipe.write(data)
             code = 0
@@ -187,6 +189,21 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
             os._exit(code)
     os.close(w)
     return pid, os.fdopen(r, "rb")
+
+
+_measures = attrgetter(*MEASURE_ORDER)
+
+
+def _encode(results: list[list[RunMetrics]]) -> bytes:
+    """A block's results as bytes: each run's measures as a plain tuple of
+    floats and ints, in ``marshal``'s format, which every interpreter has
+    loaded already and which keeps each float's every bit."""
+    return marshal.dumps([[_measures(m) for m in out] for out in results])
+
+
+def _decode(data: bytes) -> list[list[RunMetrics]]:
+    """The results ``_encode`` wrote, as RunMetrics again."""
+    return [[RunMetrics(*t) for t in out] for out in marshal.loads(data)]
 
 
 def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetrics]:

@@ -1,6 +1,11 @@
 """Per-run metrics, sample summaries, and the rank-sum test used to compare
 experiments.
 
+Summaries are exact: the mean is a correctly rounded sum over n, the median
+comes from the sorted sample, and the standard deviation is the correctly
+rounded square root of the exact sample variance, as ``statistics.stdev``
+gives from Python 3.11 on.  So the module needs nothing beyond ``math``.
+
 The two-sample test is Mann-Whitney U, two-sided.  Small tie-free samples
 get an exact p-value from the null distribution of U; anything else falls
 back to the normal approximation with continuity and tie corrections.
@@ -10,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import fmean, median, stdev
 from typing import Sequence
 
 
@@ -37,13 +41,46 @@ class SummaryStats:
 def summarize(sample: Sequence[float]) -> SummaryStats:
     if len(sample) == 0:
         raise ValueError("cannot summarize an empty sample")
-    xs = [float(x) for x in sample]
+    xs = sorted(map(float, sample))
+    n = len(xs)
+    half = n // 2
     return SummaryStats(
-        n=len(xs),
-        mean=fmean(xs),
-        sd=stdev(xs) if len(xs) > 1 else 0.0,
-        median=float(median(xs)),
+        n=n,
+        mean=math.fsum(xs) / n,
+        sd=_stdev(xs) if n > 1 else 0.0,
+        median=xs[half] if n % 2 else (xs[half - 1] + xs[half]) / 2,
     )
+
+
+# bits of the radicand, so its square root keeps two bits past a float's 53
+_SQRT_BITS = 2 * 53 + 3
+
+
+def _stdev(xs: Sequence[float]) -> float:
+    """Sample standard deviation of two or more finite floats, correctly
+    rounded.
+
+    Every finite float is an integer over a power of two, so over the
+    largest denominator D the sample is the integers X, and its variance is
+    exactly (n*sum(X^2) - sum(X)^2) / (n*(n-1)*D^2).  Its square root is
+    taken by ``math.isqrt`` to _SQRT_BITS of radicand."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = max(den for _, den in ratios)
+    ints = [num * (d // den) for num, den in ratios]
+    n = len(ints)
+    s = sum(ints)
+    num = n * sum(x * x for x in ints) - s * s
+    den = n * (n - 1) * d * d
+    q = (num.bit_length() - den.bit_length() - _SQRT_BITS) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    # the floor of the root, its last bit set when that is inexact (round
+    # to odd), so the one rounding of the true division rounds the true root
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 @dataclass(frozen=True)

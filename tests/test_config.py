@@ -18,6 +18,7 @@ from fitroom.config import (
     parse_config_text,
 )
 from fitroom.engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec
+from fitroom.proactive import ProactivePolicy
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -54,6 +55,10 @@ def test_defaults_are_a_valid_scenario():
         ("patience", DistributionSpec.deterministic(-3.0), "patience"),
         ("help_fraction", DistributionSpec.uniform(0.5, 1.2), "help.fraction"),
         ("speedup_fraction", -0.1, "proactive.speedup"),
+        ("proactive", ProactivePolicy(check_interval=DistributionSpec.uniform(-1.0, 1.0)),
+         "proactive.check: polling interval must be non-negative"),
+        ("proactive", ProactivePolicy(check_interval=DistributionSpec.exponential(1e9)),
+         "proactive.check: the day would expect more than 1,000,000 polls"),
     ],
 )
 def test_each_bad_field_is_named(field, value, fragment):

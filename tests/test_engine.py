@@ -218,6 +218,7 @@ def test_triangular_mode_is_densest_region():
         ("gaussian", (0.0, 1.0)),
         ("exponential", (True,)),
         ("triangular", (0.0, True, 2.0)),
+        ("exponential", ("2",)),
     ],
 )
 def test_invalid_distribution_parameters_raise(family, params):
@@ -310,6 +311,8 @@ def test_scale_multiplies_volume():
         lambda: ArrivalProfile((1.0,) * 8, scale=True),
         lambda: ArrivalProfile((True,) * 8),
         lambda: ArrivalProfile((1.0,) * 7 + (False,)),
+        lambda: ArrivalProfile(("20",) * 8),
+        lambda: ArrivalProfile((1.0,) * 8, scale="2"),
     ],
 )
 def test_invalid_arrival_profiles_raise(make):

@@ -6,7 +6,6 @@ import gc
 import hashlib
 import json
 import os
-import pickle
 import signal
 import subprocess
 import sys
@@ -313,7 +312,7 @@ def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch, cpus
     assert len(forks) == 2
     # a child's block is more than a pipe holds, so it cannot have
     # finished before the caller read it
-    assert len(pickle.dumps(harness._run_chunk(cells, range(1000, 2000)))) > 65536
+    assert len(harness._encode(harness._run_chunk(cells, range(1000, 2000)))) > 65536
 
     forks.clear()
     cfg = tiny_cfg(replications=2)
@@ -843,6 +842,22 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
         "run", "--model", "des", "--replications", "2", "--out", str(target),
     ])
     assert code == 2
+
+
+def test_importing_the_cli_loads_no_unused_library():
+    # start-up is a fixed cost of every run: summaries need only math, and
+    # a child's results cross the pipe in marshal's format
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys; before = set(sys.modules); import fitroom.cli; "
+             "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "fitroom.cli" in loaded
+    assert loaded.isdisjoint({"statistics", "fractions", "decimal", "pickle"})
 
 
 def test_cli_subprocess_end_to_end(tmp_path):

@@ -3,8 +3,12 @@ values and the enumeration oracle."""
 
 import math
 import random
+import statistics
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitroom.stats import (
     HypothesisOutcome,
@@ -41,6 +45,32 @@ def test_summarize_single_value_has_zero_sd():
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
         summarize([])
+
+
+# ints, and floats from subnormal to 1e150, where a 120-value sample's
+# variance still fits a float; half the samples repeat a few values
+_values = st.integers(-10**6, 10**6) | st.floats(-1e150, 1e150)
+_samples = (st.lists(_values, min_size=1, max_size=120)
+            | st.lists(_values, min_size=1, max_size=4).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=120)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_samples)
+def test_summarize_is_the_exact_summary(sample):
+    s = summarize(sample)
+    assert s.n == len(sample)
+    assert s.mean == statistics.fmean(sample)
+    assert s.median == statistics.median(sample)
+    if len(sample) == 1:
+        assert s.sd == 0.0
+        return
+    sd = statistics.stdev(sample)
+    if sys.version_info >= (3, 11):
+        assert s.sd == sd
+    else:
+        # 3.10's stdev rounds the variance to a float before its root
+        assert abs(s.sd - sd) <= math.ulp(sd)
 
 
 # --- mann-whitney ------------------------------------------------------------

@@ -22,8 +22,6 @@ the renege when that customer reaches its head.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .config import ScenarioConfig
 from .engine import ModelError, ReplicationDraws, bernoulli
 from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE,
@@ -256,7 +254,7 @@ class AbsRun(Replication):
     __slots__ = ("staff", "room")
 
     def __init__(self, cfg: ScenarioConfig, draws: ReplicationDraws,
-                 trace: Optional[list] = None) -> None:
+                 trace: list | None = None) -> None:
         super().__init__(cfg, draws, trace)
         self.staff = StaffAgent(self)
         self.room = FittingRoomAgent(self)
@@ -291,7 +289,7 @@ class AbsRun(Replication):
 
 
 def run_abs(cfg: ScenarioConfig, draws: ReplicationDraws,
-            trace: Optional[list] = None) -> RunMetrics:
+            trace: list | None = None) -> RunMetrics:
     """Run the replication whose ``draws`` are given through the agent-based
     model; ``run_abs(cfg, ReplicationDraws(r))`` runs replication r on its
     own."""

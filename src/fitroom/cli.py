@@ -11,16 +11,19 @@ library call's do, so ``taskset -c 0 fitroom ...`` runs them one at a time;
 the report is the same either way.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 for I/O failures
-(argparse also exits 2 on malformed arguments, as usual).
+(argparse also exits 2 on malformed arguments, as usual), 3 when a model
+breaks a rule it checks, such as DES and ABS reporting different results
+for the same replication under ``--model both``; no report is written then.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .config import ConfigError, ScenarioConfig, build_config, load_config
+from .engine import ModelError
 from .harness import (MODEL_ORDER, SweepSpec, compare_experiments, emit_report,
                       run_report, sweep)
 
@@ -56,9 +59,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--replications", type=_positive_int, metavar="N",
         help="override the replication count",
     )
-    sub.add_argument(
-        "--out", metavar="PATH", help="write the report here instead of stdout"
-    )
+    sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     sub.add_argument(
         "--format", choices=("csv", "json"), default="csv",
         help="report format (default: csv)",
@@ -117,7 +118,7 @@ def _assemble_config(args: argparse.Namespace) -> ScenarioConfig:
     return cfg
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _assemble_config(args)
@@ -134,12 +135,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except ConfigError as exc:
+    except (ConfigError, OSError, ModelError) as exc:
         print(f"fitroom: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"fitroom: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ConfigError) else 2 if isinstance(exc, OSError) else 3
     return 0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 from .engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, HORIZON
 from .proactive import ProactivePolicy, is_threshold
@@ -61,7 +60,7 @@ class ScenarioConfig:
     fitting: DistributionSpec = _D.triangular(4.0, 7.0, 13.0)
     help_probability: float = 0.2
     help_fraction: DistributionSpec = _D.uniform(0.3, 0.7)
-    patience: Optional[DistributionSpec] = _D.exponential(0.04)  # None: infinite
+    patience: DistributionSpec | None = _D.exponential(0.04)  # None: infinite
     wait_estimator: str = "served"
     proactive: ProactivePolicy = field(default_factory=ProactivePolicy)
     speedup_fraction: float = 0.2
@@ -143,13 +142,9 @@ def parse_config_text(text: str) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            continue
-        key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip()
-        if not key or not val:
+        key, eq, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not (eq and key and val):
             errors.append(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
             continue
         if key in values:
@@ -191,7 +186,7 @@ _THRESHOLDS = {
 }
 
 
-def build_config(values: dict, base: Optional[ScenarioConfig] = None) -> ScenarioConfig:
+def build_config(values: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
     """Apply {dotted key: value} settings on top of ``base`` (or defaults)."""
     cfg = base if base is not None else ScenarioConfig()
     updates: dict = {}

@@ -16,8 +16,6 @@ which is how both are cross-validated.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .config import ScenarioConfig
 from .engine import ReplicationDraws, bernoulli
 from .runtime import (Customer as _Customer, EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE,
@@ -131,7 +129,7 @@ class DesRun(Replication):
 
 
 def run_des(cfg: ScenarioConfig, draws: ReplicationDraws,
-            trace: Optional[list] = None) -> RunMetrics:
+            trace: list | None = None) -> RunMetrics:
     """Run the replication whose ``draws`` are given through the
     event-scheduling model; ``run_des(cfg, ReplicationDraws(r))`` runs
     replication r on its own."""

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from heapq import heappush
 from itertools import chain, repeat
-from typing import Callable, Iterator, Optional
 
 OPENING_HOURS = 8
 MINUTES_PER_HOUR = 60.0
@@ -281,7 +281,7 @@ class ArrivalProfile:
                              f"rates' sum times the scale) exceed "
                              f"{MAX_DAY_ARRIVALS:,}")
 
-    def next_arrival(self, now: float, stream: RandomStream) -> Optional[float]:
+    def next_arrival(self, now: float, stream: RandomStream) -> float | None:
         """Time of the next arrival after ``now``, or None if past closing."""
         if now >= HORIZON:
             return None
@@ -339,7 +339,7 @@ class ReplicationDraws:
         return RandomStream(self._iter_blocks(seed, purpose, None).__next__)
 
     def arrivals(self, seed: int,
-                 profile: ArrivalProfile) -> Callable[[], Optional[float]]:
+                 profile: ArrivalProfile) -> Callable[[], float | None]:
         """The day's arrival times in order, then None, one per call."""
         return chain.from_iterable(self._day(seed, profile)).__next__
 
@@ -358,7 +358,7 @@ class ReplicationDraws:
         yield times
 
     def _iter_blocks(self, seed: int, purpose: str,
-                     spec: Optional[DistributionSpec]) -> Iterator:
+                     spec: DistributionSpec | None) -> Iterator:
         """Blocks of ``spec``'s values on the stream (its raw uniforms for
         None), from the first, each made once for every reader."""
         key = (seed, purpose, spec)

@@ -23,20 +23,24 @@ import random
 import signal
 import sys
 import threading
-from dataclasses import dataclass, field, fields, replace
-from operator import attrgetter
-from typing import BinaryIO, Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 from .abs import run_abs
 from .config import ConfigError, ScenarioConfig
 from .des import run_des
-from .engine import ReplicationDraws
-from .stats import HypothesisOutcome, RunMetrics, decide, mann_whitney_u, summarize
+from .engine import ModelError, ReplicationDraws
+from .stats import (HypothesisOutcome, RunMetrics, decide, mann_whitney_u, record,
+                    summarize)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import BinaryIO
 
 _RUNNERS = {"des": run_des, "abs": run_abs}
 
 MODEL_ORDER = tuple(_RUNNERS)
-MEASURE_ORDER = tuple(f.name for f in fields(RunMetrics))
+MEASURE_ORDER = RunMetrics._fields
 
 
 def _models_for(model: str) -> tuple[str, ...]:
@@ -191,19 +195,16 @@ def _fork_block(cells: Sequence[Cell], reps: range) -> tuple[int, BinaryIO]:
     return pid, os.fdopen(r, "rb")
 
 
-_measures = attrgetter(*MEASURE_ORDER)
-
-
 def _encode(results: list[list[RunMetrics]]) -> bytes:
-    """A block's results as bytes: each run's measures as a plain tuple of
-    floats and ints, in ``marshal``'s format, which every interpreter has
-    loaded already and which keeps each float's every bit."""
-    return marshal.dumps([[_measures(m) for m in out] for out in results])
+    """A block's results as bytes: each RunMetrics as the plain tuple it is
+    (``marshal`` refuses a tuple subclass), in ``marshal``'s format, which
+    every interpreter has loaded and which keeps each float's every bit."""
+    return marshal.dumps([[tuple(m) for m in out] for out in results])
 
 
 def _decode(data: bytes) -> list[list[RunMetrics]]:
     """The results ``_encode`` wrote, as RunMetrics again."""
-    return [[RunMetrics(*t) for t in out] for out in marshal.loads(data)]
+    return [[RunMetrics._make(t) for t in out] for out in marshal.loads(data)]
 
 
 def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetrics]:
@@ -238,7 +239,7 @@ class SweepSpec:
                              f"overflows") from None
 
 
-@dataclass(frozen=True)
+@record
 class SummaryRow:
     model: str
     level: int
@@ -250,10 +251,10 @@ class SummaryRow:
     n: int
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentReport:
     rows: tuple[SummaryRow, ...]
-    hypotheses: tuple[HypothesisOutcome, ...] = field(default_factory=tuple)
+    hypotheses: tuple[HypothesisOutcome, ...] = ()
 
 
 # A plan entry is one (model, load level, config) cell of an experiment;
@@ -264,12 +265,22 @@ Entry = tuple[str, int, ScenarioConfig]
 def _run_plan(plan: Sequence[Entry]) -> tuple[list[SummaryRow], list[list[RunMetrics]]]:
     """Run every entry of ``plan``; returns the summary rows, entry by entry
     in plan order and measure by measure in MEASURE_ORDER, and each entry's
-    results in replication order."""
+    results in replication order.  Where a level runs under both models,
+    which read the same draws, their results must be equal; a ModelError
+    names the first replication and measure where they are not."""
     results = _execute([(m, cfg) for m, _, cfg in plan])
     rows = []
+    first: dict[int, list[RunMetrics]] = {}
     for (m, level, cfg), metrics in zip(plan, results):
-        for measure in MEASURE_ORDER:
-            s = summarize([getattr(x, measure) for x in metrics])
+        other = first.setdefault(level, metrics)
+        if other != metrics:
+            rep = next(r for r, (x, y) in enumerate(zip(other, metrics)) if x != y)
+            measure, x, y = next(t for t in zip(MEASURE_ORDER, other[rep], metrics[rep])
+                                 if t[1] != t[2])
+            raise ModelError(f"level {level}, replication {rep}: DES and ABS differ "
+                             f"in {measure} ({x!r} against {y!r})")
+        for measure, sample in zip(MEASURE_ORDER, zip(*metrics)):
+            s = summarize(sample)
             rows.append(SummaryRow(m, level, cfg.arrival.scale, measure,
                                    s.mean, s.sd, s.median, s.n))
     return rows, results
@@ -281,11 +292,8 @@ def run_report(config: ScenarioConfig, model: str = "both") -> ExperimentReport:
     return ExperimentReport(rows=tuple(rows))
 
 
-def sweep(
-    config: ScenarioConfig,
-    spec: Optional[SweepSpec] = None,
-    model: str = "both",
-) -> ExperimentReport:
+def sweep(config: ScenarioConfig, spec: SweepSpec | None = None,
+          model: str = "both") -> ExperimentReport:
     """Run the full load ladder for the selected model(s).
 
     The sweep owns the arrival scale: level k runs at growth**(k-1) exactly,
@@ -320,11 +328,8 @@ _HYPOTHESES = (
 )
 
 
-def compare_experiments(
-    config: ScenarioConfig,
-    model: str = "both",
-    independent: bool = False,
-) -> ExperimentReport:
+def compare_experiments(config: ScenarioConfig, model: str = "both",
+                        independent: bool = False) -> ExperimentReport:
     """A/B comparison of the speed-up policy at the configured load.
 
     Experiment A (reported as level 1) runs with the policy disabled,
@@ -358,12 +363,12 @@ def compare_experiments(
 _HEADINGS = {"label": "hypothesis"}
 
 
-def _columns(record: type) -> list[tuple[str, str, bool]]:
+def _columns(cls: type) -> list[tuple[str, str, bool]]:
     """(heading, field, is a float) for each field of a report record, in
     declaration order.  A field is a float by its declared type, so a whole
     number in a float field is still written as a float."""
-    return [(_HEADINGS.get(f.name, f.name), f.name, f.type == "float")
-            for f in fields(record)]
+    return [(_HEADINGS.get(name, name), name, kind == "float")
+            for name, kind in cls.__annotations__.items()]
 
 
 def _g(x: float) -> str:

@@ -9,11 +9,12 @@ which restarts the delay without counting as a new pace change.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
 
 from .engine import DistributionSpec, EventCalendar
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .runtime import Store
 
@@ -46,7 +47,7 @@ class ProactivePolicy:
     threshold_return: int = 3
     threshold_help: int = 3
     revert_delay: DistributionSpec = DistributionSpec.exponential(0.1)
-    check_interval: Optional[DistributionSpec] = None
+    check_interval: DistributionSpec | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.enabled, bool):
@@ -120,7 +121,7 @@ class SpeedupController:
     def __init__(self, policy: ProactivePolicy, table: ServiceTimeTable,
                  calendar: EventCalendar, store: Store,
                  next_revert: Callable[[], float],
-                 next_poll: Optional[Callable[[], float]]) -> None:
+                 next_poll: Callable[[], float] | None) -> None:
         self.table = table
         self.calendar = calendar
         self.store = store
@@ -128,7 +129,7 @@ class SpeedupController:
         self.next_poll = next_poll
         self.change_count = 0
         self.revert_at = 0.0
-        self.chain_head: Optional[float] = None
+        self.chain_head: float | None = None
         self.event_driven = policy.enabled and policy.check_interval is None
         # the store starts empty, and every threshold is at least 1
         self.congested = False

@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from typing import Optional
 
 from .engine import EventCalendar, ModelError, ReplicationDraws
 from .proactive import ServiceTimeTable, SpeedupController
@@ -92,7 +91,7 @@ class Replication:
                  "next_arrival", "pending_job", "__weakref__")
 
     def __init__(self, cfg, draws: ReplicationDraws,
-                 trace: Optional[list] = None) -> None:
+                 trace: list | None = None) -> None:
         seed = cfg.master_seed
         values = draws.values
         self.arrivals = draws.arrivals(seed, cfg.arrival)
@@ -275,7 +274,7 @@ class Store:
     __slots__ = ("entry", "help", "ret", "gone", "capacity", "occupied",
                  "occ_minutes", "_occ_since", "staff_busy", "staff_since", "trace")
 
-    def __init__(self, capacity: int, trace: Optional[list] = None) -> None:
+    def __init__(self, capacity: int, trace: list | None = None) -> None:
         self.entry: deque = deque()
         self.help: deque = deque()
         self.ret: deque = deque()
@@ -305,7 +304,7 @@ class Store:
             self.staff_done(horizon)
 
 
-def select_service(store: Store) -> Optional[tuple[int, deque]]:
+def select_service(store: Store) -> tuple[int, deque] | None:
     """Pick the staff's next job, first come first served: each queue is
     served in join order (equal join times in event order), and of the
     three heads the earliest-joined wins, ties to the lower customer id.
@@ -349,7 +348,6 @@ def build_metrics(customers, store: Store, change_count: int,
     partial waits and waits cut off at closing.
     """
     served = 0
-    not_served = 0
     wait_served = 0.0
     wait_all = 0.0
     for c in customers:
@@ -357,17 +355,11 @@ def build_metrics(customers, store: Store, change_count: int,
         if c.disposition == SERVED:
             served += 1
             wait_served += c.wait
-        else:
-            not_served += 1
     if wait_estimator == "served":
         mean_wait = wait_served / served if served else 0.0
     else:
         mean_wait = wait_all / len(customers) if customers else 0.0
-    return RunMetrics(
-        mean_wait=mean_wait,
-        staff_util=store.staff_busy / horizon,
-        cubicle_util=store.occ_minutes / (store.capacity * horizon),
-        served=served,
-        not_served=not_served,
-        service_time_changes=change_count,
-    )
+    return RunMetrics(mean_wait=mean_wait, staff_util=store.staff_busy / horizon,
+                      cubicle_util=store.occ_minutes / (store.capacity * horizon),
+                      served=served, not_served=len(customers) - served,
+                      service_time_changes=change_count)

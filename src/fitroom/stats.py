@@ -14,11 +14,23 @@ back to the normal approximation with continuity and tie corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 
-@dataclass(frozen=True)
+def record(cls: type) -> type:
+    """The named tuple a class body declares: its annotated fields, their
+    defaults, its docstring, and its annotations, which stay strings.  It is
+    built far faster than a dataclass, which ``exec``s its methods."""
+    names = tuple(cls.__annotations__)
+    nt = namedtuple(cls.__name__, names, module=cls.__module__,
+                    defaults=[vars(cls)[n] for n in names if n in vars(cls)])
+    nt.__annotations__ = cls.__annotations__
+    nt.__doc__ = cls.__doc__ or nt.__doc__
+    return nt
+
+
+@record
 class RunMetrics:
     """What one replication of either model reports."""
 
@@ -30,7 +42,7 @@ class RunMetrics:
     service_time_changes: int
 
 
-@dataclass(frozen=True)
+@record
 class SummaryStats:
     n: int
     mean: float
@@ -83,7 +95,7 @@ def _stdev(xs: Sequence[float]) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
-@dataclass(frozen=True)
+@record
 class HypothesisOutcome:
     label: str
     p_value: float

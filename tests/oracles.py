@@ -4,7 +4,6 @@ written independently of the code it checks, plainly rather than fast."""
 import heapq
 import itertools
 import math
-from dataclasses import fields
 from typing import Sequence
 
 from fitroom.stats import RunMetrics
@@ -230,8 +229,7 @@ def check_metrics(trace, cfg, metrics: RunMetrics) -> None:
     """Assert that ``metrics``, a run of ``cfg``, are the ones folded from
     its ``trace``: counts exactly, floats within 1e-9 relative."""
     folded = fold_metrics(trace, cfg)
-    for f in fields(RunMetrics):
-        want, got = getattr(folded, f.name), getattr(metrics, f.name)
+    for name, want, got in zip(RunMetrics._fields, folded, metrics, strict=True):
         close = isinstance(want, float) and math.isclose(got, want, rel_tol=1e-9)
         assert close or got == want, (
-            f"{f.name}: {got!r} reported, {want!r} folded from the trace")
+            f"{name}: {got!r} reported, {want!r} folded from the trace")

@@ -1,11 +1,14 @@
 """Experiment drivers, report serialization, and the command line."""
 
 import csv
+import dataclasses
 import errno
 import gc
 import hashlib
+import importlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -27,6 +30,7 @@ from fitroom.harness import (
     MEASURE_ORDER,
     MODEL_ORDER,
     ExperimentReport,
+    SummaryRow,
     SweepSpec,
     _RUNNERS,
     _execute,
@@ -38,7 +42,7 @@ from fitroom.harness import (
     sweep,
 )
 from fitroom.proactive import ProactivePolicy
-from fitroom.stats import RunMetrics
+from fitroom.stats import HypothesisOutcome, RunMetrics, SummaryStats
 
 
 def tiny_cfg(**over):
@@ -320,6 +324,19 @@ def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch, cpus
     assert _execute([("des", cfg)]) == [[fake_runner(cfg, ReplicationDraws(0)),
                                                  fake_runner(cfg, ReplicationDraws(1))]]
     assert len(forks) == 1  # capped at the replication count
+
+
+def test_the_pipe_format_gives_back_every_result_as_it_was():
+    edges = [RunMetrics(-0.0, 5e-324, 1e308, 0, 2**40, 7),
+             RunMetrics(0.1, 1 / 3, -1e-308, 316, 0, 0)]
+    ran = harness._run_chunk([("des", tiny_cfg()), ("abs", tiny_cfg())], range(3))
+    for results in ([edges, []], ran):
+        back = harness._decode(harness._encode(results))
+        assert back == results
+        assert all(type(m) is RunMetrics for out in back for m in out)
+        # repr tells -0.0 from 0.0 and 1 from 1.0, and gives every float's bits
+        assert repr(back) == repr(results)
+    assert [type(x) for x in ran[0][0]] == [float, float, float, int, int, int]
 
 
 @pytest.mark.parametrize("failing", [1, 2])
@@ -623,6 +640,42 @@ def test_compare_models_agree_on_p_values():
     assert by_label["H03"].p_value == by_label["H04"].p_value
 
 
+def skewed_abs(cfg, draws):
+    """The agent model, with one customer too many served on replication 2."""
+    m = harness.run_abs(cfg, draws)
+    return m._replace(served=m.served + 1) if draws.replication == 2 else m
+
+
+@pytest.mark.parametrize("drive", [
+    lambda cfg, model: run_report(cfg, model),
+    lambda cfg, model: sweep(cfg, SweepSpec(levels=2), model),
+    lambda cfg, model: compare_experiments(cfg, model),
+], ids=["run", "sweep", "compare"])
+def test_a_both_run_checks_that_the_models_agree(monkeypatch, cpus, drive):
+    monkeypatch.setitem(harness._RUNNERS, "abs", skewed_abs)
+    cpus(2)
+    with pytest.raises(ModelError) as info:
+        drive(tiny_cfg(), "both")
+    found = re.fullmatch(r"level 1, replication 2: DES and ABS differ in served "
+                         r"\((\d+) against (\d+)\)", str(info.value))
+    assert found, info.value
+    assert int(found[2]) == int(found[1]) + 1
+    drive(tiny_cfg(), "abs")  # one model has nothing to agree with
+
+
+def test_cli_whose_models_differ_exits_3_and_writes_no_report(monkeypatch, capsys,
+                                                               tmp_path):
+    monkeypatch.setitem(harness._RUNNERS, "abs", skewed_abs)
+    out = tmp_path / "report.csv"
+    assert main(["run", "--replications", "4", "--seed", "31", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("fitroom: level 1, replication 2: DES and ABS "
+                                   "differ in served (")
+
+
 def test_zero_fraction_policy_is_statistically_invisible():
     # with a 0% speed-up the policy can fire all it wants and change
     # nothing; paired runs tie on every measure and p collapses to 1
@@ -858,6 +911,28 @@ def test_importing_the_cli_loads_no_unused_library():
     loaded = set(done.stdout.split())
     assert "fitroom.cli" in loaded
     assert loaded.isdisjoint({"statistics", "fractions", "decimal", "pickle"})
+    # annotations are strings, so nothing needs typing at run time; without
+    # site, no .pth file in site-packages can load it first
+    bare = subprocess.run([sys.executable, "-S", "-c",
+                           "import sys, fitroom.cli; print('typing' in sys.modules)"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert bare.returncode == 0, bare.stderr
+    assert bare.stdout == "False\n"
+
+
+def test_only_the_input_types_are_dataclasses():
+    classes = [v for name in ("abs", "cli", "config", "des", "engine", "harness",
+                              "proactive", "runtime", "stats")
+               for mod in [importlib.import_module(f"fitroom.{name}")]
+               for v in vars(mod).values()
+               if isinstance(v, type) and v.__module__ == mod.__name__]
+    made = sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c))
+    assert made == ["ArrivalProfile", "DistributionSpec", "ProactivePolicy",
+                    "ScenarioConfig", "SweepSpec"], (
+        "each dataclass costs about 1.3 ms of every start-up, to generate its "
+        "methods; a record that callers only read is a named tuple (stats.record)")
+    records = (RunMetrics, SummaryStats, HypothesisOutcome, SummaryRow, ExperimentReport)
+    assert all(issubclass(r, tuple) for r in records)
 
 
 def test_cli_subprocess_end_to_end(tmp_path):

@@ -77,7 +77,7 @@ def check_speedup_of_nothing(run, cfg, rep) -> int:
     changes; returns how many pace changes there were."""
     on, t_on = traced(run, policy(replace(cfg, speedup_fraction=0.0), enabled=True), rep)
     off, t_off = traced(run, policy(cfg, enabled=False), rep)
-    assert replace(on, service_time_changes=0) == off
+    assert on._replace(service_time_changes=0) == off
     assert [e for e in t_on if e[1] not in (L_SPEEDUP, L_REVERT)] == t_off, f"rep {rep}"
     return on.service_time_changes
 
@@ -90,7 +90,7 @@ def check_unfilled_cubicles(run, cfg, rep):
     peak = max(accumulate(steps, initial=0))
     for cubicles in (peak + 1, peak + 7):
         narrow, t_narrow = traced(run, replace(cfg, cubicles=cubicles), rep)
-        assert replace(narrow, cubicle_util=wide.cubicle_util) == wide
+        assert narrow._replace(cubicle_util=wide.cubicle_util) == wide
         assert t_narrow == t_wide, f"rep {rep}, {cubicles} cubicles"
 
 

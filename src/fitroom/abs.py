@@ -42,31 +42,24 @@ IN_RETURN_SERVICE = 7
 SERVED_STATE = 8
 NOT_SERVED = 9
 
-STATE_NAMES = {
-    ARRIVED: "Arrived", WAITING_ENTRY: "WaitingEntry",
-    IN_ENTRY_SERVICE: "InEntryService", FITTING: "Fitting",
-    WAITING_HELP: "WaitingHelp", IN_HELP_SERVICE: "InHelpService",
-    WAITING_RETURN: "WaitingReturn", IN_RETURN_SERVICE: "InReturnService",
-    SERVED_STATE: "Served", NOT_SERVED: "NotServed",
+# the customer state chart, in state order: each state's name and the
+# states it may move to.  A state with moves is not terminal, and NotServed
+# follows each of those too, because the cutoff strands customers anywhere.
+_CHART = {
+    ARRIVED: ("Arrived", (WAITING_ENTRY,)),
+    WAITING_ENTRY: ("WaitingEntry", (IN_ENTRY_SERVICE,)),
+    IN_ENTRY_SERVICE: ("InEntryService", (FITTING,)),
+    FITTING: ("Fitting", (WAITING_HELP, WAITING_RETURN)),
+    WAITING_HELP: ("WaitingHelp", (IN_HELP_SERVICE,)),
+    IN_HELP_SERVICE: ("InHelpService", (FITTING,)),
+    WAITING_RETURN: ("WaitingReturn", (IN_RETURN_SERVICE,)),
+    IN_RETURN_SERVICE: ("InReturnService", (SERVED_STATE,)),
+    SERVED_STATE: ("Served", ()),
+    NOT_SERVED: ("NotServed", ()),
 }
-
-# the customer state chart; NotServed is reachable from any non-terminal
-# state because the run cutoff strands customers wherever they stand
-_EDGES = frozenset(
-    [(ARRIVED, WAITING_ENTRY),
-     (WAITING_ENTRY, IN_ENTRY_SERVICE),
-     (IN_ENTRY_SERVICE, FITTING),
-     (FITTING, WAITING_HELP),
-     (WAITING_HELP, IN_HELP_SERVICE),
-     (IN_HELP_SERVICE, FITTING),
-     (FITTING, WAITING_RETURN),
-     (WAITING_RETURN, IN_RETURN_SERVICE),
-     (IN_RETURN_SERVICE, SERVED_STATE)]
-    + [(s, NOT_SERVED) for s in range(SERVED_STATE)]
-)
-# the same chart by source state, as a tuple of legal targets
-_NEXT = tuple(tuple(to for to in STATE_NAMES if (st, to) in _EDGES)
-              for st in range(len(STATE_NAMES)))
+STATE_NAMES = {st: name for st, (name, _) in _CHART.items()}
+# the legal targets, indexed by state, for _transition's hot path
+_NEXT = tuple(moves + (NOT_SERVED,) if moves else () for _, moves in _CHART.values())
 
 # message kinds
 M_REQUEST_ENTRY = "request_entry"

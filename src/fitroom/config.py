@@ -78,6 +78,11 @@ class ScenarioConfig:
         def is_int(v) -> bool:
             return isinstance(v, int) and not isinstance(v, bool)
 
+        def is_spec(name: str, v) -> bool:
+            ok = isinstance(v, DistributionSpec)
+            need(ok, f"{name}: must be a DistributionSpec")
+            return ok
+
         need(is_int(self.cubicles) and 1 <= self.cubicles <= MAX_CUBICLES,
              f"cubicles: must be an integer from 1 to {MAX_CUBICLES}")
         need(is_int(self.replications) and self.replications >= 1,
@@ -93,19 +98,27 @@ class ScenarioConfig:
              "wait.estimator: must be 'served' or 'all'")
         need(_is_number(self.speedup_fraction) and 0.0 <= self.speedup_fraction < 1.0,
              "proactive.speedup: must be a number in [0, 1)")
+        need(isinstance(self.arrival, ArrivalProfile),
+             "arrival: must be an ArrivalProfile")
 
         for name, spec in (("service.job1", self.job1), ("service.job2", self.job2),
                            ("service.job3", self.job3), ("service.fitting", self.fitting)):
-            need(spec.support()[0] >= 0.0, f"{name}: durations must be non-negative")
-        lo, hi = self.help_fraction.support()
-        need(0.0 <= lo and hi <= 1.0,
-             "help.fraction: must be a fraction of the fitting time, within [0, 1]")
-        if self.patience is not None:
+            if is_spec(name, spec):
+                need(spec.support()[0] >= 0.0, f"{name}: durations must be non-negative")
+        if is_spec("help.fraction", self.help_fraction):
+            lo, hi = self.help_fraction.support()
+            need(0.0 <= lo and hi <= 1.0,
+                 "help.fraction: must be a fraction of the fitting time, within [0, 1]")
+        if self.patience is not None and is_spec("patience", self.patience):
             need(self.patience.support()[0] >= 0.0,
                  "patience: waiting tolerance must be non-negative")
-        need(self.proactive.revert_delay.support()[0] >= 0.0,
-             "proactive.revert: delay must be non-negative")
-        check = self.proactive.check_interval
+        if isinstance(self.proactive, ProactivePolicy):
+            need(self.proactive.revert_delay.support()[0] >= 0.0,
+                 "proactive.revert: delay must be non-negative")
+            check = self.proactive.check_interval
+        else:
+            errors.append("proactive: must be a ProactivePolicy")
+            check = None
         if check is not None:
             lo, hi = check.support()
             if lo < 0.0:

@@ -228,7 +228,9 @@ class SweepSpec:
         # a bool is an int to Python, but no count of levels
         if type(self.levels) is not int or self.levels < 1:
             raise ValueError("levels must be an integer >= 1")
-        if isinstance(self.growth_factor, bool) or not self.growth_factor > 0:
+        g = self.growth_factor
+        # inf passes: the sweep then refuses level 2's infinite scale by name
+        if isinstance(g, bool) or not isinstance(g, (int, float)) or not g > 0:
             raise ValueError("growth_factor must be a number > 0")
 
     def scale_at(self, level: int) -> float:

@@ -55,6 +55,10 @@ class ProactivePolicy:
         for name in ("threshold_entry", "threshold_return", "threshold_help"):
             if not is_threshold(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer >= 1")
+        if not isinstance(self.revert_delay, DistributionSpec):
+            raise ValueError("revert_delay must be a DistributionSpec")
+        if not isinstance(self.check_interval, (DistributionSpec, type(None))):
+            raise ValueError("check_interval must be None or a DistributionSpec")
 
 
 class ServiceTimeTable:

@@ -365,21 +365,59 @@ def test_any_state_may_abort_to_not_served():
         c._transition(agents.WAITING_ENTRY)  # terminal means terminal
 
 
+# the customer state chart written out here, not read from the model: each
+# state's name and every state it may move to
+_CHART = {
+    agents.ARRIVED: ("Arrived", {agents.WAITING_ENTRY, agents.NOT_SERVED}),
+    agents.WAITING_ENTRY: ("WaitingEntry", {agents.IN_ENTRY_SERVICE, agents.NOT_SERVED}),
+    agents.IN_ENTRY_SERVICE: ("InEntryService", {agents.FITTING, agents.NOT_SERVED}),
+    agents.FITTING: ("Fitting", {agents.WAITING_HELP, agents.WAITING_RETURN,
+                                 agents.NOT_SERVED}),
+    agents.WAITING_HELP: ("WaitingHelp", {agents.IN_HELP_SERVICE, agents.NOT_SERVED}),
+    agents.IN_HELP_SERVICE: ("InHelpService", {agents.FITTING, agents.NOT_SERVED}),
+    agents.WAITING_RETURN: ("WaitingReturn", {agents.IN_RETURN_SERVICE, agents.NOT_SERVED}),
+    agents.IN_RETURN_SERVICE: ("InReturnService", {agents.SERVED_STATE, agents.NOT_SERVED}),
+    agents.SERVED_STATE: ("Served", set()),
+    agents.NOT_SERVED: ("NotServed", set()),
+}
+
+
 def test_exactly_the_charts_edges_are_legal_transitions():
     model = fresh_model()
-    states = list(agents.STATE_NAMES)
-    assert len(states) == 10
-    for src in states:
-        for to in states:
+    # the states are numbered 0..9, and the model knows no others
+    assert sorted(_CHART) == list(range(10)) == sorted(agents.STATE_NAMES)
+    for src, (src_name, moves) in _CHART.items():
+        for to, (to_name, _) in _CHART.items():
             c = CustomerAgent(0, 0.0, model)
             c.state = src
-            if (src, to) in agents._EDGES:
+            if to in moves:
                 c._transition(to)
                 assert c.state == to
             else:
-                with pytest.raises(ModelError, match="illegal transition"):
+                with pytest.raises(ModelError, match=f"^customer 0: illegal transition "
+                                                     f"{src_name} -> {to_name}$"):
                     c._transition(to)
                 assert c.state == src
+
+
+def test_every_state_is_reachable_from_arrived():
+    # explored through _transition itself, so it holds for whatever the chart says
+    model = fresh_model()
+    states = range(len(agents.STATE_NAMES))
+    seen, todo = {agents.ARRIVED}, [agents.ARRIVED]
+    while todo:
+        src = todo.pop()
+        for to in states:
+            c = CustomerAgent(0, 0.0, model)
+            c.state = src
+            try:
+                c._transition(to)
+            except ModelError:
+                continue
+            if to not in seen:
+                seen.add(to)
+                todo.append(to)
+    assert seen == set(states)
 
 
 def test_serve_message_must_match_waiting_state():
@@ -448,11 +486,3 @@ def test_grant_with_no_free_cubicle_is_a_model_error():
     model.room.handle(agents.M_REQUEST_CUBICLE, a, 0.0)
     with pytest.raises(ModelError):
         model.room.handle(agents.M_REQUEST_CUBICLE, b, 0.0)
-
-
-def test_state_names_cover_every_state():
-    seen = set()
-    for s, t in agents._EDGES:
-        seen.add(s)
-        seen.add(t)
-    assert seen <= set(agents.STATE_NAMES)

@@ -59,6 +59,13 @@ def test_defaults_are_a_valid_scenario():
          "proactive.check: polling interval must be non-negative"),
         ("proactive", ProactivePolicy(check_interval=DistributionSpec.exponential(1e9)),
          "proactive.check: the day would expect more than 1,000,000 polls"),
+        # a library caller's wrong type is named, not met inside a run
+        ("job1", 0.4, "service.job1: must be a DistributionSpec"),
+        ("fitting", "7", "service.fitting: must be a DistributionSpec"),
+        ("patience", 25, "patience: must be a DistributionSpec"),
+        ("help_fraction", 0.5, "help.fraction: must be a DistributionSpec"),
+        ("proactive", None, "proactive: must be a ProactivePolicy"),
+        ("arrival", (20.0,) * 8, "arrival: must be an ArrivalProfile"),
     ],
 )
 def test_each_bad_field_is_named(field, value, fragment):

@@ -578,6 +578,10 @@ def test_sweep_spec_validates():
         SweepSpec(levels=0)
     with pytest.raises(ValueError):
         SweepSpec(growth_factor=0.0)
+    # not numbers, so refused by name rather than compared with 0
+    for factor in ("2", None):
+        with pytest.raises(ValueError, match="growth_factor"):
+            SweepSpec(growth_factor=factor)
     # True would pass as a one-level sweep, or as a growth of the int 1
     with pytest.raises(ValueError):
         SweepSpec(levels=True)

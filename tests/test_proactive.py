@@ -127,6 +127,15 @@ def test_thresholds_must_be_positive_integers():
         ProactivePolicy(threshold_help=2.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("revert_delay", 5), ("revert_delay", None), ("check_interval", 1.0),
+])
+def test_timings_must_be_distribution_specs(field, value):
+    # refused here, where the field can be named, not inside a later run
+    with pytest.raises(ValueError, match=field):
+        ProactivePolicy(**{field: value})
+
+
 def test_enabled_must_be_a_bool():
     # "no" is truthy, so it would turn the policy on
     for value in ("no", 0, None):

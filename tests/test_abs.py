@@ -400,6 +400,23 @@ def test_exactly_the_charts_edges_are_legal_transitions():
                 assert c.state == src
 
 
+def test_state_names_cover_every_state():
+    # both ends of every move the model accepts carry the chart's name
+    model = fresh_model()
+    seen = set()
+    for src in _CHART:
+        for to in _CHART:
+            c = CustomerAgent(0, 0.0, model)
+            c.state = src
+            try:
+                c._transition(to)
+            except ModelError:
+                continue
+            seen.update((src, to))
+    assert seen == set(_CHART)
+    assert agents.STATE_NAMES == {st: name for st, (name, _) in _CHART.items()}
+
+
 def test_every_state_is_reachable_from_arrived():
     # explored through _transition itself, so it holds for whatever the chart says
     model = fresh_model()

@@ -16,11 +16,11 @@ distribution is written either as a bare number (deterministic) or as a list
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
-from .engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, HORIZON
-from .proactive import ProactivePolicy, is_threshold
+from .engine import (MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, HORIZON,
+                     floats, is_int, is_number)
+from .proactive import ProactivePolicy
 
 
 class ConfigError(Exception):
@@ -37,13 +37,6 @@ MAX_CUBICLES = 10_000
 MAX_DAY_POLLS = MAX_DAY_ARRIVALS
 
 _D = DistributionSpec
-
-
-def _is_number(v) -> bool:
-    """A finite real number; booleans do not count, although Python calls
-    them ints."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and -math.inf < v < math.inf)
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,6 @@ class ScenarioConfig:
             if not cond:
                 errors.append(msg)
 
-        def is_int(v) -> bool:
-            return isinstance(v, int) and not isinstance(v, bool)
-
         def is_spec(name: str, v) -> bool:
             ok = isinstance(v, DistributionSpec)
             need(ok, f"{name}: must be a DistributionSpec")
@@ -89,14 +79,16 @@ class ScenarioConfig:
              "replications: must be an integer >= 1")
         need(is_int(self.master_seed) and self.master_seed >= 0,
              "seed: must be a non-negative integer")
-        need(_is_number(self.horizon) and 0 < self.horizon <= HORIZON,
+        # each range below also refuses NaN and +-inf
+        horizon_ok = is_number(self.horizon) and 0 < self.horizon <= HORIZON
+        need(horizon_ok,
              f"horizon: must be a positive number of minutes, at most {HORIZON:g} "
              "(the span of the arrival profile)")
-        need(_is_number(self.help_probability) and 0.0 <= self.help_probability <= 1.0,
+        need(is_number(self.help_probability) and 0.0 <= self.help_probability <= 1.0,
              "help.probability: must lie in [0, 1]")
         need(self.wait_estimator in ("served", "all"),
              "wait.estimator: must be 'served' or 'all'")
-        need(_is_number(self.speedup_fraction) and 0.0 <= self.speedup_fraction < 1.0,
+        need(is_number(self.speedup_fraction) and 0.0 <= self.speedup_fraction < 1.0,
              "proactive.speedup: must be a number in [0, 1)")
         need(isinstance(self.arrival, ArrivalProfile),
              "arrival: must be an ArrivalProfile")
@@ -128,7 +120,7 @@ class ScenarioConfig:
                               "advance time")
             # a day expects horizon / mean polls; multiplied out, so a mean
             # that underflows to 0 is refused rather than divided by
-            elif _is_number(self.horizon) and self.horizon > MAX_DAY_POLLS * check.mean():
+            elif horizon_ok and self.horizon > MAX_DAY_POLLS * check.mean():
                 errors.append(f"proactive.check: the day would expect more than "
                               f"{MAX_DAY_POLLS:,} polls (horizon over mean interval)")
 
@@ -179,103 +171,100 @@ def parse_config_text(text: str) -> dict:
 
 
 def _spec_from_value(v) -> DistributionSpec:
-    if isinstance(v, bool):
-        raise ValueError("expected a distribution, got a boolean")
-    if isinstance(v, (int, float)):
-        return DistributionSpec.deterministic(v)  # it rejects ints past float
+    if is_number(v):
+        return DistributionSpec.deterministic(v)
     if isinstance(v, list) and v and isinstance(v[0], str):
-        if not all(_is_number(x) for x in v[1:]):
-            raise ValueError(f"{json.dumps(v[0])} parameters must be numbers: "
-                             f"{json.dumps(v[1:])}")
         return DistributionSpec(v[0], tuple(v[1:]))
     raise ValueError("expected a number or [family, params...] list")
 
 
+def _spec_or_none(word: str):
+    """A converter that reads ``word`` as None, anything else as a
+    distribution."""
+    return lambda v: None if v == word else _spec_from_value(v)
+
+
+# {key: (field, converter or None)}, for ScenarioConfig's fields and for
+# its ProactivePolicy's; each record checks its own fields
+_FIELDS = {
+    "seed": ("master_seed", None),
+    "replications": ("replications", None),
+    "cubicles": ("cubicles", None),
+    "horizon": ("horizon", None),
+    "help.probability": ("help_probability", None),
+    "wait.estimator": ("wait_estimator", None),
+    "service.job1": ("job1", _spec_from_value),
+    "service.job2": ("job2", _spec_from_value),
+    "service.job3": ("job3", _spec_from_value),
+    "service.fitting": ("fitting", _spec_from_value),
+    "help.fraction": ("help_fraction", _spec_from_value),
+    "patience": ("patience", _spec_or_none("infinite")),
+    "proactive.speedup": ("speedup_fraction", None),
+}
+
+# per-queue thresholds; the shared proactive.threshold sets every queue
+# whose own key is absent
 _THRESHOLDS = {
-    "proactive.threshold": ("threshold_entry", "threshold_return", "threshold_help"),
-    "proactive.threshold.entry": ("threshold_entry",),
-    "proactive.threshold.return": ("threshold_return",),
-    "proactive.threshold.help": ("threshold_help",),
+    "proactive.threshold.entry": "threshold_entry",
+    "proactive.threshold.return": "threshold_return",
+    "proactive.threshold.help": "threshold_help",
+}
+
+_POLICY_FIELDS = {
+    "proactive.enabled": ("enabled", None),
+    "proactive.revert": ("revert_delay", _spec_from_value),
+    "proactive.check": ("check_interval", _spec_or_none("event")),
+    **{key: (name, None) for key, name in _THRESHOLDS.items()},
 }
 
 
 def build_config(values: dict, base: ScenarioConfig | None = None) -> ScenarioConfig:
-    """Apply {dotted key: value} settings on top of ``base`` (or defaults)."""
+    """Apply {dotted key: value} settings on top of ``base`` (or defaults).
+    Each bad value is named by its key, with the message of the record that
+    refused it; one ConfigError names them all."""
     cfg = base if base is not None else ScenarioConfig()
     updates: dict = {}
     arrival_rates = cfg.arrival.hourly_rates
     arrival_scale = cfg.arrival.scale
-    policy: dict = {}
+    policy = cfg.proactive
     errors = []
-
-    setters = {
-        "seed": ("master_seed", None),
-        "replications": ("replications", None),
-        "cubicles": ("cubicles", None),
-        "horizon": ("horizon", None),
-        "help.probability": ("help_probability", None),
-        "wait.estimator": ("wait_estimator", None),
-        "service.job1": ("job1", _spec_from_value),
-        "service.job2": ("job2", _spec_from_value),
-        "service.job3": ("job3", _spec_from_value),
-        "service.fitting": ("fitting", _spec_from_value),
-        "help.fraction": ("help_fraction", _spec_from_value),
-        "proactive.speedup": ("speedup_fraction", None),
-    }
 
     for key, value in values.items():
         try:
-            if key in setters:
-                fieldname, conv = setters[key]
-                updates[fieldname] = conv(value) if conv else value
+            if key in _FIELDS:
+                name, conv = _FIELDS[key]
+                updates[name] = conv(value) if conv else value
+            elif key in _POLICY_FIELDS:
+                name, conv = _POLICY_FIELDS[key]
+                policy = replace(policy, **{name: conv(value) if conv else value})
+            elif key == "proactive.threshold":
+                # checked on every queue, kept on those without their own
+                # key, so the line order never matters
+                own = {name: getattr(policy, name)
+                       for k, name in _THRESHOLDS.items() if k in values}
+                every = dict.fromkeys(_THRESHOLDS.values(), value)
+                policy = replace(replace(policy, **every), **own)
             elif key == "arrival.rates":
-                if not (isinstance(value, list) and all(_is_number(r) for r in value)):
-                    raise ValueError("expected a list of numbers, one rate per hour")
-                arrival_rates = tuple(value)
+                arrival_rates = floats(value, "hourly rates")
             elif key == "arrival.scale":
-                if not _is_number(value):
-                    raise ValueError("expected a positive number")
+                floats((value,), "arrival scale")  # the profile keeps an int scale one
                 arrival_scale = value
             elif key == "staff":
-                # int 1 only: json gives 1.0 as a float and true as a bool
-                if not (type(value) is int and value == 1):
+                if not (is_int(value) and value == 1):
                     raise ValueError("this system has exactly one staff member")
-            elif key == "patience":
-                updates["patience"] = None if value == "infinite" else _spec_from_value(value)
-            elif key == "proactive.enabled":
-                if not isinstance(value, bool):
-                    raise ValueError("expected true or false")
-                policy["enabled"] = value
-            elif key in _THRESHOLDS:
-                if not is_threshold(value):
-                    raise ValueError("expected an integer >= 1")
-                # the shared key fills only what no per-queue key sets, so
-                # the line order never matters
-                shared = key == "proactive.threshold"
-                for fieldname in _THRESHOLDS[key]:
-                    if not (shared and fieldname in policy):
-                        policy[fieldname] = value
-            elif key == "proactive.revert":
-                policy["revert_delay"] = _spec_from_value(value)
-            elif key == "proactive.check":
-                policy["check_interval"] = None if value == "event" else _spec_from_value(value)
             else:
                 raise ValueError("unknown key")
         except ValueError as exc:
             errors.append(f"{key}: {exc}")
 
+    # the profile's rules past each value's type, some spanning both keys
     try:
         updates["arrival"] = ArrivalProfile(arrival_rates, arrival_scale)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except ValueError as exc:
         errors.append(f"arrival: {exc}")
-    if policy:
-        try:
-            updates["proactive"] = replace(cfg.proactive, **policy)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"proactive: {exc}")
     # the dataclass checks what did convert, so one message names every bad key
     try:
-        cfg = replace(cfg, **updates)
+        cfg = replace(cfg, proactive=policy, **updates)
     except ConfigError as exc:
         errors.append(str(exc))
     if errors:

@@ -142,12 +142,23 @@ def bernoulli(p: float, stream: RandomStream) -> bool:
     return stream.uniform() < p
 
 
-def _floats(values, what: str) -> tuple[float, ...]:
-    """``values`` as floats.  Each must be an int or a float: not a bool,
-    which Python calls an int, and not a str, which ``float`` would parse."""
+def is_number(v) -> bool:
+    """An int or a float: not a bool, which Python calls an int, and not a
+    str, which ``float`` would parse.  Every input record's numbers follow
+    this rule."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_int(v) -> bool:
+    """An int that is not a bool."""
+    return isinstance(v, int) and is_number(v)
+
+
+def floats(values, what: str) -> tuple[float, ...]:
+    """``values`` as floats; each must pass ``is_number``."""
     try:
         values = tuple(values)
-        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in values):
+        if not all(map(is_number, values)):
             raise TypeError
         return tuple(float(x) for x in values)
     except (TypeError, OverflowError):
@@ -172,7 +183,7 @@ class DistributionSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown distribution family {self.family!r}")
-        p = _floats(self.params, f"{self.family} parameters")
+        p = floats(self.params, f"{self.family} parameters")
         object.__setattr__(self, "params", p)
         if len(p) != _FAMILIES[self.family]:
             raise ValueError(
@@ -262,9 +273,9 @@ class ArrivalProfile:
     scale: float = 1.0
 
     def __post_init__(self) -> None:
-        rates = _floats(self.hourly_rates, "hourly rates")
+        rates = floats(self.hourly_rates, "hourly rates")
         object.__setattr__(self, "hourly_rates", rates)
-        _floats((self.scale,), "arrival scale")  # a check: an int scale stays one
+        floats((self.scale,), "arrival scale")  # a check: an int scale stays one
         if len(rates) != OPENING_HOURS:
             raise ValueError(f"need exactly {OPENING_HOURS} hourly rates, got {len(rates)}")
         if any(not math.isfinite(r) or r < 0 for r in rates):
@@ -283,8 +294,6 @@ class ArrivalProfile:
 
     def next_arrival(self, now: float, stream: RandomStream) -> float | None:
         """Time of the next arrival after ``now``, or None if past closing."""
-        if now >= HORIZON:
-            return None
         budget = -math.log1p(-stream.uniform())
         t = now
         rates = self.hourly_rates

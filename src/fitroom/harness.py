@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from .abs import run_abs
 from .config import ConfigError, ScenarioConfig
 from .des import run_des
-from .engine import ModelError, ReplicationDraws
+from .engine import ModelError, ReplicationDraws, is_int, is_number
 from .stats import (HypothesisOutcome, RunMetrics, decide, mann_whitney_u, record,
                     summarize)
 
@@ -225,12 +225,11 @@ class SweepSpec:
     growth_factor: float = 1.3
 
     def __post_init__(self) -> None:
-        # a bool is an int to Python, but no count of levels
-        if type(self.levels) is not int or self.levels < 1:
+        if not (is_int(self.levels) and self.levels >= 1):
             raise ValueError("levels must be an integer >= 1")
         g = self.growth_factor
         # inf passes: the sweep then refuses level 2's infinite scale by name
-        if isinstance(g, bool) or not isinstance(g, (int, float)) or not g > 0:
+        if not (is_number(g) and g > 0):
             raise ValueError("growth_factor must be a number > 0")
 
     def scale_at(self, level: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .engine import DistributionSpec, EventCalendar
+from .engine import DistributionSpec, EventCalendar, is_int
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -24,11 +24,6 @@ EV_POLL = "poll"
 # trace labels, system-level (customer id -1)
 L_SPEEDUP = "speedup"
 L_REVERT = "revert"
-
-
-def is_threshold(v) -> bool:
-    """A legal queue-length threshold: an integer >= 1, not a boolean."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 1
 
 
 @dataclass(frozen=True)
@@ -53,7 +48,8 @@ class ProactivePolicy:
         if not isinstance(self.enabled, bool):
             raise ValueError("enabled must be True or False")
         for name in ("threshold_entry", "threshold_return", "threshold_help"):
-            if not is_threshold(getattr(self, name)):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
         if not isinstance(self.revert_delay, DistributionSpec):
             raise ValueError("revert_delay must be a DistributionSpec")

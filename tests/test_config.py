@@ -224,18 +224,23 @@ def test_bad_values_are_attributed_to_their_keys():
     assert "proactive.enabled" in msg
 
 
+_SCALAR_KEYS = (
+    "horizon",
+    "help.probability",
+    "proactive.speedup",
+    "arrival.scale",
+    "proactive.threshold",
+    "proactive.threshold.entry",
+    "proactive.threshold.return",
+    "proactive.threshold.help",
+)
+_DISTRIBUTION_KEYS = ("service.job1", "help.fraction", "patience", "proactive.revert",
+                      "proactive.check")
+
+
 @pytest.mark.parametrize(
     "key, value",
-    [pytest.param(key, True, id=key) for key in (
-        "horizon",
-        "help.probability",
-        "proactive.speedup",
-        "arrival.scale",
-        "proactive.threshold",
-        "proactive.threshold.entry",
-        "proactive.threshold.return",
-        "proactive.threshold.help",
-    )] + [
+    [pytest.param(key, True, id=key) for key in _SCALAR_KEYS] + [
         # inside a list as well
         pytest.param("arrival.rates", [True, 34, 48, 56, 56, 48, 34, 20],
                      id="arrival.rates"),
@@ -244,6 +249,14 @@ def test_bad_values_are_attributed_to_their_keys():
         pytest.param("patience", ["exponential", True], id="patience"),
         pytest.param("proactive.revert", ["exponential", True], id="proactive.revert"),
         pytest.param("proactive.check", ["exponential", False], id="proactive.check"),
+    ] + [
+        # nor are quoted numbers, which float() would parse
+        pytest.param(key, "2", id=f"{key}-quoted") for key in _SCALAR_KEYS
+    ] + [
+        pytest.param(key, ["uniform", "1", 2], id=f"{key}-quoted")
+        for key in _DISTRIBUTION_KEYS
+    ] + [
+        pytest.param("arrival.rates", ["20"] * 8, id="arrival.rates-quoted"),
     ],
 )
 def test_booleans_are_not_numbers(key, value):
@@ -397,7 +410,12 @@ def test_a_duration_past_the_largest_float_is_named_not_a_crash(key):
 def test_a_family_name_cannot_break_the_message_into_lines():
     with pytest.raises(ConfigError) as err:
         build_config({"patience": ["a\nb", "x"]})
-    assert str(err.value) == 'patience: "a\\nb" parameters must be numbers: ["x"]'
+    assert str(err.value) == "patience: unknown distribution family 'a\\nb'"
+    # nor can a parameter of a known family
+    with pytest.raises(ConfigError) as err:
+        build_config({"patience": ["exponential", "a\nb"]})
+    assert str(err.value) == ("patience: exponential parameters must be finite numbers: "
+                              "('a\\nb',)")
 
 
 def test_non_numeric_distribution_params_rejected():
@@ -477,4 +495,4 @@ def test_any_scenario_text_loads_or_names_its_bad_keys(values):
     except ConfigError as exc:
         for line in str(exc).split("\n"):
             assert (line.split(":", 1)[0] in values
-                    or line.startswith(("line ", "arrival", "proactive"))), line
+                    or line.startswith(("line ", "arrival:"))), line

@@ -143,6 +143,18 @@ def test_enabled_must_be_a_bool():
             ProactivePolicy(enabled=value)
 
 
+@pytest.mark.parametrize("field, value", [
+    *((name, value) for name in ("threshold_entry", "threshold_return", "threshold_help")
+      for value in (True, "3", 1.0, 0)),
+    ("enabled", 1), ("enabled", "yes"),
+])
+def test_the_policy_names_each_bad_field(field, value):
+    # the scenario loader relies on these checks alone, and puts the message
+    # under the key that set the field
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        ProactivePolicy(**{field: value})
+
+
 # --- pace table ----------------------------------------------------------------
 
 

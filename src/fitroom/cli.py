@@ -10,10 +10,14 @@ The replications run on every CPU in the process's affinity mask, as every
 library call's do, so ``taskset -c 0 fitroom ...`` runs them one at a time;
 the report is the same either way.
 
-Exit codes: 0 on success, 1 for configuration problems, 2 for I/O failures
-(argparse also exits 2 on malformed arguments, as usual), 3 when a model
-breaks a rule it checks, such as DES and ABS reporting different results
-for the same replication under ``--model both``; no report is written then.
+Exit codes: 0 on success, 1 for configuration problems, 2 for I/O failures,
+3 when a model breaks a rule it checks, such as DES and ABS reporting
+different results for the same replication under ``--model both``; no
+report is written then.  argparse exits 2 only for malformed text, such as
+``--replications x``: a number flag is parsed with ``int`` or ``float``,
+and its range is the input record's rule (``ScenarioConfig`` for
+``--seed`` and ``--replications``, ``SweepSpec`` for ``--levels`` and
+``--factor``), so ``--replications 0`` exits 1 like any bad scenario value.
 """
 
 from __future__ import annotations
@@ -28,26 +32,6 @@ from .harness import (MODEL_ORDER, SweepSpec, compare_experiments, emit_report,
                       run_report, sweep)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return v
-
-
-def _positive_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not v > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return v
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--model", choices=(*MODEL_ORDER, "both"), default="both",
@@ -56,7 +40,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", metavar="PATH", help="scenario file to load")
     sub.add_argument("--seed", type=int, help="override the master seed")
     sub.add_argument(
-        "--replications", type=_positive_int, metavar="N",
+        "--replications", type=int, metavar="N",
         help="override the replication count",
     )
     sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
@@ -86,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="force the speed-up policy on or off",
         )
     p_sweep.add_argument(
-        "--levels", type=_positive_int, default=SweepSpec.levels,
+        "--levels", type=int, default=SweepSpec.levels,
         help="number of load levels (default: %(default)s)",
     )
     p_sweep.add_argument(
-        "--factor", type=_positive_float, default=SweepSpec.growth_factor,
+        "--factor", type=float, default=SweepSpec.growth_factor,
         help="multiplicative growth per level (default: %(default)s)",
     )
 
@@ -125,7 +109,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             report = run_report(cfg, args.model)
         elif args.command == "sweep":
-            spec = SweepSpec(levels=args.levels, growth_factor=args.factor)
+            try:
+                spec = SweepSpec(levels=args.levels, growth_factor=args.factor)
+            except ValueError as exc:
+                raise ConfigError(f"sweep: {exc}") from None
             report = sweep(cfg, spec, args.model)
         else:
             report = compare_experiments(cfg, args.model, independent=args.independent)

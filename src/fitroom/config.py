@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field, replace
 
 from .engine import (MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, HORIZON,
-                     floats, is_int, is_number)
+                     fits_float, floats, is_int, is_number)
 from .proactive import ProactivePolicy
 
 
@@ -247,7 +247,8 @@ def build_config(values: dict, base: ScenarioConfig | None = None) -> ScenarioCo
             elif key == "arrival.rates":
                 arrival_rates = floats(value, "hourly rates")
             elif key == "arrival.scale":
-                floats((value,), "arrival scale")  # the profile keeps an int scale one
+                if not fits_float(value):  # the profile keeps an int scale one
+                    raise ValueError(f"must be a number, got {value!r}")
                 arrival_scale = value
             elif key == "staff":
                 if not (is_int(value) and value == 1):

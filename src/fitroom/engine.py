@@ -154,6 +154,18 @@ def is_int(v) -> bool:
     return isinstance(v, int) and is_number(v)
 
 
+def fits_float(v) -> bool:
+    """A number (``is_number``) that ``float`` can hold: not an int past
+    float's range, on which ``math.isfinite`` would raise ``OverflowError``."""
+    if not is_number(v):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def floats(values, what: str) -> tuple[float, ...]:
     """``values`` as floats; each must pass ``is_number``."""
     try:
@@ -275,7 +287,8 @@ class ArrivalProfile:
     def __post_init__(self) -> None:
         rates = floats(self.hourly_rates, "hourly rates")
         object.__setattr__(self, "hourly_rates", rates)
-        floats((self.scale,), "arrival scale")  # a check: an int scale stays one
+        if not fits_float(self.scale):  # a check: an int scale stays one
+            raise ValueError(f"scale must be a number, got {self.scale!r}")
         if len(rates) != OPENING_HOURS:
             raise ValueError(f"need exactly {OPENING_HOURS} hourly rates, got {len(rates)}")
         if any(not math.isfinite(r) or r < 0 for r in rates):

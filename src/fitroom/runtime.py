@@ -127,6 +127,24 @@ class Replication:
         raise NotImplementedError
 
     def run(self) -> RunMetrics:
+        """Run the day to its horizon and fold it into its metrics.
+
+        The work is linear in the day's arrivals A (``customers``) and the
+        polls P it handles: the calendar stamps (``cal._seq``) at most
+        14 A + 2 P + 2 events, by counting what each can cause:
+
+        - a customer's arrival, patience timer, three job ends, help due
+          and fitting done, 7 A, and at most one arrival stamped past the
+          horizon;
+        - the first poll and the one each poll schedules, P + 1;
+        - the reverts, at most one per speed-up: a speed-up schedules at
+          most one, and a chain walk needs a speed-up that scheduled none
+          since the chain head last moved, which the walk moves.  Speed-ups
+          are at most the ``note_change`` calls: one per poll, or while
+          event-driven at most 7 per customer (three queue joins, three
+          job starts, and the cubicle entry service fills or the renege),
+          so 7 A + P.
+        """
         cal = self.cal
         horizon = self.cfg.horizon
         # built per run from bound methods, so a handler replaced on the

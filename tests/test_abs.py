@@ -17,7 +17,7 @@ from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
 from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError, ReplicationDraws
 from fitroom.harness import _RUNNERS
-from fitroom.proactive import ProactivePolicy
+from fitroom.proactive import ProactivePolicy, SpeedupController
 from fitroom.runtime import (IN_SYSTEM, JOB1, RENEGED, Customer, Replication, Store,
                              select_service)
 from fitroom.stats import RunMetrics
@@ -294,6 +294,49 @@ def test_reneged_customers_stay_in_the_entry_queue_until_its_head(cfg):
                        watch.record_renege(Replication.record_renege))
             mp.setattr(module, "select_service", watch.select_service)
             traced(run, cfg)
+
+
+class Calls:
+    """``f`` with a count of its calls, ``n``."""
+
+    def __init__(self, f):
+        self.f = f
+        self.n = 0
+
+    def __call__(self, *args):
+        self.n += 1
+        return self.f(*args)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(cfg=stochastic_scenarios(), rep=st.integers(0, 2))
+def test_a_day_stamps_at_most_14_events_per_arrival_and_2_per_poll(cfg, rep):
+    # the steps of the count in Replication.run's docstring, which add up to
+    # its bound of 14 A + 2 P + 2; cal._seq counts every event stamped, the
+    # two slots' included
+    stamped = []
+    for model in (DesRun, AbsRun):
+        with pytest.MonkeyPatch.context() as mp:
+            speedups = Calls(SpeedupController.apply_speedup)
+            mp.setattr(SpeedupController, "apply_speedup",
+                       lambda ctl, now: speedups(ctl, now))
+            run = model(cfg, ReplicationDraws(rep))
+            # a poll draws its successor's interval as it is handled and
+            # calls note_change once; an event-driven policy is called
+            # through run.note
+            polls = run.ctl.next_poll = Calls(run.ctl.next_poll)
+            notes = Calls(run.note)
+            if run.note is not None:
+                run.note = notes
+            run.run()
+        arrivals = len(run.customers)
+        assert speedups.n <= polls.n + notes.n <= 7 * arrivals + polls.n, model.__name__
+        # the arrivals' own events, one arrival past the horizon, the polls
+        # and the first one, and at most one revert per speed-up
+        assert run.cal._seq <= 7 * arrivals + 1 + polls.n + 1 + speedups.n, \
+            model.__name__
+        stamped.append(run.cal._seq)
+    assert stamped[0] == stamped[1]
 
 
 def test_a_heavy_day_keeps_the_rules_while_reneged_customers_pile_up(monkeypatch):

@@ -17,7 +17,9 @@ from fitroom.config import (
     load_config,
     parse_config_text,
 )
-from fitroom.engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec
+from fitroom.abs import run_abs
+from fitroom.des import run_des
+from fitroom.engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
 
 
@@ -72,6 +74,18 @@ def test_each_bad_field_is_named(field, value, fragment):
     with pytest.raises(ConfigError) as err:
         replace(ScenarioConfig(), **{field: value})
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("value", ["2", True, 10 ** 400, None])
+def test_a_scale_that_is_not_a_number_is_named_as_one(value):
+    # one value, not a sequence; an int past float's range is refused, not
+    # met by math.isfinite, which would raise OverflowError on it
+    with pytest.raises(ConfigError) as err:
+        build_config({"arrival.scale": value})
+    assert str(err.value) == f"arrival.scale: must be a number, got {value!r}"
+    with pytest.raises(ValueError) as err:
+        ArrivalProfile(DEFAULT_HOURLY_RATES, value)
+    assert str(err.value) == f"scale must be a number, got {value!r}"
 
 
 def test_all_problems_reported_at_once():
@@ -487,12 +501,21 @@ def _line(key, value):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.dictionaries(st.sampled_from(_KEYS), _values, max_size=6))
-def test_any_scenario_text_loads_or_names_its_bad_keys(values):
+@given(st.dictionaries(st.sampled_from(_KEYS), _values, max_size=6),
+       st.floats(0.5, 15.0), st.floats(0.01, 2.0))
+def test_any_scenario_text_loads_or_names_its_bad_keys(values, horizon, scale):
     text = "\n".join(_line(k, v) for k, v in values.items())
     try:
-        build_config(parse_config_text(text))
+        cfg = build_config(parse_config_text(text))
     except ConfigError as exc:
         for line in str(exc).split("\n"):
             assert (line.split(":", 1)[0] in values
                     or line.startswith(("line ", "arrival:"))), line
+        return
+    # what loads, runs: one replication of both models, on a day cut to a
+    # small horizon and scale so that it stays short; a shorter, lighter day
+    # passes every check the loaded one did.  The heavy corners run in CI
+    cfg = replace(cfg, horizon=min(cfg.horizon, horizon),
+                  arrival=replace(cfg.arrival, scale=min(cfg.arrival.scale, scale)))
+    draws = ReplicationDraws(0)
+    assert run_des(cfg, draws) == run_abs(cfg, draws)

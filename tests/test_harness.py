@@ -843,6 +843,31 @@ def test_cli_compare_refuses_the_proactive_flag(capsys):
     assert "unrecognized arguments: --proactive off" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--replications", "0"], "replications"),
+    (["run", "--replications", "-3"], "replications"),
+    (["sweep", "--levels", "0"], "levels"),
+    (["sweep", "--factor", "0"], "factor"),
+    (["sweep", "--factor", "-1"], "factor"),
+    (["sweep", "--factor", "nan"], "factor"),
+])
+def test_cli_flag_out_of_range_exits_1_naming_it(argv, name, capsys):
+    # a flag's range is its record's rule, so a bad value is a bad
+    # configuration, as --seed -1 is: one line, no usage text
+    assert main([*argv, "--model", "des"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("fitroom: ") and name in lines[0], lines
+
+
+def test_cli_flag_that_is_not_a_number_exits_2(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--replications", "x"])
+    assert exit_.value.code == 2
+    assert "argument --replications: " in capsys.readouterr().err
+
+
 def test_cli_json_output_parses(capsys):
     code = main([
         "run", "--model", "abs", "--replications", "2", "--seed", "5",

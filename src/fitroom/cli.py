@@ -70,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="force the speed-up policy on or off",
         )
     p_sweep.add_argument(
-        "--levels", type=int, default=SweepSpec.levels,
+        "--levels", type=int, default=SweepSpec._field_defaults["levels"],
         help="number of load levels (default: %(default)s)",
     )
     p_sweep.add_argument(
-        "--factor", type=float, default=SweepSpec.growth_factor,
+        "--factor", type=float, default=SweepSpec._field_defaults["growth_factor"],
         help="multiplicative growth per level (default: %(default)s)",
     )
 

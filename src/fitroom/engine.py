@@ -3,8 +3,9 @@ sampling, and the time-varying arrival process.
 
 Everything downstream (both store models, the speed-up policy, the harness)
 builds on these pieces, so the rules here are strict: time never runs
-backwards, ties break by insertion order, and every stochastic draw comes
-from a named, independently seeded stream.
+backwards, ties break by insertion order, every stochastic draw comes from
+a named, independently seeded stream, and each input record checks its
+fields whenever one is made (``stats.record``), ``_replace`` included.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from heapq import heappush
 from itertools import chain, repeat
+
+from .stats import record
 
 OPENING_HOURS = 8
 MINUTES_PER_HOUR = 60.0
@@ -180,7 +182,7 @@ def floats(values, what: str) -> tuple[float, ...]:
 _FAMILIES = {"deterministic": 1, "exponential": 1, "uniform": 2, "triangular": 3}
 
 
-@dataclass(frozen=True)
+@record
 class DistributionSpec:
     """A duration distribution, sampled by inverting the CDF of one uniform.
 
@@ -192,11 +194,10 @@ class DistributionSpec:
     family: str
     params: tuple[float, ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> tuple:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown distribution family {self.family!r}")
         p = floats(self.params, f"{self.family} parameters")
-        object.__setattr__(self, "params", p)
         if len(p) != _FAMILIES[self.family]:
             raise ValueError(
                 f"{self.family} takes {_FAMILIES[self.family]} parameter(s), got {len(p)}"
@@ -209,6 +210,7 @@ class DistributionSpec:
             raise ValueError("uniform requires low <= high")
         if self.family == "triangular" and not (p[0] <= p[1] <= p[2]):
             raise ValueError("triangular requires low <= mode <= high")
+        return self.family, p
 
     @classmethod
     def deterministic(cls, value: float) -> "DistributionSpec":
@@ -246,14 +248,14 @@ class DistributionSpec:
         """This distribution's values for the uniforms ``us``, in order: the
         inverse CDF of each.  The models read whole blocks of these through
         ReplicationDraws; ``sample`` is the same formula on one draw."""
-        p = self.params
-        if self.family == "deterministic":
+        family, p = self
+        if family == "deterministic":
             return [p[0]] * len(us)
-        if self.family == "exponential":
+        if family == "exponential":
             log1p = math.log1p
             scale = 1.0 / p[0]
             return [-log1p(-u) * scale for u in us]
-        if self.family == "uniform":
+        if family == "uniform":
             low, width = p[0], p[1] - p[0]
             return [low + width * u for u in us]
         sqrt = math.sqrt
@@ -265,12 +267,13 @@ class DistributionSpec:
                 for u in us]
 
     def sample(self, stream: RandomStream) -> float:
-        if self.family == "deterministic":
-            return self.params[0]
+        family, p = self
+        if family == "deterministic":
+            return p[0]
         return self.values((stream.uniform(),))[0]
 
 
-@dataclass(frozen=True)
+@record
 class ArrivalProfile:
     """Piecewise-constant arrival rates, one per opening hour, times a scale;
     the day may expect at most ``MAX_DAY_ARRIVALS`` arrivals.
@@ -284,9 +287,8 @@ class ArrivalProfile:
     hourly_rates: tuple[float, ...]
     scale: float = 1.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> tuple:
         rates = floats(self.hourly_rates, "hourly rates")
-        object.__setattr__(self, "hourly_rates", rates)
         if not fits_float(self.scale):  # a check: an int scale stays one
             raise ValueError(f"scale must be a number, got {self.scale!r}")
         if len(rates) != OPENING_HOURS:
@@ -304,13 +306,13 @@ class ArrivalProfile:
             raise ValueError(f"the day's {expected:g} expected arrivals (the "
                              f"rates' sum times the scale) exceed "
                              f"{MAX_DAY_ARRIVALS:,}")
+        return rates, self.scale
 
     def next_arrival(self, now: float, stream: RandomStream) -> float | None:
         """Time of the next arrival after ``now``, or None if past closing."""
         budget = -math.log1p(-stream.uniform())
         t = now
-        rates = self.hourly_rates
-        scale = self.scale
+        rates, scale = self
         while True:
             hour = int(t // MINUTES_PER_HOUR)
             if hour >= OPENING_HOURS:

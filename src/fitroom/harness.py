@@ -3,9 +3,10 @@ the paired policy comparison, plus report serialization.
 
 Each driver builds one experiment plan, a list of (model, level, config)
 entries, and ``_run_plan`` runs it on one runner, ``_execute``, and folds
-every entry's results into summary rows.  The runner shares the
-replications among forked processes, one per CPU this process may run on;
-``_processes`` is the one rule for how many, and no caller picks another.
+every entry's results into summary rows.  The runner imports the agent
+model when a plan first names it, and shares the replications among forked
+processes, one per CPU this process may run on; ``_processes`` is the one
+rule for how many, and no caller picks another.
 
 Reports are flat tables.  Every summary row is one (model, load level,
 measure) cell; a comparison report carries hypothesis rows after the summary
@@ -23,10 +24,9 @@ import random
 import signal
 import sys
 import threading
-from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Sequence
+from dataclasses import replace
 
-from .abs import run_abs
 from .config import ConfigError, ScenarioConfig
 from .des import run_des
 from .engine import ModelError, ReplicationDraws, is_int, is_number
@@ -37,16 +37,24 @@ TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import BinaryIO
 
-_RUNNERS = {"des": run_des, "abs": run_abs}
-
-MODEL_ORDER = tuple(_RUNNERS)
+MODEL_ORDER = ("des", "abs")
 MEASURE_ORDER = RunMetrics._fields
+
+
+def _runner(model: str) -> Callable[..., RunMetrics]:
+    """The run function of ``model``; the agent model's is imported on first use."""
+    if model == "des":
+        return run_des
+    if model == "abs":
+        from .abs import run_abs
+        return run_abs
+    raise ValueError(f"unknown model {model!r}; expected 'des' or 'abs'")
 
 
 def _models_for(model: str) -> tuple[str, ...]:
     if model == "both":
         return MODEL_ORDER
-    if model in _RUNNERS:
+    if model in MODEL_ORDER:
         return (model,)
     raise ValueError(f"unknown model {model!r}; expected 'des', 'abs', or 'both'")
 
@@ -71,7 +79,7 @@ def _run_chunk(cells: Sequence[Cell], reps: range) -> list[list[RunMetrics]]:
     collector would make over the runs' many small objects find nothing.
     """
     results: list[list[RunMetrics]] = [[] for _ in cells]
-    runners = [(_RUNNERS[model], cfg, out) for (model, cfg), out in zip(cells, results)]
+    runners = [(_runner(model), cfg, out) for (model, cfg), out in zip(cells, results)]
     was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -122,6 +130,8 @@ def _execute(cells: Sequence[Cell]) -> list[list[RunMetrics]]:
     block raises the error again, with a local traceback.  If this process
     fails while children run, it kills them first.
     """
+    for model, _ in cells:
+        _runner(model)  # imported before any fork, so every child inherits it
     n = max((cfg.replications for _, cfg in cells), default=0)
     count = max(1, min(_processes(), n))
     cuts = [n * k // count for k in range(count + 1)]
@@ -212,25 +222,24 @@ def run_replications(config: ScenarioConfig, model: str = "des") -> list[RunMetr
     uses.  Result order is replication order, so element i is always the
     run seeded for replication i regardless of when or where this is called.
     """
-    if model not in _RUNNERS:
-        raise ValueError(f"unknown model {model!r}; expected 'des' or 'abs'")
     return _execute([(model, config)])[0]
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """Load ladder: level k (1-based) runs at arrival scale growth**(k-1)."""
 
     levels: int = 5
     growth_factor: float = 1.3
 
-    def __post_init__(self) -> None:
+    def _check(self) -> tuple:
         if not (is_int(self.levels) and self.levels >= 1):
             raise ValueError("levels must be an integer >= 1")
         g = self.growth_factor
         # inf passes: the sweep then refuses level 2's infinite scale by name
         if not (is_number(g) and g > 0):
             raise ValueError("growth_factor must be a number > 0")
+        return self
 
     def scale_at(self, level: int) -> float:
         try:
@@ -313,7 +322,7 @@ def _level_config(config: ScenarioConfig, spec: SweepSpec, level: int) -> Scenar
     rate times it, overflows is a configuration problem, not a crash."""
     try:
         scale = spec.scale_at(level)
-        return replace(config, arrival=replace(config.arrival, scale=scale))
+        return replace(config, arrival=config.arrival._replace(scale=scale))
     except ValueError as exc:
         raise ConfigError(f"sweep level {level}: {exc}") from None
 

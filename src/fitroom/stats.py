@@ -19,14 +19,23 @@ from collections.abc import Sequence
 
 
 def record(cls: type) -> type:
-    """The named tuple a class body declares: its annotated fields, their
-    defaults, its docstring, and its annotations, which stay strings.  It is
-    built far faster than a dataclass, which ``exec``s its methods."""
+    """The named tuple a class body declares: its annotated fields and their
+    defaults, its methods, docstring and annotations (kept as strings); far
+    faster to build than a dataclass, which ``exec``s its methods.  A body's
+    ``_check`` reads the fields of a record made without it and returns them
+    as stored, or raises; it runs for every record made, copies included."""
     names = tuple(cls.__annotations__)
+    body = vars(cls)
     nt = namedtuple(cls.__name__, names, module=cls.__module__,
-                    defaults=[vars(cls)[n] for n in names if n in vars(cls)])
-    nt.__annotations__ = cls.__annotations__
+                    defaults=[body[n] for n in names if n in body])
+    for name in body.keys() - {*names, "__dict__", "__weakref__", "__doc__"}:
+        setattr(nt, name, body[name])
     nt.__doc__ = cls.__doc__ or nt.__doc__
+    if "_check" in body:
+        new = nt.__new__
+        nt.__new__ = staticmethod(lambda c, *a, **kw: tuple.__new__(c, new(c, *a, **kw)._check()))
+        nt._make = classmethod(lambda c, fields: c(*fields))  # _replace calls it
+        nt.__reduce__ = lambda r: (type(r), tuple(r))  # tuple's would skip _check
     return nt
 
 

@@ -4,6 +4,7 @@ equivalence with the discrete-event model."""
 import functools
 import hashlib
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -15,10 +16,12 @@ from fitroom import des
 from fitroom.abs import AbsRun, CustomerAgent, run_abs
 from fitroom.config import ScenarioConfig
 from fitroom.des import DesRun, run_des
-from fitroom.engine import ArrivalProfile, DistributionSpec, ModelError, ReplicationDraws
-from fitroom.harness import _RUNNERS
-from fitroom.proactive import ProactivePolicy, SpeedupController
-from fitroom.runtime import (IN_SYSTEM, JOB1, RENEGED, Customer, Replication, Store,
+from fitroom.engine import (ArrivalProfile, DistributionSpec, EventCalendar, ModelError,
+                            ReplicationDraws)
+from fitroom.harness import MODEL_ORDER, _runner
+from fitroom.proactive import EV_POLL, EV_REVERT, ProactivePolicy, SpeedupController
+from fitroom.runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE, EV_PATIENCE,
+                             IN_SYSTEM, JOB1, RENEGED, Customer, Replication, Store,
                              select_service)
 from fitroom.stats import RunMetrics
 from helpers import stochastic_scenarios, traced
@@ -27,7 +30,7 @@ from helpers import stochastic_scenarios, traced
 def cfg_variants():
     """A spread of scenarios, each exercising a different code path."""
     base = ScenarioConfig(replications=1, master_seed=77)
-    hot = replace(base, arrival=replace(base.arrival, scale=2.8561))
+    hot = replace(base, arrival=base.arrival._replace(scale=2.8561))
     return {
         "default": base,
         "hot": hot,
@@ -211,7 +214,7 @@ def test_starting_a_staff_job(model):
         assert noted == told
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_waits_cut_off_at_closing_are_charged_in_every_queue(model):
     # a short, busy day on which everyone wants help ends with someone in
     # each of the three queues (seed 4 is the lowest seed whose day does);
@@ -220,8 +223,8 @@ def test_waits_cut_off_at_closing_are_charged_in_every_queue(model):
     # horizon
     base = ScenarioConfig(replications=1, master_seed=4, horizon=90.0,
                           wait_estimator="all", help_probability=1.0)
-    cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
-    _, trace = traced(_RUNNERS[model], cfg)
+    cfg = replace(base, arrival=base.arrival._replace(scale=2.0))
+    _, trace = traced(_runner(model), cfg)
     # a customer whose last entry joins a queue is still in it at closing
     last = {cid: label for _, label, cid in trace}
     assert {"arrival", "request_help", "leave_cubicle"} <= set(last.values())
@@ -308,18 +311,30 @@ class Calls:
         return self.f(*args)
 
 
+def counted(f, kinds):
+    """The calendar method ``f`` (``schedule`` or ``stamp``), counting each
+    event it keys in ``kinds`` by kind."""
+    def keyed(cal, time, kind, target=None):
+        kinds[kind] += 1
+        return f(cal, time, kind, target)
+    return keyed
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
 @given(cfg=stochastic_scenarios(), rep=st.integers(0, 2))
 def test_a_day_stamps_at_most_14_events_per_arrival_and_2_per_poll(cfg, rep):
     # the steps of the count in Replication.run's docstring, which add up to
     # its bound of 14 A + 2 P + 2; cal._seq counts every event stamped, the
-    # two slots' included
+    # two slots' included, and each kind is held to its own share
     stamped = []
     for model in (DesRun, AbsRun):
+        kinds = Counter()
         with pytest.MonkeyPatch.context() as mp:
             speedups = Calls(SpeedupController.apply_speedup)
             mp.setattr(SpeedupController, "apply_speedup",
                        lambda ctl, now: speedups(ctl, now))
+            for name in ("schedule", "stamp"):
+                mp.setattr(EventCalendar, name, counted(getattr(EventCalendar, name), kinds))
             run = model(cfg, ReplicationDraws(rep))
             # a poll draws its successor's interval as it is handled and
             # calls note_change once; an event-driven policy is called
@@ -331,11 +346,17 @@ def test_a_day_stamps_at_most_14_events_per_arrival_and_2_per_poll(cfg, rep):
             run.run()
         arrivals = len(run.customers)
         assert speedups.n <= polls.n + notes.n <= 7 * arrivals + polls.n, model.__name__
-        # the arrivals' own events, one arrival past the horizon, the polls
-        # and the first one, and at most one revert per speed-up
+        # the arrivals and one past the horizon, each customer's own events,
+        # the polls and the first one, and at most one revert per speed-up
+        shares = {EV_ARRIVAL: arrivals + 1, EV_POLL: polls.n + 1, EV_REVERT: speedups.n,
+                  **dict.fromkeys((EV_PATIENCE, *EV_JOB_DONE[1:], EV_HELP_DUE,
+                                   EV_FIT_DONE), arrivals)}
+        assert sum(kinds.values()) == run.cal._seq and kinds.keys() <= shares.keys()
+        for kind, n in kinds.items():
+            assert n <= shares[kind], (model.__name__, kind)
         assert run.cal._seq <= 7 * arrivals + 1 + polls.n + 1 + speedups.n, \
             model.__name__
-        stamped.append(run.cal._seq)
+        stamped.append(kinds)
     assert stamped[0] == stamped[1]
 
 
@@ -352,7 +373,7 @@ def test_a_heavy_day_keeps_the_rules_while_reneged_customers_pile_up(monkeypatch
 
     monkeypatch.setattr(Replication, "finalize", finalize)
     base = ScenarioConfig(replications=1, master_seed=5)
-    cfg = replace(base, arrival=replace(base.arrival, scale=160.0))
+    cfg = replace(base, arrival=base.arrival._replace(scale=160.0))
     day = traced(run_des, cfg)
     assert traced(run_abs, cfg) == day
     metrics, _ = day
@@ -363,22 +384,22 @@ def test_a_heavy_day_keeps_the_rules_while_reneged_customers_pile_up(monkeypatch
 # --- properties of either model, on its own ------------------------------------
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_zero_arrivals_produce_empty_metrics(model):
     cfg = ScenarioConfig(arrival=ArrivalProfile((0.0,) * 8), replications=1)
-    assert traced(_RUNNERS[model], cfg) == (RunMetrics(0.0, 0.0, 0.0, 0, 0, 0), [])
+    assert traced(_runner(model), cfg) == (RunMetrics(0.0, 0.0, 0.0, 0, 0, 0), [])
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_same_replication_is_bit_identical(model):
     cfg = ScenarioConfig(replications=1, master_seed=2)
-    assert traced(_RUNNERS[model], cfg) == traced(_RUNNERS[model], cfg)
+    assert traced(_runner(model), cfg) == traced(_runner(model), cfg)
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_different_replications_differ(model):
     cfg = ScenarioConfig(replications=1, master_seed=2)
-    run = _RUNNERS[model]
+    run = _runner(model)
     assert run(cfg, ReplicationDraws(0)) != run(cfg, ReplicationDraws(1))
 
 

@@ -21,6 +21,7 @@ from fitroom.abs import run_abs
 from fitroom.des import run_des
 from fitroom.engine import MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
+from helpers import durations
 
 
 def write(tmp_path, text, name="scenario.cfg"):
@@ -150,7 +151,7 @@ def test_the_readme_example_is_the_defaults_but_seed_and_scale():
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     defaults = ScenarioConfig()
     assert build_config(parse_config_text(example)) == replace(
-        defaults, master_seed=42, arrival=replace(defaults.arrival, scale=1.3))
+        defaults, master_seed=42, arrival=defaults.arrival._replace(scale=1.3))
 
 
 def test_full_file_round_trip(tmp_path):
@@ -493,6 +494,49 @@ _values = (_scalars
            | st.tuples(_words, _numbers, _numbers, _numbers).map(list))
 
 
+def _durations(lo, hi):
+    """A duration of any family, parameters in [lo, hi], as a file writes it."""
+    return durations(lo, hi).map(lambda spec: [spec.family, *spec.params])
+
+
+_count = st.integers(1, 10)
+
+# each key's valid values, which every line draws from four times in five
+_VALID = {
+    "seed": st.integers(0, 2 ** 32),
+    "replications": st.integers(1, 100),
+    "cubicles": st.integers(1, MAX_CUBICLES),
+    "staff": st.just(1),
+    "horizon": st.floats(0.01, 480.0),
+    "help.probability": st.floats(0.0, 1.0),
+    "wait.estimator": st.sampled_from(["served", "all"]),
+    "service.job1": _durations(0.0, 2.0),
+    "service.job2": _durations(0.0, 2.0),
+    "service.job3": _durations(0.0, 2.0),
+    "service.fitting": _durations(0.0, 15.0),
+    "help.fraction": _durations(0.0, 1.0),
+    "proactive.speedup": st.floats(0.0, 0.95),
+    "arrival.rates": st.lists(st.floats(0.0, 100.0), min_size=8, max_size=8),
+    "arrival.scale": st.floats(0.01, 100.0),
+    "patience": st.just("infinite") | _durations(0.0, 30.0),
+    "proactive.enabled": st.booleans(),
+    "proactive.threshold": _count,
+    "proactive.threshold.entry": _count,
+    "proactive.threshold.return": _count,
+    "proactive.threshold.help": _count,
+    "proactive.revert": _durations(0.0, 20.0),
+    "proactive.check": st.just("event") | _durations(0.5, 10.0),
+}
+assert set(_VALID) == set(_KEYS)
+
+
+@st.composite
+def _scenario_values(draw):
+    keys = draw(st.lists(st.sampled_from(_KEYS), unique=True, max_size=6))
+    return {k: draw(_VALID[k] if draw(st.sampled_from((1, 1, 1, 1, 0))) else _values)
+            for k in keys}
+
+
 def _line(key, value):
     # strings go in bare or as JSON text; everything else as JSON
     if isinstance(value, str) and value.isidentifier():
@@ -501,8 +545,7 @@ def _line(key, value):
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.dictionaries(st.sampled_from(_KEYS), _values, max_size=6),
-       st.floats(0.5, 15.0), st.floats(0.01, 2.0))
+@given(_scenario_values(), st.floats(0.5, 15.0), st.floats(0.01, 2.0))
 def test_any_scenario_text_loads_or_names_its_bad_keys(values, horizon, scale):
     text = "\n".join(_line(k, v) for k, v in values.items())
     try:
@@ -516,6 +559,6 @@ def test_any_scenario_text_loads_or_names_its_bad_keys(values, horizon, scale):
     # small horizon and scale so that it stays short; a shorter, lighter day
     # passes every check the loaded one did.  The heavy corners run in CI
     cfg = replace(cfg, horizon=min(cfg.horizon, horizon),
-                  arrival=replace(cfg.arrival, scale=min(cfg.arrival.scale, scale)))
+                  arrival=cfg.arrival._replace(scale=min(cfg.arrival.scale, scale)))
     draws = ReplicationDraws(0)
     assert run_des(cfg, draws) == run_abs(cfg, draws)

@@ -22,7 +22,7 @@ def small_cfg(**over):
 
 
 def scaled(cfg, scale):
-    return replace(cfg, arrival=replace(cfg.arrival, scale=scale))
+    return replace(cfg, arrival=cfg.arrival._replace(scale=scale))
 
 
 def test_conservation_of_customers():

@@ -326,10 +326,10 @@ def test_invalid_arrival_profiles_raise(make):
 def scalar_formula(spec, u):
     """Inverse CDF of one uniform, written out apart from DistributionSpec
     as the reference for its block transform."""
-    p = spec.params
-    if spec.family == "exponential":
+    family, p = spec
+    if family == "exponential":
         return -math.log1p(-u) * (1.0 / p[0])
-    if spec.family == "uniform":
+    if family == "uniform":
         return p[0] + (p[1] - p[0]) * u
     lo, mode, hi = p
     span = hi - lo

@@ -21,19 +21,20 @@ from pathlib import Path
 import pytest
 
 from fitroom import harness
+from fitroom.abs import run_abs
 from fitroom.cli import main
 from fitroom.config import ScenarioConfig, build_config, parse_config_text
 from fitroom.des import run_des
-from fitroom.engine import (MAX_DAY_ARRIVALS, DistributionSpec, ModelError, RandomStreams,
-                            ReplicationDraws)
+from fitroom.engine import (MAX_DAY_ARRIVALS, ArrivalProfile, DistributionSpec, ModelError,
+                            RandomStreams, ReplicationDraws)
 from fitroom.harness import (
     MEASURE_ORDER,
     MODEL_ORDER,
     ExperimentReport,
     SummaryRow,
     SweepSpec,
-    _RUNNERS,
     _execute,
+    _runner,
     _g,
     compare_experiments,
     emit_report,
@@ -81,7 +82,7 @@ def sharing_cells():
     read the streams: another spec on one purpose, another master seed, no
     patience timers, polling, another model."""
     base = tiny_cfg(replications=3)
-    hot = replace(base, arrival=replace(base.arrival, scale=1.69))
+    hot = replace(base, arrival=base.arrival._replace(scale=1.69))
     cfgs = [
         base,
         hot,
@@ -99,7 +100,7 @@ def sharing_cells():
 
 def test_cells_sharing_replications_match_cells_run_alone():
     cells = sharing_cells()
-    alone = [[_RUNNERS[m](cfg, ReplicationDraws(rep)) for rep in range(cfg.replications)]
+    alone = [[_runner(m)(cfg, ReplicationDraws(rep)) for rep in range(cfg.replications)]
              for m, cfg in cells]
     assert _execute(cells) == alone
     # DES and ABS agree, and every config gives its own results
@@ -111,7 +112,7 @@ def test_shared_draws_give_the_traces_of_private_ones():
     for rep in range(2):
         shared = ReplicationDraws(rep)
         for m, cfg in cells:
-            run, t_shared, t_alone = _RUNNERS[m], [], []
+            run, t_shared, t_alone = _runner(m), [], []
             assert run(cfg, shared, t_shared) == run(cfg, ReplicationDraws(rep), t_alone)
             assert t_shared == t_alone
 
@@ -179,7 +180,7 @@ _PINNED = {
 
 def test_reports_are_pinned(cpus):
     cfg = ScenarioConfig(master_seed=42)
-    hot = replace(cfg, replications=4, arrival=replace(cfg.arrival, scale=1.7))
+    hot = replace(cfg, replications=4, arrival=cfg.arrival._replace(scale=1.7))
     for n in (1, 2):
         cpus(n)
         texts = {
@@ -300,6 +301,12 @@ def test_a_platform_without_fork_runs_every_block_in_the_caller(monkeypatch, cpu
     assert _execute(cells) == serial
 
 
+def use_runner(monkeypatch, model, run):
+    """Have the harness run ``run`` wherever a cell names ``model``."""
+    lookup = harness._runner
+    monkeypatch.setattr(harness, "_runner", lambda m: run if m == model else lookup(m))
+
+
 def fake_runner(cfg, draws):
     """A run that costs nothing and says which replication it was."""
     rep = draws.replication
@@ -307,7 +314,7 @@ def fake_runner(cfg, draws):
 
 
 def test_blocks_join_in_replication_order_past_the_pipe_buffer(monkeypatch, cpus, forks):
-    monkeypatch.setitem(harness._RUNNERS, "des", fake_runner)
+    use_runner(monkeypatch, "des", fake_runner)
     cells = [("des", tiny_cfg(replications=3000)), ("des", tiny_cfg(replications=2000))]
     cpus(3)
     results = _execute(cells)
@@ -376,7 +383,7 @@ def test_a_childs_error_is_raised_in_the_caller(monkeypatch, capsys, cpus):
             raise ModelError(f"replication {rep} broke in process {os.getpid()}")
         return run_des(cfg, draws)
 
-    monkeypatch.setitem(harness._RUNNERS, "des", fail_last)
+    use_runner(monkeypatch, "des", fail_last)
     cpus(2)
     with pytest.raises(ModelError, match=rf"^replication 3 broke in process {os.getpid()}$"):
         _execute([("des", tiny_cfg())])
@@ -392,7 +399,7 @@ def test_a_childs_error_chains_the_childs_traceback(monkeypatch, cpus):
             raise ModelError("replication broke")
         return run_des(cfg, draws)
 
-    monkeypatch.setitem(harness._RUNNERS, "des", broken_replication)
+    use_runner(monkeypatch, "des", broken_replication)
     cpus(2)
     with pytest.raises(ModelError, match="^replication broke$") as err:
         _execute([("des", tiny_cfg())])
@@ -426,7 +433,7 @@ def test_an_unpicklable_error_is_raised_as_itself(monkeypatch, cpus, make):
             raise make()
         return run_des(cfg, draws)
 
-    monkeypatch.setitem(harness._RUNNERS, "des", unsendable_replication)
+    use_runner(monkeypatch, "des", unsendable_replication)
     cpus(2)
     with pytest.raises((RebuiltWrong, HoldsALambda), match="broke") as err:
         _execute([("des", tiny_cfg())])
@@ -454,7 +461,7 @@ def test_a_block_whose_child_dies_is_run_in_the_caller(monkeypatch, capsys, cpus
     # a child killed, out of memory or failing costs time, not the results:
     # the caller runs each lost block itself and names it on stderr
     caller = os.getpid()
-    runners = dict(harness._RUNNERS)
+    runners = {model: _runner(model) for model in MODEL_ORDER}
 
     def dies_in_a_child(model):
         def runner(cfg, draws):
@@ -467,7 +474,7 @@ def test_a_block_whose_child_dies_is_run_in_the_caller(monkeypatch, capsys, cpus
     cpus(1)
     serial = _execute(cells)
     for model in runners:
-        monkeypatch.setitem(harness._RUNNERS, model, dies_in_a_child(model))
+        use_runner(monkeypatch, model, dies_in_a_child(model))
     cpus(3)
     assert _execute(cells) == serial
     notes = capsys.readouterr().err.splitlines()
@@ -490,7 +497,7 @@ def test_run_chunk_pauses_the_collector_and_restores_its_state(monkeypatch, enab
             raise ModelError("replication broke")
         return run_des(cfg, draws)
 
-    monkeypatch.setitem(harness._RUNNERS, "des", runner)
+    use_runner(monkeypatch, "des", runner)
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -523,7 +530,7 @@ def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch, cpus):
         time.sleep(60)  # a child still running when the caller fails
         return run_des(cfg, draws)
 
-    monkeypatch.setitem(harness._RUNNERS, "des", fail_in_caller)
+    use_runner(monkeypatch, "des", fail_in_caller)
     cpus(3)
     start = time.monotonic()
     with pytest.raises(ModelError, match="the caller's block broke"):
@@ -616,7 +623,7 @@ def test_sweep_row_grid_is_complete_and_ordered():
 
 def test_sweep_overrides_the_configured_scale():
     cfg = tiny_cfg(replications=2)
-    loaded = replace(cfg, arrival=replace(cfg.arrival, scale=9.9))
+    loaded = replace(cfg, arrival=cfg.arrival._replace(scale=9.9))
     r1 = sweep(cfg, SweepSpec(levels=2), model="des")
     r2 = sweep(loaded, SweepSpec(levels=2), model="des")
     assert r1 == r2  # the ladder, not the base config, owns the scale
@@ -646,7 +653,7 @@ def test_compare_models_agree_on_p_values():
 
 def skewed_abs(cfg, draws):
     """The agent model, with one customer too many served on replication 2."""
-    m = harness.run_abs(cfg, draws)
+    m = run_abs(cfg, draws)
     return m._replace(served=m.served + 1) if draws.replication == 2 else m
 
 
@@ -656,7 +663,7 @@ def skewed_abs(cfg, draws):
     lambda cfg, model: compare_experiments(cfg, model),
 ], ids=["run", "sweep", "compare"])
 def test_a_both_run_checks_that_the_models_agree(monkeypatch, cpus, drive):
-    monkeypatch.setitem(harness._RUNNERS, "abs", skewed_abs)
+    use_runner(monkeypatch, "abs", skewed_abs)
     cpus(2)
     with pytest.raises(ModelError) as info:
         drive(tiny_cfg(), "both")
@@ -669,7 +676,7 @@ def test_a_both_run_checks_that_the_models_agree(monkeypatch, cpus, drive):
 
 def test_cli_whose_models_differ_exits_3_and_writes_no_report(monkeypatch, capsys,
                                                                tmp_path):
-    monkeypatch.setitem(harness._RUNNERS, "abs", skewed_abs)
+    use_runner(monkeypatch, "abs", skewed_abs)
     out = tmp_path / "report.csv"
     assert main(["run", "--replications", "4", "--seed", "31", "--out", str(out)]) == 3
     assert not out.exists()
@@ -792,7 +799,7 @@ def test_emit_rejects_unknown_format():
 
 def test_run_report_uses_configured_scale():
     cfg = tiny_cfg(replications=2)
-    cfg = replace(cfg, arrival=replace(cfg.arrival, scale=1.7))
+    cfg = replace(cfg, arrival=cfg.arrival._replace(scale=1.7))
     report = run_report(cfg, model="des")
     assert {r.arrival_scale for r in report.rows} == {1.7}
     assert {r.level for r in report.rows} == {1}
@@ -939,7 +946,21 @@ def test_importing_the_cli_loads_no_unused_library():
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "fitroom.cli" in loaded
-    assert loaded.isdisjoint({"statistics", "fractions", "decimal", "pickle"})
+    assert loaded.isdisjoint({"statistics", "fractions", "decimal", "pickle", "fitroom.abs"})
+    # the agent model loads when a plan names it, so a DES-only run never
+    # compiles it; the caller imports it before forking, so the one child of
+    # a run on two CPUs starts with it
+    for model, loads_abs in (("des", False), ("abs", True)):
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+             "os.register_at_fork(after_in_child=lambda: print("
+             "'child', 'fitroom.abs' in sys.modules, file=sys.stderr)); "
+             "from fitroom.cli import main; "
+             f"code = main(['compare', '--model', '{model}', '--replications', '2', "
+             "'--out', os.devnull]); print(code, 'fitroom.abs' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert (run.stdout, run.stderr) == (f"0 {loads_abs}\n", f"child {loads_abs}\n"), model
     # annotations are strings, so nothing needs typing at run time; without
     # site, no .pth file in site-packages can load it first
     bare = subprocess.run([sys.executable, "-S", "-c",
@@ -956,11 +977,13 @@ def test_only_the_input_types_are_dataclasses():
                for v in vars(mod).values()
                if isinstance(v, type) and v.__module__ == mod.__name__]
     made = sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c))
-    assert made == ["ArrivalProfile", "DistributionSpec", "ProactivePolicy",
-                    "ScenarioConfig", "SweepSpec"], (
-        "each dataclass costs about 1.3 ms of every start-up, to generate its "
-        "methods; a record that callers only read is a named tuple (stats.record)")
-    records = (RunMetrics, SummaryStats, HypothesisOutcome, SummaryRow, ExperimentReport)
+    assert made == ["ProactivePolicy", "ScenarioConfig"], (
+        "each dataclass costs about 0.9 ms of every start-up, to generate and "
+        "exec its methods; a record is a named tuple (stats.record), checked by "
+        "its _check.  These two stay dataclasses while the benchmark's child "
+        "process calls dataclasses.replace on them")
+    records = (RunMetrics, SummaryStats, HypothesisOutcome, SummaryRow, ExperimentReport,
+               DistributionSpec, ArrivalProfile, SweepSpec)
     assert all(issubclass(r, tuple) for r in records)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fitroom.config import ScenarioConfig
 from fitroom.engine import DistributionSpec
-from fitroom.harness import _RUNNERS
+from fitroom.harness import MODEL_ORDER, _runner
 from fitroom.proactive import L_REVERT, L_SPEEDUP
 from fitroom.runtime import L_ENTER, L_LEAVE
 from helpers import stochastic_scenarios, traced
@@ -36,7 +36,7 @@ def scenarios(check):
     cubicle where everyone asks for help."""
     base = ScenarioConfig(replications=1, master_seed=2024)
     base = policy(base, check_interval=check)
-    hot = replace(base, arrival=replace(base.arrival, scale=2.2),
+    hot = replace(base, arrival=base.arrival._replace(scale=2.2),
                   patience=DistributionSpec.exponential(0.1))
     tight = replace(base, cubicles=1, help_probability=1.0)
     return [base, hot, tight]
@@ -105,40 +105,40 @@ def check_endless_patience(run, cfg, rep):
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_a_day_cut_short_is_the_full_day_up_to_the_cut(model, check):
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        check_cut_short(_RUNNERS[model], cfg, rep, horizons)
+        check_cut_short(_runner(model), cfg, rep, horizons)
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_thresholds_no_queue_reaches_turn_the_policy_off(model, check):
     for cfg in scenarios(CHECKS[check]):
         for rep in range(2):
-            check_unreachable_thresholds(_RUNNERS[model], cfg, rep)
+            check_unreachable_thresholds(_runner(model), cfg, rep)
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_a_speedup_of_nothing_is_the_policy_off(model, check):
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        assert check_speedup_of_nothing(_RUNNERS[model], cfg, rep) > 0, (
+        assert check_speedup_of_nothing(_runner(model), cfg, rep) > 0, (
             f"rep {rep}: the policy never acted")
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_cubicles_no_day_fills_change_nothing(model, check):
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        check_unfilled_cubicles(_RUNNERS[model], cfg, rep)
+        check_unfilled_cubicles(_runner(model), cfg, rep)
 
 
 @pytest.mark.parametrize("check", sorted(CHECKS))
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 def test_patience_that_never_runs_out_is_infinite_patience(model, check):
     for rep, cfg in enumerate(scenarios(CHECKS[check])):
-        check_endless_patience(_RUNNERS[model], cfg, rep)
+        check_endless_patience(_runner(model), cfg, rep)
 
 
 # --- on generated days ------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_patience_that_never_runs_out_is_infinite_patience(model, check):
 generated = settings(max_examples=12, derandomize=True, database=None, deadline=None)
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 @generated
 @given(cfg=stochastic_scenarios(), at=st.floats(0.001, 1.0))
 def test_generated_days_cut_short_are_the_full_day_up_to_the_cut(model, cfg, at):
@@ -155,32 +155,32 @@ def test_generated_days_cut_short_are_the_full_day_up_to_the_cut(model, cfg, at)
         times = [t for t, _, _ in full if t > 0.0]
         return [at * cfg.horizon] + times[int(at * (len(times) - 1)):][:1]
 
-    check_cut_short(_RUNNERS[model], cfg, 0, cuts)
+    check_cut_short(_runner(model), cfg, 0, cuts)
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 @generated
 @given(cfg=stochastic_scenarios())
 def test_generated_days_at_unreachable_thresholds_are_the_policy_off(model, cfg):
-    check_unreachable_thresholds(_RUNNERS[model], cfg, 0)
+    check_unreachable_thresholds(_runner(model), cfg, 0)
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 @generated
 @given(cfg=stochastic_scenarios())
 def test_generated_days_at_a_speedup_of_nothing_are_the_policy_off(model, cfg):
-    assume(check_speedup_of_nothing(_RUNNERS[model], cfg, 0) > 0)
+    assume(check_speedup_of_nothing(_runner(model), cfg, 0) > 0)
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 @generated
 @given(cfg=stochastic_scenarios())
 def test_generated_days_with_unfilled_cubicles_change_nothing(model, cfg):
-    check_unfilled_cubicles(_RUNNERS[model], cfg, 0)
+    check_unfilled_cubicles(_runner(model), cfg, 0)
 
 
-@pytest.mark.parametrize("model", sorted(_RUNNERS))
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
 @generated
 @given(cfg=stochastic_scenarios())
 def test_generated_days_with_endless_patience_have_infinite_patience(model, cfg):
-    check_endless_patience(_RUNNERS[model], cfg, 0)
+    check_endless_patience(_runner(model), cfg, 0)

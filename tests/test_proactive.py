@@ -269,7 +269,7 @@ def test_disabled_policy_never_consumes_revert_randomness(opened_streams):
     assert len(cal._heap) == 0  # no poll either
 
     base = ScenarioConfig(replications=1, master_seed=7)
-    cfg = replace(base, arrival=replace(base.arrival, scale=2.0),
+    cfg = replace(base, arrival=base.arrival._replace(scale=2.0),
                   proactive=ProactivePolicy(enabled=False))
     run = DesRun(cfg, ReplicationDraws(0))
     assert run.note is None  # no queue or cubicle change reaches the policy
@@ -313,7 +313,7 @@ def test_polling_policy_checks_only_at_poll_times():
     # in a run, no queue or cubicle change reaches a polling policy: every
     # speed-up falls on a poll, and the polls fall every 10 minutes
     base = ScenarioConfig(replications=1, master_seed=11, proactive=policy)
-    cfg = replace(base, arrival=replace(base.arrival, scale=2.0))
+    cfg = replace(base, arrival=base.arrival._replace(scale=2.0))
     for model in (DesRun, AbsRun):
         trace = []
         run = model(cfg, ReplicationDraws(0), trace)
@@ -325,7 +325,7 @@ def test_polling_policy_checks_only_at_poll_times():
 
 def test_trace_speedup_count_matches_reported_changes():
     cfg = ScenarioConfig(replications=1, master_seed=11)
-    cfg = replace(cfg, arrival=replace(cfg.arrival, scale=2.0))
+    cfg = replace(cfg, arrival=cfg.arrival._replace(scale=2.0))
     trace = []
     metrics = run_des(cfg, ReplicationDraws(0), trace)
     ups = sum(1 for (_, label, _) in trace if label == L_SPEEDUP)

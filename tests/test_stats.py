@@ -1,7 +1,9 @@
 """Sample summaries and the rank-sum machinery, checked against hand
-values and the enumeration oracle."""
+values and the enumeration oracle, and the records ``stats.record`` makes."""
 
+import copy
 import math
+import pickle
 import random
 import statistics
 import sys
@@ -10,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fitroom.engine import ArrivalProfile, DistributionSpec
+from fitroom.harness import SweepSpec
 from fitroom.stats import (
     HypothesisOutcome,
     RunMetrics,
@@ -245,3 +249,72 @@ def test_decide_boundary_is_strict():
 def test_run_metrics_is_plain_data():
     m = RunMetrics(1.0, 0.5, 0.6, 10, 2, 3)
     assert m.mean_wait == 1.0 and m.served == 10 and m.service_time_changes == 3
+
+
+# --- checked records ------------------------------------------------------------
+
+_REFUSED = [
+    (DistributionSpec.triangular(1, 2, 3), {"params": (3, 2, 1)},
+     "triangular requires low <= mode <= high"),
+    (ArrivalProfile((20,) * 8), {"scale": 0.0}, "arrival scale must be positive"),
+    (SweepSpec(), {"levels": 0}, "levels must be an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("good, change, message", _REFUSED,
+                         ids=["distribution", "arrival", "sweep"])
+def test_a_checked_record_checks_every_record_it_makes(good, change, message):
+    cls = type(good)
+    fields = tuple(change.get(name, value) for name, value in zip(cls._fields, good))
+    unchecked = tuple.__new__(cls, fields)   # a record no check has seen
+    makers = {
+        "call": lambda: cls(*fields),
+        "keywords": lambda: cls(**dict(zip(cls._fields, fields))),
+        "_make": lambda: cls._make(fields),
+        "_replace": lambda: good._replace(**change),
+        "copy": lambda: copy.copy(unchecked),
+        "deepcopy": lambda: copy.deepcopy(unchecked),
+        **{f"pickle {proto}": lambda proto=proto: pickle.loads(pickle.dumps(unchecked, proto))
+           for proto in range(pickle.HIGHEST_PROTOCOL + 1)},
+    }
+    if hasattr(copy, "replace"):   # Python 3.13 on
+        makers["copy.replace"] = lambda: copy.replace(good, **change)
+    for how, make in makers.items():
+        with pytest.raises(ValueError, match=message):
+            make()
+            pytest.fail(how)
+    # and each way of making a good one gives it back, checked as stored
+    assert cls._make(good) == good._replace() == copy.copy(good) == good
+    assert all(pickle.loads(pickle.dumps(good, proto)) == good
+               for proto in range(pickle.HIGHEST_PROTOCOL + 1))
+
+
+def test_a_checked_record_stores_its_fields_as_the_check_returns_them():
+    spec = DistributionSpec("uniform", [1, 2])
+    assert spec.params == (1.0, 2.0) and type(spec.params[0]) is float
+    assert spec._replace(params=[0, 1]).params == (0.0, 1.0)
+    profile = ArrivalProfile([20] * 8, 2)
+    assert profile.hourly_rates == (20.0,) * 8
+    assert type(profile.scale) is int   # a number the check accepts is kept as given
+    assert type(profile._replace(scale=1.5).hourly_rates) is tuple
+
+
+def test_a_record_equals_and_hashes_as_the_plain_tuple_of_its_fields():
+    # the decision: records compare and hash as tuples, by value.  The draws
+    # are keyed by (seed, profile) and (seed, purpose, spec), so equal specs
+    # share a stream's values, as equal dataclasses did; and no key mixes
+    # record types, so one record equal to another type's cannot collide
+    spec = DistributionSpec.uniform(1, 2)
+    assert spec == ("uniform", (1.0, 2.0)) == DistributionSpec("uniform", [1.0, 2])
+    assert hash(spec) == hash(("uniform", (1.0, 2.0)))
+    assert ArrivalProfile((20,) * 8, 1) == ArrivalProfile((20.0,) * 8, 1.0)
+    assert SweepSpec() == (5, 1.3) and hash(SweepSpec()) == hash((5, 1.3))
+    assert spec != DistributionSpec.uniform(1, 3)
+
+
+def test_the_input_records_keep_their_reprs():
+    assert repr(DistributionSpec.triangular(1, 2, 3)) == (
+        "DistributionSpec(family='triangular', params=(1.0, 2.0, 3.0))")
+    assert repr(ArrivalProfile((20,) * 8, 2)) == (
+        f"ArrivalProfile(hourly_rates={(20.0,) * 8!r}, scale=2)")
+    assert repr(SweepSpec()) == "SweepSpec(levels=5, growth_factor=1.3)"

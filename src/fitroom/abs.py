@@ -161,40 +161,26 @@ class CustomerAgent(Customer):
 class StaffAgent:
     """The single staff member: three queues, one pair of hands."""
 
-    __slots__ = ("model", "store", "ctl", "current_job")
+    __slots__ = ("model", "store")
 
     def __init__(self, model: "AbsRun") -> None:
         self.model = model
         self.store = model.store
-        self.ctl = model.ctl
-        self.current_job = 0
 
     def handle(self, kind: str, payload, now: float) -> None:
-        note = self.model.note
+        model = self.model
         if kind == M_SERVICE_DONE:
-            self.store.staff_done(now)
-            job = self.current_job
-            self.current_job = 0
-            # job 1 ended with a cubicle filling up, which can only end
-            # congestion, so the policy is told only while there was some
-            if job == JOB1 and note is not None and self.ctl.congested:
-                note(now)
-            self.scan(now)
-            return
-        if kind == M_REQUEST_ENTRY:
-            # joined_at was set at arrival, which is now
-            self.store.entry.append(payload)
+            model.end_job(now)
+            idle = True
+        elif kind == M_REQUEST_ENTRY:
+            idle = model.join(payload, self.store.entry, now)
         elif kind == M_REQUEST_RETURN:
-            payload.joined_at = now
-            self.store.ret.append(payload)
+            idle = model.join(payload, self.store.ret, now)
         elif kind == M_REQUEST_HELP:
-            payload.joined_at = now
-            self.store.help.append(payload)
+            idle = model.join(payload, self.store.help, now)
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
-        if note is not None:
-            note(now)
-        if self.store.staff_since is None:
+        if idle:
             self.scan(now)
 
     def scan(self, now: float) -> None:
@@ -205,7 +191,6 @@ class StaffAgent:
         job, line = pick
         model = self.model
         c = model.start_job(job, line, now)
-        self.current_job = job
         model.msgs.append((c, M_SERVE, job))
 
 

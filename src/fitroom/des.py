@@ -49,11 +49,8 @@ class DesRun(Replication):
     def handle_arrival(self, _target, now: float) -> None:
         c = Customer(len(self.customers), now)
         self.arrive(c, now)
-        self.store.entry.append(c)
         c.awaiting_entry = True
-        if self.note is not None:
-            self.note(now)
-        if self.store.staff_since is None:
+        if self.join(c, self.store.entry, now):
             self.dispatch_staff(now)
 
     def dispatch_staff(self, now: float) -> None:
@@ -77,21 +74,14 @@ class DesRun(Replication):
             tr.append((now, L_ENTER, c.id))
         self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
                                              self.help_draws))
-        self.store.staff_done(now)
-        # a filled cubicle can only end congestion
-        if self.note is not None and self.ctl.congested:
-            self.note(now)
+        self.end_job(now)
         self.dispatch_staff(now)
 
     def request_help(self, c: Customer, now: float) -> None:
         tr = self.store.trace
         if tr is not None:
             tr.append((now, L_REQUEST_HELP, c.id))
-        c.joined_at = now
-        self.store.help.append(c)
-        if self.note is not None:
-            self.note(now)
-        if self.store.staff_since is None:
+        if self.join(c, self.store.help, now):
             self.dispatch_staff(now)
 
     def complete_job2(self, c: Customer, now: float) -> None:
@@ -99,7 +89,7 @@ class DesRun(Replication):
         if tr is not None:
             tr.append((now, L_END[JOB2], c.id))
         self.cal.schedule(now + c.fit_remaining, EV_FIT_DONE, c)
-        self.store.staff_done(now)
+        self.end_job(now)
         self.dispatch_staff(now)
 
     def leave_cubicle(self, c: Customer, now: float) -> None:
@@ -107,11 +97,7 @@ class DesRun(Replication):
         tr = self.store.trace
         if tr is not None:
             tr.append((now, L_LEAVE, c.id))
-        c.joined_at = now
-        self.store.ret.append(c)
-        if self.note is not None:
-            self.note(now)
-        if self.store.staff_since is None:
+        if self.join(c, self.store.ret, now):
             self.dispatch_staff(now)
 
     def complete_job3(self, c: Customer, now: float) -> None:
@@ -119,7 +105,7 @@ class DesRun(Replication):
         if tr is not None:
             tr.append((now, L_END[JOB3], c.id))
         c.disposition = SERVED
-        self.store.staff_done(now)
+        self.end_job(now)
         self.dispatch_staff(now)
 
     def renege(self, c: Customer, now: float) -> None:

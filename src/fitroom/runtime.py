@@ -64,7 +64,8 @@ class Customer:
 class Replication:
     """One replication of either model: its calendar, draws, pace and
     policy, the loop that runs it, and the steps both models take: arrival,
-    job start, fitting start, renege and the close of day.
+    joining a staff queue, job start and end, fitting start, renege and the
+    close of day.
 
     A model's event handlers (``handlers``) call those steps; its arrival
     handler makes the customer and lets ``arrive`` record it first.  The
@@ -83,12 +84,12 @@ class Replication:
     drawn once.  Each stream's reader, from its first draw, is kept where
     it is read: job durations in ``table``, revert delays and poll
     intervals in ``ctl``, the rest here (``patience`` is None if patience
-    is infinite).
+    is infinite).  ``job`` is the staff's job in hand, or the last one.
     """
 
     __slots__ = ("cfg", "arrivals", "patience", "fitting", "help_draws", "cal",
                  "store", "customers", "msgs", "table", "ctl", "note",
-                 "next_arrival", "pending_job", "__weakref__")
+                 "next_arrival", "pending_job", "job", "__weakref__")
 
     def __init__(self, cfg, draws: ReplicationDraws,
                  trace: list | None = None) -> None:
@@ -106,6 +107,7 @@ class Replication:
         self.msgs: deque = deque()
         self.next_arrival = NEVER
         self.pending_job = NEVER
+        self.job = 0
         self.table = ServiceTimeTable(
             values(seed, "job1", cfg.job1), values(seed, "job2", cfg.job2),
             values(seed, "job3", cfg.job3), cfg.speedup_fraction)
@@ -205,6 +207,17 @@ class Replication:
         if nxt is not None:
             self.next_arrival = self.cal.stamp(nxt, EV_ARRIVAL)
 
+    def join(self, c: Customer, line: deque, now: float) -> bool:
+        """``c`` joins the staff's ``line``.  A longer queue can make the
+        store congested, so an event-driven policy is told every time.
+        Returns whether the staff is idle; the model then sends them to
+        look for a job."""
+        c.joined_at = now
+        line.append(c)
+        if self.note is not None:
+            self.note(now)
+        return self.store.staff_since is None
+
     def start_job(self, job: int, line: deque, now: float):
         """Start the staff on ``job`` for the head of ``line``, who is
         returned; the job's completion is an ``EV_JOB_DONE[job]`` event.
@@ -222,8 +235,20 @@ class Replication:
         if tr is not None:
             tr.append((now, L_START[job], c.id))
         st.staff_since = now
+        self.job = job
         self.pending_job = self.cal.stamp(now + dur, EV_JOB_DONE[job], c)
         return c
+
+    def end_job(self, now: float) -> None:
+        """The staff ends the job in hand: stop the busy clock.  Job 1 ends
+        with a cubicle filling up, which can only end congestion, so the
+        policy is told then, and only while the store was congested; jobs
+        2 and 3 change no queue or cubicle."""
+        st = self.store
+        st.staff_busy += now - st.staff_since
+        st.staff_since = None
+        if self.job == JOB1 and self.note is not None and self.ctl.congested:
+            self.note(now)
 
     def start_fitting(self, c: Customer, now: float, helped: bool) -> None:
         """Start ``c``'s fitting; one who wants help (``helped``, the
@@ -284,9 +309,9 @@ class Store:
     ``occupied`` is the run's one count of cubicles in use, out of
     ``capacity``; ``cubicle_change`` moves it and keeps the occupancy clock.
     The staff's busy clock runs while ``staff_since``, the time the current
-    job began, is set; it is None while the staff is idle.  A model sets it
-    when a job starts and calls ``staff_done`` when it ends.  ``trace`` is
-    the optional event trace.
+    job began, is set; it is None while the staff is idle.
+    ``Replication.start_job`` starts it and ``Replication.end_job`` stops
+    it.  ``trace`` is the optional event trace.
     """
 
     __slots__ = ("entry", "help", "ret", "gone", "capacity", "occupied",
@@ -310,16 +335,13 @@ class Store:
         self.occupied += delta
         self._occ_since = now
 
-    def staff_done(self, now: float) -> None:
-        self.staff_busy += now - self.staff_since
-        self.staff_since = None
-
     def flush(self, horizon: float) -> None:
         """Close both clocks at the horizon."""
         self.occ_minutes += self.occupied * (horizon - self._occ_since)
         self._occ_since = horizon
         if self.staff_since is not None:
-            self.staff_done(horizon)
+            self.staff_busy += horizon - self.staff_since
+            self.staff_since = None
 
 
 def select_service(store: Store) -> tuple[int, deque] | None:

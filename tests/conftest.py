@@ -5,8 +5,13 @@ import os
 import weakref
 
 import pytest
+from hypothesis import Phase, settings
 
 from fitroom.engine import RandomStreams
+
+# tests/mutants.py selects this profile: a mutant is killed by its first
+# failing example, so shrinking that example only costs time
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate))
 
 
 class Block(list):

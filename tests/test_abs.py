@@ -21,8 +21,8 @@ from fitroom.engine import (ArrivalProfile, DistributionSpec, EventCalendar, Mod
 from fitroom.harness import MODEL_ORDER, _runner
 from fitroom.proactive import EV_POLL, EV_REVERT, ProactivePolicy, SpeedupController
 from fitroom.runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE, EV_PATIENCE,
-                             IN_SYSTEM, JOB1, RENEGED, Customer, Replication, Store,
-                             select_service)
+                             IN_SYSTEM, JOB1, JOB2, JOB3, RENEGED, Customer, Replication,
+                             Store, select_service)
 from fitroom.stats import RunMetrics
 from helpers import stochastic_scenarios, traced
 
@@ -212,6 +212,51 @@ def test_starting_a_staff_job(model):
             run.start_job(JOB1, run.store.entry, 5.0)
         assert list(run.store.entry) == [second] and second.wait == 0.0
         assert noted == told
+
+
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_joining_a_staff_queue(model, monkeypatch):
+    # the shared step: the customer is stamped and queued, an event-driven
+    # policy is told of the longer queue each time (a polling or disabled
+    # one never is), and the caller learns whether the staff is idle
+    noted = []
+    monkeypatch.setattr(SpeedupController, "note_change",
+                        lambda ctl, now: noted.append(now))
+    for policy, told in (
+            (ProactivePolicy(), [2.0, 3.0]),
+            (ProactivePolicy(check_interval=DistributionSpec.deterministic(15.0)), []),
+            (ProactivePolicy(enabled=False), [])):
+        noted.clear()
+        run = model(replace(ScenarioConfig(replications=1), proactive=policy),
+                    ReplicationDraws(0))
+        first, second = Customer(0, 1.0), Customer(1, 1.0)
+        assert run.join(first, run.store.help, 2.0) is True
+        assert first.joined_at == 2.0 and list(run.store.help) == [first]
+        assert noted == told[:1]
+        run.store.staff_since = 2.5
+        assert run.join(second, run.store.help, 3.0) is False
+        assert second.joined_at == 3.0 and list(run.store.help) == [first, second]
+        assert noted == told
+
+
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_ending_a_staff_job(model):
+    # the shared step: the busy clock stops, and the policy is told only
+    # after job 1, whose end fills a cubicle and so can only end
+    # congestion, and only while the store was congested
+    for job in (JOB1, JOB2, JOB3):
+        for congested in (False, True):
+            noted = []
+            run = model(ScenarioConfig(replications=1), ReplicationDraws(0))
+            run.note = noted.append
+            line = (None, run.store.entry, run.store.help, run.store.ret)[job]
+            line.append(Customer(0, 1.0))
+            run.start_job(job, line, 4.0)
+            run.store.staff_busy = 10.0
+            run.ctl.congested = congested
+            run.end_job(6.5)
+            assert run.store.staff_busy == 12.5 and run.store.staff_since is None
+            assert noted == ([6.5] if job == JOB1 and congested else []), (job, congested)
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_ORDER))

@@ -14,6 +14,8 @@ match byte for byte.
 
 The staff's queues and the fitting room's cubicles are fields of the run's
 one ``Store`` (runtime.py), which the service rule and the policy read too.
+The room's agent only passes messages: the store's ``enter`` and ``leave``
+count the cubicles taken, keep their clock and trace each move.
 
 A customer whose patience runs out takes the shared renege step and sends
 no message: they stay in the staff's entry queue, and the staff learns of
@@ -25,9 +27,8 @@ from __future__ import annotations
 from .config import ScenarioConfig
 from .engine import ModelError, ReplicationDraws, bernoulli
 from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE,
-                      EV_PATIENCE, IN_SYSTEM, JOB1, JOB2, JOB3, L_END, L_ENTER,
-                      L_LEAVE, L_REQUEST_HELP, SERVED, Customer, Replication,
-                      select_service)
+                      EV_PATIENCE, IN_SYSTEM, L_END, L_REQUEST_HELP, Customer,
+                      Replication, select_service)
 from .stats import RunMetrics
 
 # customer states
@@ -94,30 +95,21 @@ class CustomerAgent(Customer):
     # -- timers ----------------------------------------------------------
 
     def svc_done(self, now: float) -> None:
-        """The staff finished whatever job this customer was receiving."""
+        """The staff finished this customer's job.  After entry service they
+        ask the room for a cubicle and tell the staff once it is granted;
+        after help or return they move on and tell the staff now, whose
+        ``end_job`` resumes their fitting or marks them served."""
         model = self.model
-        st = self.state
         tr = model.store.trace
-        if st == IN_ENTRY_SERVICE:
-            if tr is not None:
-                tr.append((now, L_END[JOB1], self.id))
+        if tr is not None:
+            tr.append((now, L_END[model.job], self.id))
+        if self.state == IN_ENTRY_SERVICE:
             self.post((model.room, M_REQUEST_CUBICLE, self))
-        elif st == IN_HELP_SERVICE:
-            if tr is not None:
-                tr.append((now, L_END[JOB2], self.id))
-            model.cal.schedule(now + self.fit_remaining, EV_FIT_DONE, self)
-            self._transition(FITTING)
-            self.post((model.staff, M_SERVICE_DONE, self))
-        elif st == IN_RETURN_SERVICE:
-            if tr is not None:
-                tr.append((now, L_END[JOB3], self.id))
-            self.disposition = SERVED
-            self._transition(SERVED_STATE)
-            self.post((model.staff, M_SERVICE_DONE, self))
         else:
-            raise ModelError(
-                f"customer {self.id}: service completion while {STATE_NAMES[st]}"
-            )
+            # the chart refuses both moves from any state but the service
+            # that leads to them
+            self._transition(FITTING if self.state == IN_HELP_SERVICE else SERVED_STATE)
+            self.post((model.staff, M_SERVICE_DONE, self))
 
     def help_due(self, now: float) -> None:
         model = self.model
@@ -170,7 +162,7 @@ class StaffAgent:
     def handle(self, kind: str, payload, now: float) -> None:
         model = self.model
         if kind == M_SERVICE_DONE:
-            model.end_job(now)
+            model.end_job(payload, now)
             idle = True
         elif kind == M_REQUEST_ENTRY:
             idle = model.join(payload, self.store.entry, now)
@@ -195,8 +187,10 @@ class StaffAgent:
 
 
 class FittingRoomAgent:
-    """The bank of cubicles: grants one while any is free.  The run's one
-    count of those taken is ``store.occupied``."""
+    """The bank of cubicles: grants one by message on request and takes it
+    back on release.  The bank itself is the run's ``store``, whose
+    ``enter`` and ``leave`` keep its count and refuse a request while
+    every cubicle is taken."""
 
     __slots__ = ("post", "store")
 
@@ -206,22 +200,10 @@ class FittingRoomAgent:
 
     def handle(self, kind: str, payload, now: float) -> None:
         if kind == M_REQUEST_CUBICLE:
-            st = self.store
-            if st.occupied >= st.capacity:
-                # entry service only starts while a cubicle is free, and the
-                # single staff member cannot start another entry in between
-                raise ModelError("cubicle requested with none free")
-            st.cubicle_change(now, 1)
-            tr = st.trace
-            if tr is not None:
-                tr.append((now, L_ENTER, payload.id))
+            self.store.enter(payload, now)
             self.post((payload, M_CUBICLE_GRANTED, None))
         elif kind == M_CUBICLE_RELEASED:
-            st = self.store
-            st.cubicle_change(now, -1)
-            tr = st.trace
-            if tr is not None:
-                tr.append((now, L_LEAVE, payload.id))
+            self.store.leave(payload, now)
         else:
             raise ModelError(f"fitting room: unexpected message {kind!r}")
 

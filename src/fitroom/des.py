@@ -19,8 +19,8 @@ from __future__ import annotations
 from .config import ScenarioConfig
 from .engine import ReplicationDraws, bernoulli
 from .runtime import (Customer as _Customer, EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE,
-                      EV_JOB_DONE, EV_PATIENCE, JOB1, JOB2, JOB3, L_END, L_ENTER,
-                      L_LEAVE, L_REQUEST_HELP, SERVED, Replication, select_service)
+                      EV_JOB_DONE, EV_PATIENCE, JOB1, L_END, L_REQUEST_HELP,
+                      Replication, select_service)
 from .stats import RunMetrics
 
 
@@ -39,9 +39,7 @@ class DesRun(Replication):
         return {
             EV_ARRIVAL: self.handle_arrival,
             EV_PATIENCE: self.renege,
-            EV_JOB_DONE[JOB1]: self.complete_job1,
-            EV_JOB_DONE[JOB2]: self.complete_job2,
-            EV_JOB_DONE[JOB3]: self.complete_job3,
+            **dict.fromkeys(EV_JOB_DONE[1:], self.complete_job),
             EV_HELP_DUE: self.request_help,
             EV_FIT_DONE: self.leave_cubicle,
         }
@@ -63,18 +61,18 @@ class DesRun(Replication):
         if job == JOB1:
             c.awaiting_entry = False
 
-    def complete_job1(self, c: Customer, now: float) -> None:
+    def complete_job(self, c: Customer, now: float) -> None:
+        job = self.job
         tr = self.store.trace
         if tr is not None:
-            tr.append((now, L_END[JOB1], c.id))
-        # entry service ends with the customer stepping into a cubicle,
-        # reserved for them when the job was dispatched
-        self.store.cubicle_change(now, 1)
-        if tr is not None:
-            tr.append((now, L_ENTER, c.id))
-        self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
-                                             self.help_draws))
-        self.end_job(now)
+            tr.append((now, L_END[job], c.id))
+        if job == JOB1:
+            # entry service ends with the customer stepping into a cubicle,
+            # reserved for them when the job was dispatched
+            self.store.enter(c, now)
+            self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
+                                                 self.help_draws))
+        self.end_job(c, now)
         self.dispatch_staff(now)
 
     def request_help(self, c: Customer, now: float) -> None:
@@ -84,29 +82,10 @@ class DesRun(Replication):
         if self.join(c, self.store.help, now):
             self.dispatch_staff(now)
 
-    def complete_job2(self, c: Customer, now: float) -> None:
-        tr = self.store.trace
-        if tr is not None:
-            tr.append((now, L_END[JOB2], c.id))
-        self.cal.schedule(now + c.fit_remaining, EV_FIT_DONE, c)
-        self.end_job(now)
-        self.dispatch_staff(now)
-
     def leave_cubicle(self, c: Customer, now: float) -> None:
-        self.store.cubicle_change(now, -1)
-        tr = self.store.trace
-        if tr is not None:
-            tr.append((now, L_LEAVE, c.id))
+        self.store.leave(c, now)
         if self.join(c, self.store.ret, now):
             self.dispatch_staff(now)
-
-    def complete_job3(self, c: Customer, now: float) -> None:
-        tr = self.store.trace
-        if tr is not None:
-            tr.append((now, L_END[JOB3], c.id))
-        c.disposition = SERVED
-        self.end_job(now)
-        self.dispatch_staff(now)
 
     def renege(self, c: Customer, now: float) -> None:
         if not c.awaiting_entry:

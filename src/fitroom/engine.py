@@ -210,6 +210,13 @@ class DistributionSpec:
             raise ValueError("uniform requires low <= high")
         if self.family == "triangular" and not (p[0] <= p[1] <= p[2]):
             raise ValueError("triangular requires low <= mode <= high")
+        # each family's inverse CDF runs monotonically between its values at
+        # the least and the greatest uniform random() returns, so every draw
+        # is finite once those two are
+        ends = type(self).values((self.family, p), (0.0, 1.0 - 2.0 ** -53))
+        if not all(map(math.isfinite, ends)):
+            raise ValueError(f"{self.family} parameters {p} must give finite "
+                             f"values, not {ends[0]!r} and {ends[1]!r}")
         return self.family, p
 
     @classmethod

@@ -239,15 +239,21 @@ class Replication:
         self.pending_job = self.cal.stamp(now + dur, EV_JOB_DONE[job], c)
         return c
 
-    def end_job(self, now: float) -> None:
-        """The staff ends the job in hand: stop the busy clock.  Job 1 ends
-        with a cubicle filling up, which can only end congestion, so the
-        policy is told then, and only while the store was congested; jobs
-        2 and 3 change no queue or cubicle."""
+    def end_job(self, c: Customer, now: float) -> None:
+        """The staff ends the job in hand for ``c``: stop the busy clock.
+        After help (job 2) ``c``'s fitting resumes; after return (job 3)
+        they are served.  Job 1 ends with ``c`` filling a cubicle, which can
+        only end congestion, so the policy is told then, and only while the
+        store was congested; jobs 2 and 3 change no queue or cubicle."""
         st = self.store
         st.staff_busy += now - st.staff_since
         st.staff_since = None
-        if self.job == JOB1 and self.note is not None and self.ctl.congested:
+        job = self.job
+        if job == JOB2:
+            self.cal.schedule(now + c.fit_remaining, EV_FIT_DONE, c)
+        elif job == JOB3:
+            c.disposition = SERVED
+        elif self.note is not None and self.ctl.congested:
             self.note(now)
 
     def start_fitting(self, c: Customer, now: float, helped: bool) -> None:
@@ -307,7 +313,8 @@ class Store:
     and ``ret`` (return); ``gone`` counts the reneged customers still in
     ``entry``, so the entry queue's live length is ``len(entry) - gone``.
     ``occupied`` is the run's one count of cubicles in use, out of
-    ``capacity``; ``cubicle_change`` moves it and keeps the occupancy clock.
+    ``capacity``; a customer's ``enter`` and ``leave`` move it, keep the
+    occupancy clock and trace the move.
     The staff's busy clock runs while ``staff_since``, the time the current
     job began, is set; it is None while the staff is idle.
     ``Replication.start_job`` starts it and ``Replication.end_job`` stops
@@ -330,10 +337,28 @@ class Store:
         self.staff_since = None
         self.trace = trace
 
-    def cubicle_change(self, now: float, delta: int) -> None:
-        self.occ_minutes += self.occupied * (now - self._occ_since)
-        self.occupied += delta
+    def enter(self, c: Customer, now: float) -> None:
+        """``c`` takes a cubicle at the end of their entry service.  Entry
+        service only starts while a cubicle is free, and the single staff
+        member cannot start another entry in between, so a full bank here
+        is a wiring bug."""
+        n = self.occupied
+        if n >= self.capacity:
+            raise ModelError("cubicle requested with none free")
+        self.occ_minutes += n * (now - self._occ_since)
+        self.occupied = n + 1
         self._occ_since = now
+        if self.trace is not None:
+            self.trace.append((now, L_ENTER, c.id))
+
+    def leave(self, c: Customer, now: float) -> None:
+        """``c``'s fitting is done and their cubicle is free again."""
+        n = self.occupied
+        self.occ_minutes += n * (now - self._occ_since)
+        self.occupied = n - 1
+        self._occ_since = now
+        if self.trace is not None:
+            self.trace.append((now, L_LEAVE, c.id))
 
     def flush(self, horizon: float) -> None:
         """Close both clocks at the horizon."""

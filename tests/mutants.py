@@ -41,15 +41,26 @@ VERDICT = "tests/test_proactive.py::test_the_stored_verdict_is_the_rule_at_every
 STAMPS = "tests/test_abs.py::test_a_day_stamps_at_most_14_events_per_arrival_and_2_per_poll"
 C1_RULES = "tests/test_acceptance.py::test_c1_scenarios_keep_the_store_rules"
 C3 = "tests/test_acceptance.py::test_c3_degenerate_scenarios_replay_identically"
+ENDING = "tests/test_abs.py::test_ending_a_staff_job"
 RENEGE_QUEUE = ("tests/test_abs.py::"
                 "test_reneged_customers_stay_in_the_entry_queue_until_its_head")
 
 MUTANTS = (
     Mutant("end_job_never_tells_the_policy", "src/fitroom/runtime.py",
-           "if self.job == JOB1 and self.note is not None and self.ctl.congested:",
-           "if False:",
+           "elif self.note is not None and self.ctl.congested:",
+           "elif False:",
            (VERDICT,
             "tests/test_abs.py::test_waits_cut_off_at_closing_are_charged_in_every_queue"),
+           True),
+    Mutant("help_never_resumes_the_fitting", "src/fitroom/runtime.py",
+           "            self.cal.schedule(now + c.fit_remaining, EV_FIT_DONE, c)\n",
+           "            pass\n",
+           (ENDING + "[DesRun]", ENDING + "[AbsRun]"),
+           True),
+    Mutant("return_never_serves", "src/fitroom/runtime.py",
+           "            c.disposition = SERVED\n",
+           "            pass\n",
+           (ENDING + "[DesRun]", ENDING + "[AbsRun]"),
            True),
     Mutant("join_never_tells_the_policy", "src/fitroom/runtime.py",
            "        line.append(c)\n"
@@ -131,6 +142,20 @@ MUTANTS = (
            "        self.occ_minutes += self.occupied * (horizon - self._occ_since)\n",
            "",
            (C1_RULES, C3),
+           True),
+    Mutant("full_bank_not_refused", "src/fitroom/runtime.py",
+           "        if n >= self.capacity:\n"
+           "            raise ModelError(\"cubicle requested with none free\")\n",
+           "",
+           ("tests/test_des.py::"
+            "test_entry_service_ending_with_every_cubicle_full_is_a_model_error",
+            "tests/test_abs.py::test_grant_with_no_free_cubicle_is_a_model_error"),
+           True),
+    Mutant("leave_keeps_the_cubicle", "src/fitroom/runtime.py",
+           "        self.occupied = n - 1\n",
+           "        self.occupied = n\n",
+           ("tests/test_des.py::test_utilization_ratios_from_telemetry",
+            "tests/test_abs.py::test_cubicles_are_granted_by_message_while_one_is_free"),
            True),
     Mutant("reneged_head_not_popped", "src/fitroom/runtime.py",
            "    while store.gone and q[0].disposition == RENEGED:\n"

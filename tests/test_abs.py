@@ -21,8 +21,8 @@ from fitroom.engine import (ArrivalProfile, DistributionSpec, EventCalendar, Mod
 from fitroom.harness import MODEL_ORDER, _runner
 from fitroom.proactive import EV_POLL, EV_REVERT, ProactivePolicy, SpeedupController
 from fitroom.runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE, EV_PATIENCE,
-                             IN_SYSTEM, JOB1, JOB2, JOB3, RENEGED, Customer, Replication,
-                             Store, select_service)
+                             IN_SYSTEM, JOB1, JOB2, JOB3, RENEGED, SERVED, Customer,
+                             Replication, Store, select_service)
 from fitroom.stats import RunMetrics
 from helpers import stochastic_scenarios, traced
 
@@ -241,22 +241,29 @@ def test_joining_a_staff_queue(model, monkeypatch):
 
 @pytest.mark.parametrize("model", [DesRun, AbsRun])
 def test_ending_a_staff_job(model):
-    # the shared step: the busy clock stops, and the policy is told only
-    # after job 1, whose end fills a cubicle and so can only end
-    # congestion, and only while the store was congested
+    # the shared step: the busy clock stops; after help (job 2) the
+    # customer's fitting resumes for what is left of it, after return
+    # (job 3) they are served; the policy is told only after job 1, whose
+    # end fills a cubicle and so can only end congestion, and only while
+    # the store was congested
     for job in (JOB1, JOB2, JOB3):
         for congested in (False, True):
             noted = []
             run = model(ScenarioConfig(replications=1), ReplicationDraws(0))
             run.note = noted.append
             line = (None, run.store.entry, run.store.help, run.store.ret)[job]
-            line.append(Customer(0, 1.0))
+            c = Customer(0, 1.0)
+            c.fit_remaining = 2.0
+            line.append(c)
             run.start_job(job, line, 4.0)
             run.store.staff_busy = 10.0
             run.ctl.congested = congested
-            run.end_job(6.5)
+            run.end_job(c, 6.5)
             assert run.store.staff_busy == 12.5 and run.store.staff_since is None
             assert noted == ([6.5] if job == JOB1 and congested else []), (job, congested)
+            resumed = [(t, kind, who) for t, _, kind, who in run.cal._heap]
+            assert resumed == ([(8.5, EV_FIT_DONE, c)] if job == JOB2 else []), job
+            assert c.disposition == (SERVED if job == JOB3 else IN_SYSTEM), job
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_ORDER))
@@ -552,8 +559,8 @@ def test_serve_message_must_match_waiting_state():
     c._transition(agents.WAITING_ENTRY)
     # serving job 3 to someone waiting for entry is a wiring bug
     with pytest.raises(ModelError, match="illegal transition"):
-        c.handle(agents.M_SERVE, agents.JOB3, 0.0)
-    c.handle(agents.M_SERVE, agents.JOB1, 0.0)
+        c.handle(agents.M_SERVE, JOB3, 0.0)
+    c.handle(agents.M_SERVE, JOB1, 0.0)
     assert c.state == agents.IN_ENTRY_SERVICE
 
 
@@ -568,7 +575,7 @@ def test_stale_patience_timer_is_harmless():
     model = fresh_model()
     c = CustomerAgent(0, 0.0, model)
     c._transition(agents.WAITING_ENTRY)
-    c.handle(agents.M_SERVE, agents.JOB1, 0.0)
+    c.handle(agents.M_SERVE, JOB1, 0.0)
     before = c.state
     c.patience_expired(5.0)  # fired after service began; must do nothing
     assert c.state == before and c.disposition == agents.IN_SYSTEM
@@ -583,7 +590,7 @@ def test_cubicles_are_granted_by_message_while_one_is_free():
     cs = [CustomerAgent(i, 0.0, model) for i in range(3)]
     for c in cs:
         c._transition(agents.WAITING_ENTRY)
-        c.handle(agents.M_SERVE, agents.JOB1, 0.0)
+        c.handle(agents.M_SERVE, JOB1, 0.0)
 
     room.handle(agents.M_REQUEST_CUBICLE, cs[0], 0.0)
     room.handle(agents.M_REQUEST_CUBICLE, cs[1], 0.0)

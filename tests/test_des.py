@@ -8,11 +8,11 @@ from dataclasses import replace
 import pytest
 
 from fitroom.config import ScenarioConfig
-from fitroom.des import Customer, run_des
-from fitroom.engine import DistributionSpec, ReplicationDraws
+from fitroom.des import Customer, DesRun, run_des
+from fitroom.engine import DistributionSpec, ModelError, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
-from fitroom.runtime import (JOB1, JOB2, JOB3, RENEGED, SERVED, Store, build_metrics,
-                             select_service)
+from fitroom.runtime import (EV_JOB_DONE, JOB1, JOB2, JOB3, RENEGED, SERVED, Store,
+                             build_metrics, select_service)
 from helpers import traced
 
 
@@ -152,6 +152,20 @@ def test_the_entry_head_waits_while_no_cubicle_is_free():
     assert select_service(Store(8)) is None
 
 
+def test_entry_service_ending_with_every_cubicle_full_is_a_model_error():
+    # entry service starts only while a cubicle is free, so one that ends
+    # with the bank full is a wiring bug, refused as the agent model's
+    # room refuses it
+    run = DesRun(small_cfg(cubicles=1), ReplicationDraws(0))
+    run.store.enter(Customer(0, 0.0), 0.5)
+    c = Customer(1, 1.0)
+    run.store.entry.append(c)
+    run.start_job(JOB1, run.store.entry, 1.0)
+    with pytest.raises(ModelError, match="none free"):
+        run.handlers()[EV_JOB_DONE[JOB1]](c, 1.5)
+    assert run.store.occupied == 1
+
+
 # --- metric folding (unit level) ---------------------------------------------
 
 
@@ -186,9 +200,12 @@ def test_mean_wait_over_all_customers():
 def test_utilization_ratios_from_telemetry():
     store = Store(8)
     store.staff_busy = 240.0
-    store.cubicle_change(100.0, 1)   # one cubicle occupied from t=100
-    store.flush(480.0)               # ... through closing
+    store.enter(Customer(0, 90.0), 100.0)   # one cubicle occupied from t=100
+    visitor = Customer(1, 190.0)
+    store.enter(visitor, 200.0)             # a second from t=200 ...
+    store.leave(visitor, 300.0)             # ... to t=300
+    store.flush(480.0)                      # the first through closing
     m = build_metrics([], store, 5, 480.0, "served")
     assert m.staff_util == 0.5
-    assert m.cubicle_util == pytest.approx(380.0 / (8 * 480.0))
+    assert m.cubicle_util == pytest.approx((380.0 + 100.0) / (8 * 480.0))
     assert m.service_time_changes == 5

@@ -7,6 +7,8 @@ import statistics
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fitroom.engine import (
     BLOCK,
@@ -219,11 +221,32 @@ def test_triangular_mode_is_densest_region():
         ("exponential", (True,)),
         ("triangular", (0.0, True, 2.0)),
         ("exponential", ("2",)),
+        # parameters whose values overflow a float at an extreme draw
+        ("exponential", (1e-308,)),
+        ("triangular", (0.0, 1e308, 1.7e308)),
     ],
 )
 def test_invalid_distribution_parameters_raise(family, params):
     with pytest.raises(ValueError):
         DistributionSpec(family, params)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from(["exponential", "uniform", "triangular"]),
+       raw=st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=3, max_size=3),
+       us=st.lists(st.floats(0.0, 1.0 - 2.0 ** -53), max_size=20))
+def test_an_accepted_distribution_draws_only_finite_values(family, raw, us):
+    # the spec checks its values at the two extreme uniforms only; between
+    # them every value must be finite too
+    params = sorted(raw)[:{"exponential": 1, "uniform": 2, "triangular": 3}[family]]
+    if family == "exponential":
+        params = [abs(params[0])]
+    try:
+        spec = DistributionSpec(family, tuple(params))
+    except ValueError:
+        return
+    assert all(map(math.isfinite, spec.values(us)))
 
 
 # --- arrival process ----------------------------------------------------------

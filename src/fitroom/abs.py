@@ -129,10 +129,8 @@ class CustomerAgent(Customer):
         post((model.staff, M_REQUEST_RETURN, self))
 
     def patience_expired(self, now: float) -> None:
-        if self.state != WAITING_ENTRY:
-            return  # being (or already been) served; the timer is stale
-        self.model.record_renege(self, now)
-        self._transition(NOT_SERVED)
+        if self.model.renege(self, now):
+            self._transition(NOT_SERVED)
 
     # -- messages --------------------------------------------------------
 

@@ -18,16 +18,10 @@ from __future__ import annotations
 
 from .config import ScenarioConfig
 from .engine import ReplicationDraws, bernoulli
-from .runtime import (Customer as _Customer, EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE,
-                      EV_JOB_DONE, EV_PATIENCE, JOB1, L_END, L_REQUEST_HELP,
-                      Replication, select_service)
+from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE, EV_PATIENCE,
+                      JOB1, L_END, L_REQUEST_HELP, Customer, Replication,
+                      select_service)
 from .stats import RunMetrics
-
-
-class Customer(_Customer):
-    # set on arrival; false once entry service starts, so a patience timer
-    # that pops afterwards is stale
-    __slots__ = ("awaiting_entry",)
 
 
 class DesRun(Replication):
@@ -47,7 +41,6 @@ class DesRun(Replication):
     def handle_arrival(self, _target, now: float) -> None:
         c = Customer(len(self.customers), now)
         self.arrive(c, now)
-        c.awaiting_entry = True
         if self.join(c, self.store.entry, now):
             self.dispatch_staff(now)
 
@@ -57,9 +50,7 @@ class DesRun(Replication):
         if pick is None:
             return
         job, line = pick
-        c = self.start_job(job, line, now)
-        if job == JOB1:
-            c.awaiting_entry = False
+        self.start_job(job, line, now)
 
     def complete_job(self, c: Customer, now: float) -> None:
         job = self.job
@@ -86,11 +77,6 @@ class DesRun(Replication):
         self.store.leave(c, now)
         if self.join(c, self.store.ret, now):
             self.dispatch_staff(now)
-
-    def renege(self, c: Customer, now: float) -> None:
-        if not c.awaiting_entry:
-            return  # already being served; the timer is stale
-        self.record_renege(c, now)
 
 
 def run_des(cfg: ScenarioConfig, draws: ReplicationDraws,

@@ -41,12 +41,17 @@ class EventCalendar:
     keeps runs reproducible without relying on the targets being
     comparable.  The run loop pops the heap itself and keeps ``now`` in
     step.
+
+    At most ``limit`` events are stamped, so a model fault that keeps
+    stamping events raises a ModelError instead of running forever.  A run
+    sets the bound its day provably keeps (``runtime.Replication.run``).
     """
 
-    __slots__ = ("now", "_heap", "_seq")
+    __slots__ = ("now", "limit", "_heap", "_seq")
 
-    def __init__(self) -> None:
+    def __init__(self, limit: float = math.inf) -> None:
         self.now = 0.0
+        self.limit = limit
         self._heap: list[tuple] = []
         self._seq = 0
 
@@ -60,9 +65,11 @@ class EventCalendar:
         """
         if time < self.now:
             raise self._in_the_past(time, kind)
-        ev = (time, self._seq, kind, target)
-        self._seq += 1
-        return ev
+        seq = self._seq
+        if seq >= self.limit:
+            raise self._past_limit(kind)
+        self._seq = seq + 1
+        return (time, seq, kind, target)
 
     def schedule(self, time: float, kind: str, target: object = None) -> None:
         """Add an event to the heap, keyed as ``stamp`` keys it.  Stamped in
@@ -71,12 +78,20 @@ class EventCalendar:
         if time < self.now:
             raise self._in_the_past(time, kind)
         seq = self._seq
+        if seq >= self.limit:
+            raise self._past_limit(kind)
         self._seq = seq + 1
         heappush(self._heap, (time, seq, kind, target))
 
     def _in_the_past(self, time: float, kind: str) -> ModelError:
         return ModelError(
             f"cannot schedule {kind!r} at t={time}: clock already at {self.now}"
+        )
+
+    def _past_limit(self, kind: str) -> ModelError:
+        return ModelError(
+            f"cannot schedule {kind!r} at t={self.now}: the day has stamped its "
+            f"bound of {self.limit} events"
         )
 
 
@@ -369,12 +384,9 @@ class ReplicationDraws:
         """A reader of the stream's raw uniforms."""
         return RandomStream(self._iter_blocks(seed, purpose, None).__next__)
 
-    def arrivals(self, seed: int,
-                 profile: ArrivalProfile) -> Callable[[], float | None]:
-        """The day's arrival times in order, then None, one per call."""
-        return chain.from_iterable(self._day(seed, profile)).__next__
-
-    def _day(self, seed: int, profile: ArrivalProfile) -> Iterator[list]:
+    def arrivals(self, seed: int, profile: ArrivalProfile) -> list:
+        """The day's arrival times in order, then None; one list for every
+        reader, which must not change it."""
         key = (seed, profile)
         times = self._days.get(key)
         if times is None:
@@ -386,7 +398,7 @@ class ReplicationDraws:
                 t = profile.next_arrival(t, stream)
             times.append(None)
             self._days[key] = times
-        yield times
+        return times
 
     def _iter_blocks(self, seed: int, purpose: str,
                      spec: DistributionSpec | None) -> Iterator:

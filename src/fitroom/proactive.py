@@ -209,5 +209,7 @@ class SpeedupController:
         # else: superseded duplicate, drop it
 
     def handle_poll(self, _target, t: float) -> None:
+        # a poll handled may stamp two events: a revert and the next poll
+        self.calendar.limit += 2
         self.note_change(t)
         self.calendar.schedule(t + self.next_poll(), EV_POLL)

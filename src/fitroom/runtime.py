@@ -48,10 +48,11 @@ NEVER = (math.inf, -1, None, None)
 
 
 class Customer:
-    """What the shared steps read and write of a customer; each model's
-    customer adds its own fields."""
+    """What the shared steps read and write of a customer, ``awaiting_entry``
+    from arrival until a job starts for them; the agent model adds fields."""
 
-    __slots__ = ("id", "joined_at", "wait", "disposition", "fit_remaining")
+    __slots__ = ("id", "joined_at", "wait", "disposition", "fit_remaining",
+                 "awaiting_entry")
 
     def __init__(self, cid: int, now: float) -> None:
         self.id = cid
@@ -59,13 +60,14 @@ class Customer:
         self.wait = 0.0
         self.disposition = IN_SYSTEM
         self.fit_remaining = 0.0
+        self.awaiting_entry = True
 
 
 class Replication:
     """One replication of either model: its calendar, draws, pace and
     policy, the loop that runs it, and the steps both models take: arrival,
-    joining a staff queue, job start and end, fitting start, renege and the
-    close of day.
+    joining a staff queue, job start and end, fitting start, renege or the
+    drop of a stale patience timer, and the close of day.
 
     A model's event handlers (``handlers``) call those steps; its arrival
     handler makes the customer and lets ``arrive`` record it first.  The
@@ -95,13 +97,16 @@ class Replication:
                  trace: list | None = None) -> None:
         seed = cfg.master_seed
         values = draws.values
-        self.arrivals = draws.arrivals(seed, cfg.arrival)
+        day = draws.arrivals(seed, cfg.arrival)
+        self.arrivals = iter(day).__next__
         self.patience = (None if cfg.patience is None
                          else values(seed, "patience", cfg.patience))
         self.fitting = values(seed, "fitting", cfg.fitting)
         self.help_draws = draws.uniforms(seed, "help")
         self.cfg = cfg
-        self.cal = EventCalendar()
+        # run()'s bound, with no polls yet, for the day's len(day) - 1
+        # arrivals, a few of which may come after a horizon set early
+        self.cal = EventCalendar(14 * (len(day) - 1) + 2)
         self.store = Store(cfg.cubicles, trace)
         self.customers: list = []
         self.msgs: deque = deque()
@@ -133,7 +138,10 @@ class Replication:
 
         The work is linear in the day's arrivals A (``customers``) and the
         polls P it handles: the calendar stamps (``cal._seq``) at most
-        14 A + 2 P + 2 events, by counting what each can cause:
+        14 A + 2 P + 2 events, and refuses to stamp more (``cal.limit``), so
+        a model fault that keeps stamping events ends the run with a
+        ModelError.  The bound holds at every point of the day, with P the
+        polls handled so far, by counting what each can cause:
 
         - a customer's arrival, patience timer, three job ends, help due
           and fitting done, 7 A, and at most one arrival stamped past the
@@ -195,8 +203,8 @@ class Replication:
         """Record the arriving customer ``c``, start their patience timer and
         stamp the next arrival, in that order, which fixes each event's
         sequence number; the model then takes ``c`` in.  A patience timer
-        stays on the heap after its customer's entry service begins and
-        does nothing when it pops."""
+        stays on the heap after its customer's entry service begins, and
+        ``renege`` drops it when it pops."""
         self.customers.append(c)
         tr = self.store.trace
         if tr is not None:
@@ -221,11 +229,13 @@ class Replication:
     def start_job(self, job: int, line: deque, now: float):
         """Start the staff on ``job`` for the head of ``line``, who is
         returned; the job's completion is an ``EV_JOB_DONE[job]`` event.
-        The shorter line is noted only while the store was congested."""
+        From now on their patience timer is stale.  The shorter line is
+        noted only while the store was congested."""
         if self.pending_job is not NEVER:
             raise ModelError(f"cannot stamp {EV_JOB_DONE[job]!r}: the staff's "
                              f"{self.pending_job[2]!r} is still pending")
         c = line.popleft()
+        c.awaiting_entry = False
         c.wait += now - c.joined_at
         if self.note is not None and self.ctl.congested:
             self.note(now)
@@ -267,11 +277,12 @@ class Replication:
         else:
             self.cal.schedule(now + fit, EV_FIT_DONE, c)
 
-    def record_renege(self, c: Customer, now: float) -> None:
-        """``c``, waiting for entry service, reneges: charge their wait and
-        count them in ``store.gone``.  They stay in the entry deque, which
-        ``select_service`` pops them from once they reach its head, so a
-        renege costs the same whatever the queue's length.
+    def renege(self, c: Customer, now: float) -> bool:
+        """``c``'s patience runs out.  Unless a job has started for them,
+        which makes the timer stale, they renege (returns whether they do):
+        charge their wait and count them in ``store.gone``.  They stay in
+        the entry deque, which ``select_service`` pops them from once they
+        reach its head, so a renege costs the same whatever its length.
 
         The shorter live queue is noted only while the store was congested
         (see ``SpeedupController.note_change``).  The staff is not sent to
@@ -283,6 +294,8 @@ class Replication:
           frees) made them look again;
         - a renege frees no cubicle and adds nobody to a queue.
         """
+        if not c.awaiting_entry:
+            return False  # already being served; the timer is stale
         tr = self.store.trace
         if tr is not None:
             tr.append((now, L_RENEGE, c.id))
@@ -291,6 +304,7 @@ class Replication:
         self.store.gone += 1
         if self.note is not None and self.ctl.congested:
             self.note(now)
+        return True
 
     def finalize(self, horizon: float) -> RunMetrics:
         """Close the day: stop the clocks, charge customers still queued for

@@ -44,6 +44,9 @@ C3 = "tests/test_acceptance.py::test_c3_degenerate_scenarios_replay_identically"
 ENDING = "tests/test_abs.py::test_ending_a_staff_job"
 RENEGE_QUEUE = ("tests/test_abs.py::"
                 "test_reneged_customers_stay_in_the_entry_queue_until_its_head")
+STALE = "tests/test_abs.py::test_stale_patience_timer_is_harmless"
+TIED = ("tests/test_abs.py::"
+        "test_a_patience_deadline_tied_with_entry_service_goes_by_stamp_order")
 
 MUTANTS = (
     Mutant("end_job_never_tells_the_policy", "src/fitroom/runtime.py",
@@ -114,11 +117,23 @@ MUTANTS = (
            "            self.calendar.schedule(t + 1.0, EV_REVERT)\n",
            (STAMPS,),
            True),
-    Mutant("stale_patience_rearms", "src/fitroom/des.py",
-           "            return  # already being served; the timer is stale\n",
-           "            self.cal.schedule(now + 30.0, EV_PATIENCE, c)\n"
-           "            return\n",
+    # the revert due at the episode's end walks the chain to its own
+    # instant instead, forever; the calendar's bound ends the day
+    Mutant("revert_chain_never_ends", "src/fitroom/proactive.py",
+           "        if t == self.revert_at:\n",
+           "        if t != self.revert_at:\n",
            (STAMPS,),
+           True),
+    Mutant("stale_patience_rearms", "src/fitroom/runtime.py",
+           "            return False  # already being served; the timer is stale\n",
+           "            self.cal.schedule(now + 30.0, EV_PATIENCE, c)\n"
+           "            return False\n",
+           (STAMPS,),
+           True),
+    Mutant("start_job_keeps_the_customer_awaiting_entry", "src/fitroom/runtime.py",
+           "        c.awaiting_entry = False\n",
+           "",
+           (STALE, TIED, C1_RULES),
            True),
     Mutant("chart_lets_fitting_reach_served", "src/fitroom/abs.py",
            "FITTING: (\"Fitting\", (WAITING_HELP, WAITING_RETURN)),",

@@ -25,6 +25,7 @@ from fitroom.runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE, 
                              Replication, Store, select_service)
 from fitroom.stats import RunMetrics
 from helpers import stochastic_scenarios, traced
+from oracles import check_metrics, check_trace
 
 
 def cfg_variants():
@@ -186,6 +187,47 @@ def test_simultaneous_events_run_in_stamp_order(model, arrivals, at_three):
     assert [e for e in trace if e[0] == 3.0] == at_three
 
 
+def tied_patience():
+    """One cubicle, no help, no policy, and every duration and the patience
+    half a minute: whoever arrives at 1, while c0 fits from 1 to 1.5, runs
+    out of patience as the cubicle frees."""
+    half = DistributionSpec.deterministic(0.5)
+    return ScenarioConfig(replications=1, cubicles=1, job1=half, job3=half,
+                          fitting=half, patience=half, help_probability=0.0,
+                          proactive=ProactivePolicy(enabled=False))
+
+
+@pytest.mark.parametrize("arrivals, at_one_and_a_half, last", [
+    # c1's arrival at 1 is stamped when c0 arrives, before c0's entry end
+    # is, so c1's patience is stamped before c0's fitting end: c1 reneges,
+    # and the cubicle frees with nobody left to enter it
+    ([0.5, 1.0, None],
+     [(1.5, "renege", 1), (1.5, "leave_cubicle", 0), (1.5, "start_job3", 0)], "renege"),
+    # c2's arrival at 1 is stamped when c1 arrives, after c0's entry end
+    # is, so c0's fitting end is stamped first: the cubicle frees, c2's
+    # entry service starts, and their patience timer pops stale
+    ([0.5, 0.75, 1.0, None],
+     [(1.5, "leave_cubicle", 0), (1.5, "start_job1", 2)], "end_job3"),
+])
+def test_a_patience_deadline_tied_with_entry_service_goes_by_stamp_order(
+        arrivals, at_one_and_a_half, last):
+    cfg = tied_patience()
+    days = []
+    for model in (DesRun, AbsRun):
+        trace = []
+        run = model(cfg, ReplicationDraws(0), trace)
+        run.arrivals = iter(arrivals).__next__
+        metrics = run.run()
+        check_trace(trace, cfg.cubicles)
+        check_metrics(trace, cfg, metrics)
+        days.append((metrics, trace))
+    assert days[0] == days[1]
+    _, trace = days[0]
+    assert [e for e in trace if e[0] == 1.5] == at_one_and_a_half
+    # the one who arrives at 1 reneges, or is served: their return ends
+    assert {cid: label for _, label, cid in trace}[len(arrivals) - 2] == last
+
+
 @pytest.mark.parametrize("model", [DesRun, AbsRun])
 def test_starting_a_staff_job(model):
     # the shared step: the head of the line is charged its wait, the policy
@@ -314,9 +356,10 @@ class RenegeWatch:
     def check_gone(store):
         assert store.gone == sum(c.disposition == RENEGED for c in store.entry)
 
-    def record_renege(self, real):
-        def record(run, c, now):
-            real(run, c, now)
+    def renege(self, real):
+        def renege(run, c, now):
+            if not real(run, c, now):
+                return False
             st = run.store
             self.check_gone(st)
             if st.staff_since is None:
@@ -328,7 +371,8 @@ class RenegeWatch:
                 probe.gone = st.gone
                 probe.occupied = st.occupied
                 assert select_service(probe) is None
-        return record
+            return True
+        return renege
 
     def select_service(self, store):
         self.check_gone(store)
@@ -345,8 +389,7 @@ def test_reneged_customers_stay_in_the_entry_queue_until_its_head(cfg):
     for module, run in ((des, run_des), (agents, run_abs)):
         watch = RenegeWatch()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Replication, "record_renege",
-                       watch.record_renege(Replication.record_renege))
+            mp.setattr(Replication, "renege", watch.renege(Replication.renege))
             mp.setattr(module, "select_service", watch.select_service)
             traced(run, cfg)
 
@@ -408,8 +451,35 @@ def test_a_day_stamps_at_most_14_events_per_arrival_and_2_per_poll(cfg, rep):
             assert n <= shares[kind], (model.__name__, kind)
         assert run.cal._seq <= 7 * arrivals + 1 + polls.n + 1 + speedups.n, \
             model.__name__
+        # the bound the calendar held the day to: the day's arrivals count,
+        # those past the horizon too, and each poll handled raised it by 2
+        day = ReplicationDraws(rep).arrivals(cfg.master_seed, cfg.arrival)
+        assert run.cal.limit == 14 * (len(day) - 1) + 2 * polls.n + 2, model.__name__
         stamped.append(kinds)
     assert stamped[0] == stamped[1]
+
+
+@pytest.mark.parametrize("model", sorted(MODEL_ORDER))
+def test_a_day_past_its_stamp_bound_is_a_model_error(model, monkeypatch, capsys):
+    # a revert that walks its chain to the instant it fires at never lets
+    # the clock move on; the calendar's bound ends the day, and the command
+    # line exits 3 with one line naming the event and the bound
+    from fitroom.cli import main
+
+    def stuck(ctl, _target, t):
+        ctl.calendar.schedule(t, EV_REVERT)
+
+    monkeypatch.setattr(SpeedupController, "handle_revert", stuck)
+    cfg = ScenarioConfig(replications=1, master_seed=1)
+    run = _runner(model)
+    bound = 14 * (len(ReplicationDraws(0).arrivals(1, cfg.arrival)) - 1) + 2
+    with pytest.raises(ModelError, match=rf"^cannot schedule 'revert' at t=[0-9.]+: "
+                                         rf"the day has stamped its bound of {bound} events$"):
+        run(cfg, ReplicationDraws(0))
+    assert main(["run", "--model", model, "--replications", "1", "--seed", "1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("fitroom: cannot schedule 'revert' at t=")
+    assert err[0].endswith(f"its bound of {bound} events")
 
 
 def test_a_heavy_day_keeps_the_rules_while_reneged_customers_pile_up(monkeypatch):
@@ -572,13 +642,34 @@ def test_unknown_message_kind_is_rejected():
 
 
 def test_stale_patience_timer_is_harmless():
-    model = fresh_model()
-    c = CustomerAgent(0, 0.0, model)
-    c._transition(agents.WAITING_ENTRY)
-    c.handle(agents.M_SERVE, JOB1, 0.0)
-    before = c.state
-    c.patience_expired(5.0)  # fired after service began; must do nothing
-    assert c.state == before and c.disposition == agents.IN_SYSTEM
+    # a patience timer that pops once a job has started for its customer
+    # is stale: the model's handler leaves them be, and the shared renege
+    # step says it did nothing; one still waiting for entry reneges
+    for model in (DesRun, AbsRun):
+        trace = []
+        run = model(ScenarioConfig(replications=1), ReplicationDraws(0), trace)
+        expire = run.handlers()[EV_PATIENCE]
+        agents_run = model is AbsRun
+        if agents_run:
+            served, waiting = CustomerAgent(0, 0.0, run), CustomerAgent(1, 0.0, run)
+            for c in (served, waiting):
+                c._transition(agents.WAITING_ENTRY)
+        else:
+            served, waiting = Customer(0, 0.0), Customer(1, 0.0)
+        for c in (served, waiting):
+            run.join(c, run.store.entry, 0.0)
+        assert run.start_job(JOB1, run.store.entry, 1.0) is served
+        if agents_run:
+            served.handle(agents.M_SERVE, JOB1, 1.0)
+        expire(served, 5.0)  # fired after service began; must do nothing
+        assert run.renege(served, 5.0) is False
+        assert served.disposition == IN_SYSTEM and run.store.gone == 0, model.__name__
+        expire(waiting, 5.0)
+        assert waiting.disposition == RENEGED and run.store.gone == 1
+        assert trace == [(1.0, "start_job1", 0), (5.0, "renege", 1)]
+        if agents_run:
+            assert (served.state, waiting.state) == (agents.IN_ENTRY_SERVICE,
+                                                     agents.NOT_SERVED)
 
 
 # --- fitting room ----------------------------------------------------------------

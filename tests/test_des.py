@@ -8,11 +8,11 @@ from dataclasses import replace
 import pytest
 
 from fitroom.config import ScenarioConfig
-from fitroom.des import Customer, DesRun, run_des
+from fitroom.des import DesRun, run_des
 from fitroom.engine import DistributionSpec, ModelError, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
-from fitroom.runtime import (EV_JOB_DONE, JOB1, JOB2, JOB3, RENEGED, SERVED, Store,
-                             build_metrics, select_service)
+from fitroom.runtime import (EV_JOB_DONE, JOB1, JOB2, JOB3, RENEGED, SERVED, Customer,
+                             Store, build_metrics, select_service)
 from helpers import traced
 
 

@@ -65,6 +65,18 @@ def test_calendar_rejects_scheduling_into_the_past():
     cal.schedule(10.0, "z")
 
 
+def test_calendar_stamps_at_most_its_limit():
+    # a slot's stamp and a push count alike against the limit
+    cal = EventCalendar(2)
+    cal.stamp(1.0, "slot")
+    cal.schedule(2.0, "x")
+    for stamp in (cal.stamp, cal.schedule):
+        with pytest.raises(ModelError, match="^cannot schedule 'y' at t=0.0: the day has "
+                                             "stamped its bound of 2 events$"):
+            stamp(3.0, "y")
+    assert cal._seq == 2 and len(cal._heap) == 1
+
+
 def test_calendar_carries_target_through():
     cal = EventCalendar()
     payload = object()
@@ -478,15 +490,6 @@ def test_bernoulli_on_a_shared_reader_consumes_no_certain_draw(opened_streams):
     assert opened_streams == []
 
 
-def arrival_day(next_arrival):
-    day = []
-    t = next_arrival()
-    while t is not None:
-        day.append(t)
-        t = next_arrival()
-    return day
-
-
 def test_arrivals_are_worked_out_once_per_profile(opened_streams):
     base = ArrivalProfile((20.0, 34.0, 48.0, 56.0, 56.0, 48.0, 34.0, 20.0))
     hot = ArrivalProfile(base.hourly_rates, scale=1.3)
@@ -494,6 +497,6 @@ def test_arrivals_are_worked_out_once_per_profile(opened_streams):
     opened_streams.clear()
     draws = ReplicationDraws(4)
     for profile in (base, hot, base):
-        assert arrival_day(draws.arrivals(11, profile)) == want[profile]
+        assert draws.arrivals(11, profile) == [*want[profile], None]
     assert opened_streams == [(11, "arrivals", 4)]
 

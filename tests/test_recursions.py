@@ -67,7 +67,7 @@ def check_starts(cfg, rep, recursion, purpose, *args):
     arrivals and the ``purpose`` stream's values, up to the horizon."""
     draws = ReplicationDraws(rep)
     seed = cfg.master_seed
-    arrivals = list(iter(draws.arrivals(seed, cfg.arrival), None))
+    arrivals = draws.arrivals(seed, cfg.arrival)[:-1]
     spec = getattr(cfg, purpose)
     starts = recursion(arrivals, draws.values(seed, purpose, spec), *args)
     expected = [t for t in starts if t <= cfg.horizon]

@@ -27,8 +27,8 @@ from __future__ import annotations
 from .config import ScenarioConfig
 from .engine import ModelError, ReplicationDraws, bernoulli
 from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE,
-                      EV_PATIENCE, IN_SYSTEM, L_END, L_REQUEST_HELP, Customer,
-                      Replication, select_service)
+                      EV_PATIENCE, IN_SYSTEM, L_END, Customer, Replication,
+                      select_service)
 from .stats import RunMetrics
 
 # customer states
@@ -112,12 +112,9 @@ class CustomerAgent(Customer):
             self.post((model.staff, M_SERVICE_DONE, self))
 
     def help_due(self, now: float) -> None:
-        model = self.model
-        tr = model.store.trace
-        if tr is not None:
-            tr.append((now, L_REQUEST_HELP, self.id))
+        """Ask the staff for help; their ``ask_help`` traces the request."""
         self._transition(WAITING_HELP)
-        self.post((model.staff, M_REQUEST_HELP, self))
+        self.post((self.model.staff, M_REQUEST_HELP, self))
 
     def fit_done(self, now: float) -> None:
         model = self.model
@@ -167,21 +164,19 @@ class StaffAgent:
         elif kind == M_REQUEST_RETURN:
             idle = model.join(payload, self.store.ret, now)
         elif kind == M_REQUEST_HELP:
-            idle = model.join(payload, self.store.help, now)
+            idle = model.ask_help(payload, now)
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
         if idle:
             self.scan(now)
 
     def scan(self, now: float) -> None:
-        """Look for the next job under the shared service-order rule."""
-        pick = select_service(self.store)
-        if pick is None:
-            return
-        job, line = pick
+        """The staff's look: start the job ``select_service`` picks, if any,
+        and tell its customer."""
         model = self.model
-        c = model.start_job(job, line, now)
-        model.msgs.append((c, M_SERVE, job))
+        c = model.start_job(select_service(self.store), now)
+        if c is not None:
+            model.msgs.append((c, M_SERVE, model.job))
 
 
 class FittingRoomAgent:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from .config import ScenarioConfig
 from .engine import ReplicationDraws, bernoulli
 from .runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE, EV_PATIENCE,
-                      JOB1, L_END, L_REQUEST_HELP, Customer, Replication,
-                      select_service)
+                      JOB1, L_END, Customer, Replication, select_service)
 from .stats import RunMetrics
 
 
@@ -45,12 +44,8 @@ class DesRun(Replication):
             self.dispatch_staff(now)
 
     def dispatch_staff(self, now: float) -> None:
-        """Start the staff on the next job, if any is eligible."""
-        pick = select_service(self.store)
-        if pick is None:
-            return
-        job, line = pick
-        self.start_job(job, line, now)
+        """The staff's look: start the job ``select_service`` picks, if any."""
+        self.start_job(select_service(self.store), now)
 
     def complete_job(self, c: Customer, now: float) -> None:
         job = self.job
@@ -67,10 +62,7 @@ class DesRun(Replication):
         self.dispatch_staff(now)
 
     def request_help(self, c: Customer, now: float) -> None:
-        tr = self.store.trace
-        if tr is not None:
-            tr.append((now, L_REQUEST_HELP, c.id))
-        if self.join(c, self.store.help, now):
+        if self.ask_help(c, now):
             self.dispatch_staff(now)
 
     def leave_cubicle(self, c: Customer, now: float) -> None:

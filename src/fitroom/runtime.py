@@ -66,8 +66,9 @@ class Customer:
 class Replication:
     """One replication of either model: its calendar, draws, pace and
     policy, the loop that runs it, and the steps both models take: arrival,
-    joining a staff queue, job start and end, fitting start, renege or the
-    drop of a stale patience timer, and the close of day.
+    joining a staff queue, asking for help, the look that starts a job, job
+    end, fitting start, renege or the drop of a stale patience timer, and
+    the close of day.
 
     A model's event handlers (``handlers``) call those steps; its arrival
     handler makes the customer and lets ``arrive`` record it first.  The
@@ -226,11 +227,22 @@ class Replication:
             self.note(now)
         return self.store.staff_since is None
 
-    def start_job(self, job: int, line: deque, now: float):
-        """Start the staff on ``job`` for the head of ``line``, who is
-        returned; the job's completion is an ``EV_JOB_DONE[job]`` event.
-        From now on their patience timer is stale.  The shorter line is
-        noted only while the store was congested."""
+    def ask_help(self, c: Customer, now: float) -> bool:
+        """``c`` asks for help: trace the request, then ``join`` help's queue."""
+        tr = self.store.trace
+        if tr is not None:
+            tr.append((now, L_REQUEST_HELP, c.id))
+        return self.join(c, self.store.help, now)
+
+    def start_job(self, pick, now: float):
+        """The staff's look: ``pick`` is ``select_service``'s (job, line) or
+        None.  Start ``job`` for the head of ``line`` and return them, or
+        None if there is no pick; the job ends with an ``EV_JOB_DONE[job]``
+        event, and their patience timer is stale from now on.  The shorter
+        line is noted only while the store was congested."""
+        if pick is None:
+            return None
+        job, line = pick
         if self.pending_job is not NEVER:
             raise ModelError(f"cannot stamp {EV_JOB_DONE[job]!r}: the staff's "
                              f"{self.pending_job[2]!r} is still pending")

@@ -47,6 +47,8 @@ RENEGE_QUEUE = ("tests/test_abs.py::"
 STALE = "tests/test_abs.py::test_stale_patience_timer_is_harmless"
 TIED = ("tests/test_abs.py::"
         "test_a_patience_deadline_tied_with_entry_service_goes_by_stamp_order")
+LATTICE = "tests/test_abs.py::test_two_models_tell_the_same_story_on_lattice_days"
+ASK = "tests/test_abs.py::test_asking_for_help"
 
 MUTANTS = (
     Mutant("end_job_never_tells_the_policy", "src/fitroom/runtime.py",
@@ -129,6 +131,11 @@ MUTANTS = (
            "            self.cal.schedule(now + 30.0, EV_PATIENCE, c)\n"
            "            return False\n",
            (STAMPS,),
+           True),
+    Mutant("help_request_joins_the_return_queue", "src/fitroom/runtime.py",
+           "        return self.join(c, self.store.help, now)\n",
+           "        return self.join(c, self.store.ret, now)\n",
+           (ASK + "[DesRun]", ASK + "[AbsRun]", LATTICE),
            True),
     Mutant("start_job_keeps_the_customer_awaiting_entry", "src/fitroom/runtime.py",
            "        c.awaiting_entry = False\n",

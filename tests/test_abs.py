@@ -3,6 +3,7 @@ equivalence with the discrete-event model."""
 
 import functools
 import hashlib
+import random
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -21,8 +22,8 @@ from fitroom.engine import (ArrivalProfile, DistributionSpec, EventCalendar, Mod
 from fitroom.harness import MODEL_ORDER, _runner
 from fitroom.proactive import EV_POLL, EV_REVERT, ProactivePolicy, SpeedupController
 from fitroom.runtime import (EV_ARRIVAL, EV_FIT_DONE, EV_HELP_DUE, EV_JOB_DONE, EV_PATIENCE,
-                             IN_SYSTEM, JOB1, JOB2, JOB3, RENEGED, SERVED, Customer,
-                             Replication, Store, select_service)
+                             IN_SYSTEM, JOB1, JOB2, JOB3, NEVER, RENEGED, SERVED,
+                             Customer, Replication, Store, select_service)
 from fitroom.stats import RunMetrics
 from helpers import stochastic_scenarios, traced
 from oracles import check_metrics, check_trace
@@ -228,6 +229,74 @@ def test_a_patience_deadline_tied_with_entry_service_goes_by_stamp_order(
     assert {cid: label for _, label, cid in trace}[len(arrivals) - 2] == last
 
 
+class LatticeDraws(ReplicationDraws):
+    """Replication 0's draws with the day's arrival times set by hand, so
+    the calendar's limit is the day's own."""
+
+    __slots__ = ("day",)
+
+    def __init__(self, day: list) -> None:
+        super().__init__(0)
+        self.day = day
+
+    def arrivals(self, seed, profile) -> list:
+        return self.day
+
+
+def lattice_day(rng: random.Random):
+    """A short day on which events tie: one to six arrivals at whole
+    minutes 0-3, each duration 0, 1 or 2 minutes, help wanted by none or
+    by all, half-way through the fitting, and the policy off, event-driven
+    or polling every minute, its speed-up halving durations so times stay
+    on a half-minute lattice.  Returns the scenario, the arrival list and
+    the patience (None for infinite)."""
+    D = DistributionSpec.deterministic
+    minutes = lambda: D(float(rng.randint(0, 2)))
+    threshold = lambda: rng.randint(1, 2)
+    policy = rng.choice(("off", "event", "poll"))
+    patience = rng.choice((0.0, 1.0, 2.0, None))
+    cfg = ScenarioConfig(
+        replications=1, cubicles=rng.randint(1, 2), job1=minutes(), job2=minutes(),
+        job3=minutes(), fitting=minutes(), help_probability=rng.choice((0.0, 1.0)),
+        help_fraction=D(0.5), patience=None if patience is None else D(patience),
+        speedup_fraction=0.5, horizon=rng.choice((2.0, 5.0, 30.0)),
+        proactive=ProactivePolicy(
+            enabled=policy != "off", threshold_entry=threshold(),
+            threshold_return=threshold(), threshold_help=threshold(),
+            revert_delay=minutes(), check_interval=D(1.0) if policy == "poll" else None))
+    day = sorted(float(rng.randint(0, 3)) for _ in range(rng.randint(1, 6)))
+    return cfg, day + [None], patience
+
+
+def test_two_models_tell_the_same_story_on_lattice_days():
+    # whole-minute arrivals and durations tie events at every turn: two
+    # arrivals, a patience deadline and an entry start, a job's end and a
+    # poll.  Each tie goes by stamp order, and both models must keep it,
+    # keep the store's rules and the stamp bound of Replication.run
+    rng = random.Random(20240614)
+    deadline_ties = 0
+    for _ in range(300):
+        cfg, day, patience = lattice_day(rng)
+        days = []
+        for model in (DesRun, AbsRun):
+            trace = []
+            run = model(cfg, LatticeDraws(day), trace)
+            metrics = run.run()
+            check_trace(trace, cfg.cubicles)
+            check_metrics(trace, cfg, metrics)
+            # a poll each minute up to the horizon while polling
+            polls = int(cfg.horizon) if cfg.proactive.check_interval else 0
+            assert run.cal._seq <= 14 * len(run.customers) + 2 * polls + 2, cfg
+            days.append((metrics, trace))
+        assert days[0] == days[1], (cfg, day)
+        if patience is not None:
+            starts = {t for t, label, _ in trace if label == "start_job1"}
+            deadline_ties += any(t + patience in starts
+                                 for t, label, _ in trace if label == "arrival")
+    # the days this test is for: a deadline at the instant an entry starts
+    assert deadline_ties >= 50
+
+
 @pytest.mark.parametrize("model", [DesRun, AbsRun])
 def test_starting_a_staff_job(model):
     # the shared step: the head of the line is charged its wait, the policy
@@ -243,7 +312,10 @@ def test_starting_a_staff_job(model):
         run.ctl.congested = congested
         first, second = Customer(0, 1.0), Customer(1, 2.0)
         run.store.entry.extend([first, second])
-        assert run.start_job(JOB1, run.store.entry, 4.0) is first
+        # a look that found no job starts none
+        assert run.start_job(None, 3.0) is None
+        assert run.pending_job is NEVER and not trace and noted == []
+        assert run.start_job((JOB1, run.store.entry), 4.0) is first
         assert first.wait == 3.0 and list(run.store.entry) == [second]
         assert noted == told
         assert trace == [(4.0, "start_job1", 0)]
@@ -251,7 +323,7 @@ def test_starting_a_staff_job(model):
         assert run.pending_job[0] == 4.5 and run.pending_job[2:] == ("job1_done", first)
         # a second job while one is pending is a wiring bug; nobody is served
         with pytest.raises(ModelError, match="still pending"):
-            run.start_job(JOB1, run.store.entry, 5.0)
+            run.start_job((JOB1, run.store.entry), 5.0)
         assert list(run.store.entry) == [second] and second.wait == 0.0
         assert noted == told
 
@@ -282,6 +354,24 @@ def test_joining_a_staff_queue(model, monkeypatch):
 
 
 @pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_asking_for_help(model):
+    # the shared step: the request is traced, then the customer joins the
+    # help queue (stamped, the policy told), and the caller learns whether
+    # the staff is idle
+    trace, noted = [], []
+    run = model(ScenarioConfig(replications=1), ReplicationDraws(0), trace)
+    run.note = noted.append
+    first, second = Customer(0, 1.0), Customer(1, 1.0)
+    assert run.ask_help(first, 2.0) is True
+    run.store.staff_since = 2.5
+    assert run.ask_help(second, 3.0) is False
+    assert list(run.store.help) == [first, second] and not run.store.ret
+    assert (first.joined_at, second.joined_at) == (2.0, 3.0)
+    assert noted == [2.0, 3.0]
+    assert trace == [(2.0, "request_help", 0), (3.0, "request_help", 1)]
+
+
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
 def test_ending_a_staff_job(model):
     # the shared step: the busy clock stops; after help (job 2) the
     # customer's fitting resumes for what is left of it, after return
@@ -297,7 +387,7 @@ def test_ending_a_staff_job(model):
             c = Customer(0, 1.0)
             c.fit_remaining = 2.0
             line.append(c)
-            run.start_job(job, line, 4.0)
+            run.start_job((job, line), 4.0)
             run.store.staff_busy = 10.0
             run.ctl.congested = congested
             run.end_job(c, 6.5)
@@ -658,7 +748,7 @@ def test_stale_patience_timer_is_harmless():
             served, waiting = Customer(0, 0.0), Customer(1, 0.0)
         for c in (served, waiting):
             run.join(c, run.store.entry, 0.0)
-        assert run.start_job(JOB1, run.store.entry, 1.0) is served
+        assert run.start_job((JOB1, run.store.entry), 1.0) is served
         if agents_run:
             served.handle(agents.M_SERVE, JOB1, 1.0)
         expire(served, 5.0)  # fired after service began; must do nothing

@@ -160,7 +160,7 @@ def test_entry_service_ending_with_every_cubicle_full_is_a_model_error():
     run.store.enter(Customer(0, 0.0), 0.5)
     c = Customer(1, 1.0)
     run.store.entry.append(c)
-    run.start_job(JOB1, run.store.entry, 1.0)
+    run.start_job((JOB1, run.store.entry), 1.0)
     with pytest.raises(ModelError, match="none free"):
         run.handlers()[EV_JOB_DONE[JOB1]](c, 1.5)
     assert run.store.occupied == 1

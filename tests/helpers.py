@@ -1,6 +1,10 @@
 """Plain helpers shared by the test modules."""
 
 import heapq
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
@@ -8,6 +12,17 @@ from fitroom.config import ScenarioConfig
 from fitroom.engine import ArrivalProfile, DistributionSpec, ReplicationDraws
 from fitroom.proactive import ProactivePolicy
 from oracles import check_metrics, check_trace
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_python(*args, timeout=120):
+    """Run ``python *args`` in a new process that imports fitroom from this
+    checkout's ``src``, ahead of anything else on ``PYTHONPATH``, and return
+    the finished process with its output captured as text."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def pop_event(cal):

@@ -227,9 +227,31 @@ def fold_metrics(trace, cfg) -> RunMetrics:
 
 def check_metrics(trace, cfg, metrics: RunMetrics) -> None:
     """Assert that ``metrics``, a run of ``cfg``, are the ones folded from
-    its ``trace``: counts exactly, floats within 1e-9 relative."""
+    its ``trace``: counts exactly, floats within 1e-9 relative.
+
+    On a day whose fitting and help fraction are fixed, also assert that
+    each customer still fitting in a cubicle at closing is due to ask for
+    help or to leave strictly after the horizon.  A fitting that never
+    resumes or never ends writes no trace line, so only this shows it.
+    """
     folded = fold_metrics(trace, cfg)
     for name, want, got in zip(RunMetrics._fields, folded, metrics, strict=True):
         close = isinstance(want, float) and math.isclose(got, want, rel_tol=1e-9)
         assert close or got == want, (
             f"{name}: {got!r} reported, {want!r} folded from the trace")
+    if not cfg.fitting.family == cfg.help_fraction.family == "deterministic":
+        return
+    (fit,), (frac,) = cfg.fitting.params, cfg.help_fraction.params
+    due = {}
+    for t, label, cid in trace:
+        if label == "enter_cubicle":
+            # one who wants help asks for it fit * frac in; unless all do,
+            # one who has not asked may never, so is due no later than at
+            # fit in, when they leave
+            due[cid] = t + fit * frac if cfg.help_probability == 1 else t + fit
+        elif label == "end_job2":
+            due[cid] = t + fit * (1.0 - frac)
+        elif label in ("request_help", "leave_cubicle"):
+            del due[cid]
+    overdue = {cid: at for cid, at in due.items() if at <= cfg.horizon}
+    assert not overdue, f"still fitting at closing {cfg.horizon}, though due at {overdue}"

@@ -7,8 +7,6 @@ check uses frozen seeds, so a verdict never flickers between runs.
 
 import math
 import random
-import subprocess
-import sys
 import time
 from dataclasses import replace
 
@@ -22,7 +20,7 @@ from fitroom.harness import SweepSpec, sweep
 from fitroom.proactive import ProactivePolicy, ServiceTimeTable
 from fitroom.runtime import JOB2
 from fitroom.stats import decide, mann_whitney_u
-from helpers import traced
+from helpers import run_python, traced
 from oracles import check_metrics, check_trace, exact_mw_oracle
 
 D = DistributionSpec
@@ -142,12 +140,9 @@ def test_c2_sweep_cli_reproducible_within_budget(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     times = []
     for out in (out1, out2):
-        cmd = [
-            sys.executable, "-m", "fitroom", "sweep",
-            "--model", "both", "--seed", "42", "--out", str(out),
-        ]
         started = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+        proc = run_python("-m", "fitroom", "sweep", "--model", "both", "--seed", "42",
+                          "--out", str(out), timeout=300)
         times.append(time.perf_counter() - started)
         assert proc.returncode == 0, proc.stderr
     same = out1.read_bytes() == out2.read_bytes()

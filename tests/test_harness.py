@@ -10,13 +10,10 @@ import json
 import os
 import re
 import signal
-import subprocess
-import sys
 import threading
 import time
 import traceback
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -44,6 +41,7 @@ from fitroom.harness import (
 )
 from fitroom.proactive import ProactivePolicy
 from fitroom.stats import HypothesisOutcome, RunMetrics, SummaryStats
+from helpers import ROOT, run_python
 
 
 def tiny_cfg(**over):
@@ -541,7 +539,7 @@ def test_a_failure_in_the_callers_block_leaves_no_child(monkeypatch, cpus):
 
 _TRACED_SWEEP = """
 import json, sys
-sys.path[:0] = [sys.argv[1], sys.argv[2]]
+sys.path.insert(0, sys.argv[1])
 import tracing
 from fitroom import harness
 from fitroom.config import ScenarioConfig
@@ -558,11 +556,7 @@ print(json.dumps({"report": harness.emit_report(report),
 def test_traced_sweep_reports_what_an_untraced_one_does():
     # the benchmark's tracer patches names in the package; each must still
     # exist and be looked up on every run, or its traced runs break
-    root = Path(__file__).resolve().parents[1]
-    done = subprocess.run(
-        [sys.executable, "-c", _TRACED_SWEEP, str(root / "perfbench"), str(root / "src")],
-        capture_output=True, text=True, timeout=300,
-    )
+    done = run_python("-c", _TRACED_SWEEP, str(ROOT / "perfbench"), timeout=300)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     untraced = sweep(ScenarioConfig(master_seed=42, replications=1), SweepSpec(), "both")
@@ -885,13 +879,76 @@ def test_cli_json_output_parses(capsys):
     assert doc["rows"][0]["model"] == "abs"
 
 
-def test_cli_bad_config_content_exits_1(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("cubicles = 0\n")
-    assert main(["run", "--config", str(bad)]) == 1
-    err = capsys.readouterr().err
-    assert "cubicles" in err
+# an interval that can be negative crashed with a traceback, and one whose
+# day expects about 5e11 polls never finished; a bool or a quoted number
+# where a number belongs, a staff count other than 1, and a distribution its
+# record refuses are refused by the input records, as is one whose values
+# overflow a float at an extreme draw (a NaN or infinite event time crashed
+# the run)
+_BAD_LINES = """\
+cubicles = 0
+proactive.check = ["uniform", -1, 1]
+proactive.check = ["exponential", 1e9]
+proactive.threshold = true
+arrival.rates = [true, 34, 48, 56, 56, 48, 34, 20]
+arrival.scale = "2"
+staff = 2
+service.job1 = ["uniform", "1", 2]
+proactive.enabled = 1
+service.fitting = ["triangular", 3, 2, 1]
+help.fraction = ["uniform", 0.7, 0.3]
+patience = ["exponential", 0]
+service.fitting = ["exponential", 1e-308]
+service.fitting = ["triangular", 0, 1e308, 1.7e308]
+"""
 
+# corner days that load and must run, cheaply: the most cubicles, and every
+# duration 0
+_CORNER_DAYS = (
+    "cubicles = 10000",
+    "service.job1 = 0\nservice.job2 = 0\nservice.job3 = 0\nservice.fitting = 0\npatience = 0\nproactive.revert = 0",
+)
+
+
+def test_cli_bad_config_content_exits_1(tmp_path):
+    # through the command line in a new process, as a user runs it: a bad
+    # value exits 1 with one line naming its key and no traceback, and a
+    # corner day runs both models, which must agree
+    cfg = tmp_path / "day.cfg"
+    failed = []
+
+    def run(text, *args):
+        cfg.write_text(text + "\n")
+        done = run_python("-m", "fitroom", "run", "--replications", "1", "--config", str(cfg),
+                          *args, timeout=30)
+        last = done.stderr.rstrip().rpartition("\n")[2]
+        return done, f"{text!r}: exit {done.returncode}, {last}"
+
+    for line in _BAD_LINES.splitlines():
+        done, seen = run(line)
+        key = line.partition(" =")[0]
+        if (done.returncode != 1 or not done.stderr.startswith(f"fitroom: {key}:")
+                or len(done.stderr.splitlines()) != 1):
+            failed.append(seen)
+    for text in _CORNER_DAYS:
+        done, seen = run(text, "--model", "both")
+        if done.returncode != 0:
+            failed.append(seen)
+    assert not failed, "\n".join(failed)
+
+
+def test_cli_in_dev_mode_with_warnings_as_errors_writes_no_stderr(tmp_path):
+    # a warning raised in a forked child only makes that child exit 1; the
+    # caller reruns its block and exits 0, so only empty stderr shows none
+    # was raised.  The polling day exercises the poll events and the
+    # calendar's pushes
+    poll = tmp_path / "poll.cfg"
+    poll.write_text('proactive.check = ["exponential", 1.0]\n')
+    for args in (["compare", "--replications", "6", "--seed", "3"],
+                 ["sweep", "--levels", "2", "--replications", "4", "--format", "json"],
+                 ["compare", "--replications", "6", "--seed", "3", "--config", str(poll)]):
+        done = run_python("-X", "dev", "-W", "error", "-m", "fitroom", *args)
+        assert (done.returncode, done.stderr) == (0, ""), args
 
 
 def test_cli_sweep_whose_ladder_overflows_exits_1(tmp_path, capsys):
@@ -936,13 +993,9 @@ def test_cli_unwritable_output_exits_2(tmp_path, capsys):
 def test_importing_the_cli_loads_no_unused_library():
     # start-up is a fixed cost of every run: summaries need only math, and
     # a child's results cross the pipe in marshal's format
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     probe = ("import sys; before = set(sys.modules); import fitroom.cli; "
              "print(' '.join(sorted(set(sys.modules) - before)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = run_python("-c", probe, timeout=60)
     assert done.returncode == 0, done.stderr
     loaded = set(done.stdout.split())
     assert "fitroom.cli" in loaded
@@ -951,21 +1004,20 @@ def test_importing_the_cli_loads_no_unused_library():
     # compiles it; the caller imports it before forking, so the one child of
     # a run on two CPUs starts with it
     for model, loads_abs in (("des", False), ("abs", True)):
-        run = subprocess.run(
-            [sys.executable, "-c",
-             "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
-             "os.register_at_fork(after_in_child=lambda: print("
-             "'child', 'fitroom.abs' in sys.modules, file=sys.stderr)); "
-             "from fitroom.cli import main; "
-             f"code = main(['compare', '--model', '{model}', '--replications', '2', "
-             "'--out', os.devnull]); print(code, 'fitroom.abs' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=60)
+        run = run_python(
+            "-c",
+            "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+            "os.register_at_fork(after_in_child=lambda: print("
+            "'child', 'fitroom.abs' in sys.modules, file=sys.stderr)); "
+            "from fitroom.cli import main; "
+            f"code = main(['compare', '--model', '{model}', '--replications', '2', "
+            "'--out', os.devnull]); print(code, 'fitroom.abs' in sys.modules)",
+            timeout=60)
         assert (run.stdout, run.stderr) == (f"0 {loads_abs}\n", f"child {loads_abs}\n"), model
     # annotations are strings, so nothing needs typing at run time; without
     # site, no .pth file in site-packages can load it first
-    bare = subprocess.run([sys.executable, "-S", "-c",
-                           "import sys, fitroom.cli; print('typing' in sys.modules)"],
-                          env=env, capture_output=True, text=True, timeout=60)
+    bare = run_python("-S", "-c", "import sys, fitroom.cli; print('typing' in sys.modules)",
+                      timeout=60)
     assert bare.returncode == 0, bare.stderr
     assert bare.stdout == "False\n"
 
@@ -989,12 +1041,9 @@ def test_only_the_input_types_are_dataclasses():
 
 def test_cli_subprocess_end_to_end(tmp_path):
     # the real interpreter boundary, twice, to pin byte determinism
-    cmd = [
-        sys.executable, "-m", "fitroom", "sweep", "--model", "des",
-        "--levels", "2", "--replications", "2", "--seed", "11",
-    ]
-    first = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
-    second = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    cmd = ["-m", "fitroom", "sweep", "--model", "des",
+           "--levels", "2", "--replications", "2", "--seed", "11"]
+    first, second = run_python(*cmd), run_python(*cmd)
     assert first.returncode == 0 and second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith("model,level,arrival_scale,")
@@ -1016,14 +1065,9 @@ raise SystemExit(main(sys.argv[1:]))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="the platform keeps no CPU affinity mask")
 def test_cli_on_one_cpu_runs_in_process_with_the_same_bytes():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     args = ["compare", "--seed", "11", "--replications", "3", "--format", "json"]
-    pinned = subprocess.run([sys.executable, "-c", _ONE_CPU_CLI, *args], env=env,
-                            capture_output=True, text=True, timeout=120)
-    free = subprocess.run([sys.executable, "-m", "fitroom", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    pinned = run_python("-c", _ONE_CPU_CLI, *args)
+    free = run_python("-m", "fitroom", *args)
     assert pinned.returncode == 0, pinned.stderr
     assert free.returncode == 0, free.stderr
     serial = compare_experiments(replace(ScenarioConfig(master_seed=11), replications=3))
@@ -1044,12 +1088,8 @@ raise SystemExit(cli.main(sys.argv[1:]))
 
 
 def test_cli_whose_forks_fail_prints_the_serial_report():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     args = ["run", "--model", "both", "--seed", "11", "--replications", "3"]
-    done = subprocess.run([sys.executable, "-c", _FORK_FAILS_CLI, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_python("-c", _FORK_FAILS_CLI, *args)
     assert done.returncode == 0, done.stderr
     serial = run_report(replace(ScenarioConfig(master_seed=11), replications=3))
     assert done.stdout == emit_report(serial)
@@ -1075,12 +1115,8 @@ raise SystemExit(cli.main(sys.argv[1:]))
 
 
 def test_cli_whose_children_die_prints_the_serial_report():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
     args = ["run", "--model", "both", "--seed", "11", "--replications", "3"]
-    done = subprocess.run([sys.executable, "-c", _CHILDREN_DIE_CLI, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_python("-c", _CHILDREN_DIE_CLI, *args)
     assert done.returncode == 0, done.stderr
     serial = run_report(replace(ScenarioConfig(master_seed=11), replications=3))
     assert done.stdout == emit_report(serial)
@@ -1095,13 +1131,7 @@ def test_cli_whose_children_die_prints_the_serial_report():
 def test_importing_the_cli_starts_no_thread():
     # the runner forks from the CLI's process; a fork of a process with
     # more than one thread is unsafe, and deprecated from Python 3.12 on
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c",
-         "import os, fitroom.cli; print(len(os.listdir('/proc/self/task')))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = run_python("-c", "import os, fitroom.cli; print(len(os.listdir('/proc/self/task')))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1\n"
 
@@ -1115,18 +1145,11 @@ raise SystemExit(main(["sweep", "--levels", "2", "--replications", "2"]))
 
 
 def test_the_cli_needs_no_numpy():
-    root = Path(__file__).resolve().parents[1]
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_CLI], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = run_python("-c", _NO_NUMPY_CLI)
     assert done.returncode == 0, done.stderr
     expected = sweep(replace(ScenarioConfig(), replications=2), SweepSpec(levels=2))
     assert done.stdout == emit_report(expected)
-    loaded = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fitroom.cli; print(sorted(m for m in sys.modules"
-         " if m.partition('.')[0] == 'numpy'))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    loaded = run_python("-c", "import sys, fitroom.cli; print(sorted(m for m in sys.modules"
+                        " if m.partition('.')[0] == 'numpy'))")
     assert loaded.returncode == 0, loaded.stderr
     assert loaded.stdout == "[]\n"

@@ -168,15 +168,11 @@ class StaffAgent:
         else:
             raise ModelError(f"staff: unexpected message {kind!r}")
         if idle:
-            self.scan(now)
-
-    def scan(self, now: float) -> None:
-        """The staff's look: start the job ``select_service`` picks, if any,
-        and tell its customer."""
-        model = self.model
-        c = model.start_job(select_service(self.store), now)
-        if c is not None:
-            model.msgs.append((c, M_SERVE, model.job))
+            # the staff's look: start the job select_service picks, if any,
+            # and tell its customer
+            c = model.start_job(select_service(self.store), now)
+            if c is not None:
+                model.msgs.append((c, M_SERVE, model.job))
 
 
 class FittingRoomAgent:

@@ -41,11 +41,7 @@ class DesRun(Replication):
         c = Customer(len(self.customers), now)
         self.arrive(c, now)
         if self.join(c, self.store.entry, now):
-            self.dispatch_staff(now)
-
-    def dispatch_staff(self, now: float) -> None:
-        """The staff's look: start the job ``select_service`` picks, if any."""
-        self.start_job(select_service(self.store), now)
+            self.start_job(select_service(self.store), now)
 
     def complete_job(self, c: Customer, now: float) -> None:
         job = self.job
@@ -59,16 +55,16 @@ class DesRun(Replication):
             self.start_fitting(c, now, bernoulli(self.cfg.help_probability,
                                                  self.help_draws))
         self.end_job(c, now)
-        self.dispatch_staff(now)
+        self.start_job(select_service(self.store), now)
 
     def request_help(self, c: Customer, now: float) -> None:
         if self.ask_help(c, now):
-            self.dispatch_staff(now)
+            self.start_job(select_service(self.store), now)
 
     def leave_cubicle(self, c: Customer, now: float) -> None:
         self.store.leave(c, now)
         if self.join(c, self.store.ret, now):
-            self.dispatch_staff(now)
+            self.start_job(select_service(self.store), now)
 
 
 def run_des(cfg: ScenarioConfig, draws: ReplicationDraws,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from collections import deque
 
 from .engine import EventCalendar, ModelError, ReplicationDraws
@@ -105,9 +106,10 @@ class Replication:
         self.fitting = values(seed, "fitting", cfg.fitting)
         self.help_draws = draws.uniforms(seed, "help")
         self.cfg = cfg
-        # run()'s bound, with no polls yet, for the day's len(day) - 1
-        # arrivals, a few of which may come after a horizon set early
-        self.cal = EventCalendar(14 * (len(day) - 1) + 2)
+        # run()'s bound, with no polls yet, for the arrivals the day handles:
+        # those at or before the horizon (the day is sorted, and its closing
+        # None is left out of the search)
+        self.cal = EventCalendar(14 * bisect_right(day, cfg.horizon, 0, len(day) - 1) + 2)
         self.store = Store(cfg.cubicles, trace)
         self.customers: list = []
         self.msgs: deque = deque()

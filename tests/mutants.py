@@ -49,6 +49,8 @@ TIED = ("tests/test_abs.py::"
         "test_a_patience_deadline_tied_with_entry_service_goes_by_stamp_order")
 LATTICE = "tests/test_abs.py::test_two_models_tell_the_same_story_on_lattice_days"
 ASK = "tests/test_abs.py::test_asking_for_help"
+CUT_SHORT = ("tests/test_abs.py::"
+             "test_a_day_cut_short_by_its_horizon_stamps_for_the_arrivals_it_handles")
 
 MUTANTS = (
     Mutant("end_job_never_tells_the_policy", "src/fitroom/runtime.py",
@@ -196,6 +198,21 @@ MUTANTS = (
            "        self.store.gone += 1\n",
            "",
            (RENEGE_QUEUE,),
+           True),
+    # a horizon set before closing leaves arrivals in the day's list that
+    # the day never handles, and the old bound counted them
+    Mutant("stamp_budget_counts_arrivals_past_the_horizon", "src/fitroom/runtime.py",
+           "EventCalendar(14 * bisect_right(day, cfg.horizon, 0, len(day) - 1) + 2)",
+           "EventCalendar(14 * (len(day) - 1) + 2)",
+           (CUT_SHORT + "[DesRun]", CUT_SHORT + "[AbsRun]"),
+           True),
+    # one of DES's four look sites: a customer done fitting joins the
+    # return queue of an idle staff member, who never looks
+    Mutant("leave_cubicle_never_looks", "src/fitroom/des.py",
+           "        if self.join(c, self.store.ret, now):\n"
+           "            self.start_job(select_service(self.store), now)\n",
+           "        self.join(c, self.store.ret, now)\n",
+           (LATTICE, C1_RULES, "tests/test_des.py::test_conservation_of_customers"),
            True),
     # on a day whose help fraction is fixed and not a half, whoever is still
     # fitting at closing is due at other times than check_metrics computes

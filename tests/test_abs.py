@@ -541,12 +541,23 @@ def test_a_day_stamps_at_most_14_events_per_arrival_and_2_per_poll(cfg, rep):
             assert n <= shares[kind], (model.__name__, kind)
         assert run.cal._seq <= 7 * arrivals + 1 + polls.n + 1 + speedups.n, \
             model.__name__
-        # the bound the calendar held the day to: the day's arrivals count,
-        # those past the horizon too, and each poll handled raised it by 2
-        day = ReplicationDraws(rep).arrivals(cfg.master_seed, cfg.arrival)
-        assert run.cal.limit == 14 * (len(day) - 1) + 2 * polls.n + 2, model.__name__
+        # the bound the calendar held the day to: the arrivals it handled
+        # count, and each poll handled raised it by 2
+        assert run.cal.limit == 14 * arrivals + 2 * polls.n + 2, model.__name__
         stamped.append(kinds)
     assert stamped[0] == stamped[1]
+
+
+@pytest.mark.parametrize("model", [DesRun, AbsRun])
+def test_a_day_cut_short_by_its_horizon_stamps_for_the_arrivals_it_handles(model):
+    # the arrivals after an early horizon are never handled, so the bound
+    # of Replication.run's docstring does not count them
+    cfg = ScenarioConfig(replications=1, master_seed=3, horizon=30.0)
+    run = model(cfg, ReplicationDraws(0))
+    run.run()
+    day = ReplicationDraws(0).arrivals(cfg.master_seed, cfg.arrival)
+    assert 0 < len(run.customers) < len(day) - 1
+    assert run.cal.limit == 14 * len(run.customers) + 2
 
 
 @pytest.mark.parametrize("model", sorted(MODEL_ORDER))
@@ -792,6 +803,30 @@ def test_cubicles_are_granted_by_message_while_one_is_free():
     receiver, kind, _ = model.msgs.popleft()
     assert (receiver.id, kind) == (2, agents.M_CUBICLE_GRANTED)
     assert model.store.occupied == 2
+
+
+def test_the_staff_looks_for_a_job_when_a_request_finds_them_idle():
+    # the look ends the staff's handling of a request: an idle staff member
+    # starts the job select_service picks and tells its customer by a
+    # serve message carrying the job; busy, or with no eligible head, they
+    # start nothing and post nothing
+    for busy, full, served in ((False, False, True), (True, False, False),
+                               (False, True, False)):
+        model = AbsRun(ScenarioConfig(replications=1, cubicles=1), ReplicationDraws(0))
+        store = model.store
+        if busy:
+            store.staff_since = 0.5
+        if full:
+            store.enter(CustomerAgent(9, 0.0, model), 0.5)
+        c = CustomerAgent(0, 1.0, model)
+        c._transition(agents.WAITING_ENTRY)
+        model.staff.handle(agents.M_REQUEST_ENTRY, c, 1.0)
+        if served:
+            assert list(model.msgs) == [(c, agents.M_SERVE, JOB1)]
+            assert not store.entry and model.pending_job[2:] == ("job1_done", c)
+        else:
+            assert not model.msgs, (busy, full)
+            assert list(store.entry) == [c] and model.pending_job is NEVER
 
 
 def test_grant_with_no_free_cubicle_is_a_model_error():
